@@ -281,7 +281,7 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e = complex.count(1)
     if n_e == 0:
         return GroupInvariants(0, ())
-    d0_cols = linalg.columns(_vertex_incidence(complex), complex.count(0))
+    d0_cols = linalg.transpose(_vertex_incidence(complex), complex.count(0))
     if complex.dimension >= 2:
         d1 = []
         for t in range(complex.count(2)):
@@ -311,7 +311,8 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
         for i in range(n_e):
             rels.append([n if j == i else 0 for j in range(n_e)])
         free_mod, tors_mod = linalg.lattice_quotient(gens_mod, rels, n_e)
-        assert free_mod == 0
+        if free_mod:
+            raise ArithmeticError(f"certificate failure: H^1 with Z/{n} coefficients has free rank {free_mod}")
         orders.extend(tors_mod)
 
     return GroupInvariants(rank_total, invariant_factor_chain(orders))

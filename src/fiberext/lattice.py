@@ -10,6 +10,7 @@ a divisor by vertical components so that the result is numerically trivial
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -32,6 +33,8 @@ class FiberLattice:
 
     ``matrix[i][j]`` is the intersection number of components i and j;
     ``multiplicities`` are their coefficients in the scheme-theoretic fiber.
+    Invariants are computed at most once per instance and cached on it; the
+    cache is not a field, so equality, hashing and repr ignore it.
     """
 
     labels: tuple[str, ...]
@@ -42,9 +45,11 @@ class FiberLattice:
     def __post_init__(self):
         n = len(self.labels)
         object.__setattr__(self, "labels", tuple(self.labels))
-        mat = tuple(tuple(_to_fraction(x) for x in row) for row in self.matrix)
+        # Tuples from lists, not generators: a tuple grown from a generator
+        # bypasses the interpreter's tuple free list but is freed onto it.
+        mat = tuple([tuple([_to_fraction(x) for x in row]) for row in self.matrix])
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "multiplicities", tuple(int(c) for c in self.multiplicities))
+        object.__setattr__(self, "multiplicities", tuple([int(c) for c in self.multiplicities]))
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("intersection matrix must be square and match the labels")
         if len(self.multiplicities) != n:
@@ -59,6 +64,68 @@ class FiberLattice:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.matrix for x in row)
 
+    @cached_property
+    def _integer_matrix(self) -> tuple[int, list[list[int]]]:
+        """``(d, d * matrix)`` in integers, d the lcm of the denominators."""
+        d = lcm(*[x.denominator for row in self.matrix for x in row])
+        return d, [[x.numerator * (d // x.denominator) for x in row] for row in self.matrix]
+
+    @cached_property
+    def _gauge_reduced(self) -> tuple[list[int], list[list[int]]]:
+        """The indices off the gauge index, and the integer matrix on them."""
+        i0 = _gauge_index(self)
+        idx = [i for i in range(self.size) if i != i0]
+        a = self._integer_matrix[1]
+        return idx, [[a[i][j] for j in idx] for i in idx]
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        n = self.size
+        checks = []
+
+        _, a = self._integer_matrix
+        symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+        checks.append(("symmetric", symmetric, "" if symmetric else "matrix is not symmetric"))
+
+        mc = _pair(self, self.multiplicities)
+        trivial = all(x == 0 for x in mc)
+        checks.append((
+            "fiber_class_trivial",
+            trivial,
+            "" if trivial else f"matrix * multiplicities = {mc}",
+        ))
+
+        nsd, rank = _semidefinite_rank([[-x for x in row] for row in a]) if symmetric else (False, 0)
+        checks.append((
+            "negative_semidefinite",
+            nsd,
+            "" if nsd else "a pivot of the negated matrix is negative or a zero pivot has a nonzero row",
+        ))
+
+        if self.connected:
+            kernel_dim = n - rank if nsd else len(linalg.rational_kernel(a, n))
+            # M c = 0 with c != 0 puts c in the kernel, so c spans it iff it is a line.
+            ok = trivial and kernel_dim == 1
+            checks.append((
+                "kernel_is_multiplicity_span",
+                ok,
+                "" if ok else f"rational kernel has dimension {kernel_dim} or is not spanned by the multiplicities",
+            ))
+
+        return ValidationReport(tuple(checks))
+
+    @cached_property
+    def _denominator_bound(self) -> int:
+        diag = linalg.snf_diagonal(self._gauge_reduced[1], self.size - 1)
+        return diag[-1] if diag else 1
+
+    @cached_property
+    def _component_group(self) -> FiniteAbelianGroup:
+        n = self.size
+        gens = linalg.kernel_basis([list(self.multiplicities)], n)
+        _, torsion = linalg.lattice_quotient(gens, linalg.transpose(self._integer_matrix[1], n), n)
+        return FiniteAbelianGroup(tuple(torsion))
+
 
 @dataclass(frozen=True)
 class DivisorTrace:
@@ -67,7 +134,7 @@ class DivisorTrace:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_to_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([_to_fraction(v) for v in self.values]))
 
     def total(self, lattice: FiberLattice) -> Fraction:
         if len(self.values) != lattice.size:
@@ -132,69 +199,29 @@ class ValidationReport:
         return [name for name, ok, _ in self.checks if not ok]
 
 
-def _positive_semidefinite(mat) -> bool:
-    """Exact PSD test by symmetric Gaussian elimination.
+def _semidefinite_rank(a) -> tuple[bool, int]:
+    """Exact PSD test and rank of a symmetric integer matrix, in place.
 
-    All pivots must be >= 0, and a zero pivot forces the whole remaining
-    row to vanish.
+    A fraction-free symmetric sweep (Bareiss 1968) over the upper triangle,
+    with diagonal pivots in order.  Each pivot is a principal minor, so it
+    has the sign of the rational pivot while the earlier ones are positive.
     """
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    for k in range(n):
-        p = a[k][k]
-        if p < 0:
-            return False
-        if p == 0:
-            if any(a[k][j] != 0 for j in range(k + 1, n)):
-                return False
-            continue
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return True
+    prev, rank = 1, 0
+    for k, prow in enumerate(a):
+        p = prow[k]
+        if p < 0 or (p == 0 and any(prow[k + 1:])):
+            return False, rank
+        if p:
+            for i in range(k + 1, len(a)):
+                row, f = a[i], prow[i]
+                row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], prow[i:])]
+            prev, rank = p, rank + 1
+    return True, rank
 
 
 def validate_lattice(lattice: FiberLattice) -> ValidationReport:
     """Check the Zariski-lemma invariants of a fiber lattice."""
-    n = lattice.size
-    mat = lattice.matrix
-    checks = []
-
-    symmetric = all(mat[i][j] == mat[j][i] for i in range(n) for j in range(i + 1, n))
-    checks.append(("symmetric", symmetric, "" if symmetric else "matrix is not symmetric"))
-
-    mc = linalg.mat_vec([list(r) for r in mat], list(lattice.multiplicities))
-    trivial = all(x == 0 for x in mc)
-    checks.append((
-        "fiber_class_trivial",
-        trivial,
-        "" if trivial else f"matrix * multiplicities = {mc}",
-    ))
-
-    nsd = symmetric and _positive_semidefinite([[-x for x in row] for row in mat])
-    checks.append((
-        "negative_semidefinite",
-        nsd,
-        "" if nsd else "a pivot of the negated matrix is negative or a zero pivot has a nonzero row",
-    ))
-
-    if lattice.connected:
-        kernel = linalg.rational_kernel([list(r) for r in mat], n)
-        ok = len(kernel) == 1 and trivial
-        if ok:
-            vec = kernel[0]
-            c = lattice.multiplicities
-            i0 = next(j for j, x in enumerate(vec) if x != 0)
-            ratio = Fraction(c[i0]) / vec[i0]
-            ok = all(ratio * x == Fraction(ci) for x, ci in zip(vec, c))
-        checks.append((
-            "kernel_is_multiplicity_span",
-            ok,
-            "" if ok else f"rational kernel has dimension {len(kernel)} or is not spanned by the multiplicities",
-        ))
-
-    return ValidationReport(tuple(checks))
+    return lattice._validation
 
 
 def _require_valid_connected(lattice: FiberLattice, op: str) -> None:
@@ -209,21 +236,31 @@ def _gauge_index(lattice: FiberLattice) -> int:
     return next(i for i, c in enumerate(lattice.multiplicities) if c != 0)
 
 
-def _solve_gauged(lattice: FiberLattice, rhs: list[Fraction]) -> list[Fraction]:
-    """Solve matrix @ x = rhs with x fixed to 0 at the gauge index.
+def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) -> ExtensionResult:
+    """Solve matrix @ x = targets - trace with x fixed to 0 at the gauge index.
 
     The reduced matrix (gauge row and column deleted) is negative definite,
     hence invertible; solvability of the full system is the caller's burden.
     """
+    d = lattice._integer_matrix[0]
+    idx, reduced = lattice._gauge_reduced
     i0 = _gauge_index(lattice)
-    idx = [i for i in range(lattice.size) if i != i0]
-    reduced = [[lattice.matrix[i][j] for j in idx] for i in idx]
-    sub = linalg.solve_rational(reduced, [rhs[i] for i in idx])
-    assert sub is not None
-    sol = [Fraction(0)] * lattice.size
-    for k, i in enumerate(idx):
-        sol[i] = sub[k]
-    return sol
+    sub = linalg.solve_rational(reduced, [d * (targets[i] - trace.values[i]) for i in idx])
+    if sub is None:
+        raise ArithmeticError("certificate failure: the gauge-reduced matrix is singular")
+    sol = sub[:i0] + [Fraction(0)] + sub[i0:]
+    achieved = [v + x for v, x in zip(trace.values, _pair(lattice, sol))]
+    if achieved != list(targets):
+        raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(targets)}")
+    return ExtensionResult(tuple(sol), _denominator(sol), f"{symbol}[{i0}] = 0", tuple(achieved))
+
+
+def _pair(lattice: FiberLattice, vec) -> list[Fraction]:
+    """``matrix @ vec`` in integers over a common denominator."""
+    d, a = lattice._integer_matrix
+    m = _denominator(vec)
+    nums = [x.numerator * (m // x.denominator) for x in vec]
+    return [Fraction(sum(x * y for x, y in zip(row, nums)), d * m) for row in a]
 
 
 def _denominator(coeffs) -> int:
@@ -241,17 +278,7 @@ def extend_trivial(lattice: FiberLattice, trace: DivisorTrace):
     total = trace.total(lattice)
     if total != 0:
         return Obstructed("trace pairs nonzero against the fiber class", total)
-    rhs = [-v for v in trace.values]
-    sol = _solve_gauged(lattice, rhs)
-    achieved = [v + x for v, x in zip(trace.values, linalg.mat_vec([list(r) for r in lattice.matrix], sol))]
-    assert all(x == 0 for x in achieved)
-    i0 = _gauge_index(lattice)
-    return ExtensionResult(
-        coefficients=tuple(sol),
-        denominator=_denominator(sol),
-        normalization=f"a[{i0}] = 0",
-        achieved_trace=tuple(achieved),
-    )
+    return _extend(lattice, trace, [Fraction(0)] * lattice.size, "a")
 
 
 def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
@@ -277,16 +304,7 @@ def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
         weighted = sum((Fraction(c) * x for c, x in zip(lattice.multiplicities, d)), Fraction(0))
         if weighted != total:
             return Obstructed("target sum mismatch: sum c_i d_i must equal the total", weighted - total)
-    rhs = [t - v for t, v in zip(d, trace.values)]
-    sol = _solve_gauged(lattice, rhs)
-    achieved = [v + x for v, x in zip(trace.values, linalg.mat_vec([list(r) for r in lattice.matrix], sol))]
-    assert achieved == d
-    return ExtensionResult(
-        coefficients=tuple(sol),
-        denominator=_denominator(sol),
-        normalization=f"b[{i0}] = 0",
-        achieved_trace=tuple(achieved),
-    )
+    return _extend(lattice, trace, d, "b")
 
 
 def denominator_bound(lattice: FiberLattice) -> int:
@@ -298,11 +316,7 @@ def denominator_bound(lattice: FiberLattice) -> int:
     _require_valid_connected(lattice, "denominator_bound")
     if not lattice.is_integral():
         raise ValueError("denominator_bound requires an integer intersection matrix")
-    i0 = _gauge_index(lattice)
-    idx = [i for i in range(lattice.size) if i != i0]
-    reduced = [[int(lattice.matrix[i][j]) for j in idx] for i in idx]
-    diag = linalg.snf_diagonal(reduced, len(idx))
-    return diag[-1] if diag else 1
+    return lattice._denominator_bound
 
 
 def component_group(lattice: FiberLattice) -> FiniteAbelianGroup:
@@ -314,12 +328,7 @@ def component_group(lattice: FiberLattice) -> FiniteAbelianGroup:
     _require_valid_connected(lattice, "component_group")
     if not lattice.is_integral():
         raise ValueError("component_group requires an integer intersection matrix")
-    n = lattice.size
-    mat = [[int(x) for x in row] for row in lattice.matrix]
-    gens = linalg.kernel_basis([list(lattice.multiplicities)], n)
-    rels = linalg.columns(mat, n)
-    _, torsion = linalg.lattice_quotient(gens, rels, n)
-    return FiniteAbelianGroup(tuple(torsion))
+    return lattice._component_group
 
 
 def kodaira_cycle(n: int) -> FiberLattice:

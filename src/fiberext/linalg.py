@@ -4,12 +4,17 @@ All routines operate on plain lists of Python ints or ``fractions.Fraction``
 values.  Nothing here ever touches floating point.  Matrices are lists of
 rows; an empty matrix must be accompanied by an explicit column count where
 the shape is ambiguous.
+
+Rational systems are solved without rational arithmetic: each row is scaled
+to integers by the lcm of its denominators, one fraction-free (Bareiss)
+elimination brings the matrix to echelon form with exact integer divisions,
+and ``Fraction`` values are created only in the back-substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -24,10 +29,6 @@ def transpose(mat, ncols=None):
     if not mat:
         return [[] for _ in range(ncols or 0)]
     return [list(col) for col in zip(*mat)]
-
-
-def columns(mat, ncols=None):
-    return transpose(mat, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +129,6 @@ def _fix_signs(s, u, v, m, n):
 def snf_diagonal(mat, ncols=None):
     _, s, _ = smith_normal_form(mat, ncols)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
-
-
-def integer_rank(mat, ncols=None):
-    return len(snf_diagonal(mat, ncols))
 
 
 def kernel_basis(mat, ncols=None):
@@ -240,85 +237,79 @@ def lattice_quotient(gens, rels, n):
     return free, torsion
 
 
+
+
 # ---------------------------------------------------------------------------
-# Rational elimination
+# Rational elimination, fraction-free
 # ---------------------------------------------------------------------------
 
-def rational_rank(mat):
-    work = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    ncols = len(work[0]) if work else 0
+def _echelon(mat, ncols):
+    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+
+    Pivots are searched in the first ``ncols`` columns only, so augmented
+    columns ride along.  Every division is exact: after step k each entry is
+    a (k+1)-minor of the row-permuted, row-scaled integer matrix, so the last
+    pivot is the determinant of the pivot block.  Returns ``(rows, pivots)``.
+    """
+    rows = []
+    for row in mat:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        den = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    pivots, prev = [], 1
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col] / prow[col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        rank += 1
-    return rank
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow, p = rows[r], rows[r][col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [0] * col + [(p * a - f * b) // prev for a, b in zip(rows[i][col:], prow[col:])]
+        pivots.append(col)
+        prev = p
+    return rows, pivots
+
+
+def _back_substitute(rows, pivots, col, n):
+    """``x`` in Q^n, 0 off the pivots, with ``rows[:, pivots] @ x == rows[:, col]``.
+
+    ``d * x`` is integral by Cramer's rule (d the last pivot), so the
+    substitution runs in integers and Fractions appear only at the end.
+    """
+    r = len(pivots)
+    d = rows[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = rows[k]
+        acc = d * row[col] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+        y[k] = acc // row[pivots[k]]
+    x = [Fraction(0)] * n
+    for pcol, v in zip(pivots, y):
+        x[pcol] = Fraction(v, d)
+    return x
 
 
 def rational_kernel(mat, ncols=None):
-    """Basis of the rational nullspace ``{x : mat @ x == 0}``."""
+    """Basis of the rational nullspace ``{x : mat @ x == 0}``: per non-pivot
+    column j, the vector that is 1 at j and 0 at the other non-pivot columns."""
     n = len(mat[0]) if mat else (ncols or 0)
-    work = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        work[rank] = [x / prow[col] for x in prow]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        pivots.append(col)
-        rank += 1
-    free = [j for j in range(n) if j not in pivots]
+    rows, pivots = _echelon(mat, n)
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * n
+    for fcol in (j for j in range(n) if j not in pivots):
+        vec = [-x for x in _back_substitute(rows, pivots, fcol, n)]
         vec[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -work[r][fcol]
         basis.append(vec)
     return basis
 
 
 def solve_rational(mat, rhs):
-    """One rational solution of ``mat @ x == rhs``, or ``None``."""
+    """One rational solution of ``mat @ x == rhs`` (0 off the pivot columns), or ``None``."""
     if not mat:
         return []
     n = len(mat[0])
-    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        work[rank] = [x / prow[col] for x in prow]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], prow)]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(work)):
-        if work[i][n] != 0:
-            return None
-    sol = [Fraction(0)] * n
-    for r, pcol in enumerate(pivots):
-        sol[pcol] = work[r][n]
-    return sol
+    rows, pivots = _echelon([list(row) + [b] for row, b in zip(mat, rhs)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    return _back_substitute(rows, pivots, n, n)

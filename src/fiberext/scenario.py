@@ -24,30 +24,25 @@ from .pic0 import (
 
 
 def parse_rational(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"not an exact rational: {x!r}")
-    if isinstance(x, int):
+    try:
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise ValueError(f"not an exact rational: {x!r}")
-
-
-def format_rational(x: Fraction) -> str:
-    return str(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {x!r}") from None
 
 
 def parse_lattice(data) -> FiberLattice:
     return FiberLattice(
         labels=tuple(data["labels"]),
-        matrix=tuple(tuple(parse_rational(x) for x in row) for row in data["matrix"]),
+        matrix=[[parse_rational(x) for x in row] for row in data["matrix"]],
         multiplicities=tuple(data["multiplicities"]),
         connected=bool(data.get("connected", True)),
     )
 
 
 def parse_trace(data) -> DivisorTrace:
-    return DivisorTrace(values=tuple(parse_rational(x) for x in data["values"]))
+    return DivisorTrace(values=[parse_rational(x) for x in data["values"]])
 
 
 def parse_strata(data) -> SncStrata:

@@ -166,3 +166,136 @@ def cokernel_order_oracle(mat):
             work[i] = [a - f * b for a, b in zip(work[i], work[col])]
     assert det.denominator == 1
     return abs(int(det))
+
+
+# ---------------------------------------------------------------------------
+# Reference path for the fraction-free elimination: the Fraction
+# Gauss-Jordan solvers and the symmetric PSD test that the package used
+# before, kept verbatim so differential tests can compare against them.
+# ---------------------------------------------------------------------------
+
+def rational_kernel_reference(mat, ncols=None):
+    """Basis of the rational nullspace ``{x : mat @ x == 0}``."""
+    n = len(mat[0]) if mat else (ncols or 0)
+    work = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        work[rank] = [x / prow[col] for x in prow]
+        prow = work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        pivots.append(col)
+        rank += 1
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for fcol in free:
+        vec = [Fraction(0)] * n
+        vec[fcol] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -work[r][fcol]
+        basis.append(vec)
+    return basis
+
+
+def solve_rational_reference(mat, rhs):
+    """One rational solution of ``mat @ x == rhs``, or ``None``."""
+    if not mat:
+        return []
+    n = len(mat[0])
+    work = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        prow = work[rank]
+        work[rank] = [x / prow[col] for x in prow]
+        prow = work[rank]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], prow)]
+        pivots.append(col)
+        rank += 1
+    for i in range(rank, len(work)):
+        if work[i][n] != 0:
+            return None
+    sol = [Fraction(0)] * n
+    for r, pcol in enumerate(pivots):
+        sol[pcol] = work[r][n]
+    return sol
+
+
+def positive_semidefinite_reference(mat) -> bool:
+    """Exact PSD test by symmetric Gaussian elimination.
+
+    All pivots must be >= 0, and a zero pivot forces the whole remaining
+    row to vanish.
+    """
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    for k in range(n):
+        p = a[k][k]
+        if p < 0:
+            return False
+        if p == 0:
+            if any(a[k][j] != 0 for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def validation_checks_reference(lattice):
+    """``ValidationReport.checks`` of a fiber lattice, by the reference path."""
+    n = lattice.size
+    mat = lattice.matrix
+    checks = []
+
+    symmetric = all(mat[i][j] == mat[j][i] for i in range(n) for j in range(i + 1, n))
+    checks.append(("symmetric", symmetric, "" if symmetric else "matrix is not symmetric"))
+
+    mc = [sum(row[j] * lattice.multiplicities[j] for j in range(n)) for row in mat]
+    trivial = all(x == 0 for x in mc)
+    checks.append((
+        "fiber_class_trivial",
+        trivial,
+        "" if trivial else f"matrix * multiplicities = {mc}",
+    ))
+
+    nsd = symmetric and positive_semidefinite_reference([[-x for x in row] for row in mat])
+    checks.append((
+        "negative_semidefinite",
+        nsd,
+        "" if nsd else "a pivot of the negated matrix is negative or a zero pivot has a nonzero row",
+    ))
+
+    if lattice.connected:
+        kernel = rational_kernel_reference([list(r) for r in mat], n)
+        ok = len(kernel) == 1 and trivial
+        if ok:
+            vec = kernel[0]
+            c = lattice.multiplicities
+            i0 = next(j for j, x in enumerate(vec) if x != 0)
+            ratio = Fraction(c[i0]) / vec[i0]
+            ok = all(ratio * x == Fraction(ci) for x, ci in zip(vec, c))
+        checks.append((
+            "kernel_is_multiplicity_span",
+            ok,
+            "" if ok else f"rational kernel has dimension {len(kernel)} or is not spanned by the multiplicities",
+        ))
+
+    return tuple(checks)

@@ -100,6 +100,26 @@ class TestExtend:
         path = write(tmp_path, "empty.json", {"name": "empty"})
         assert main(["extend", path]) == EXIT_INPUT
 
+    def test_zero_denominator_in_trace_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.json", {
+            "name": "zero",
+            "lattice": {"labels": ["C1", "C2"],
+                        "matrix": [[-2, 2], [2, -2]],
+                        "multiplicities": [1, 1]},
+            "trace": {"values": ["1/0", 0]},
+        })
+        assert main(["extend", path]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
+            == captured.err.splitlines() == ["error: zero denominator in rational '1/0'"]
+
+    def test_zero_denominator_in_targets_exits_one(self, lattice_file, capsys):
+        assert main(["extend", lattice_file, "--mode", "nef", "--targets", "1/0,0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: zero denominator in rational '1/0'"]
+
 
 class TestDualComplexAndCochain:
     def test_dual_complex_summary(self, circle_file, capsys):
