@@ -8,6 +8,7 @@ error, 2 mathematical obstruction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -243,7 +244,9 @@ def cmd_corpus(args) -> int:
     return out.emit(EXIT_OK if all_ok else EXIT_INPUT)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="fiberext",
         description="Exact divisor extension, dual complexes, and Pic^0 of degenerate fibers",

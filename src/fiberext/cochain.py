@@ -5,13 +5,17 @@ classified by H^1 of the dual complex with values in the multiplicative
 group of the base field.  Here the value group is replaced by a finitely
 generated abelian group (written additively), which turns closedness,
 exactness and class computations into decidable integer linear algebra.
+
+Coboundary matrices come from the complex's boundary matrices (``d0 =
+-B_1^T``, ``d1 = B_2^T``), so there is one sign convention.  Exactness
+solves read ``d0`` and its Smith form from the complex's cache, so every
+coordinate of the coefficient group reuses one factorization.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .dual_complex import DeltaComplex, boundary_matrix, homology
@@ -164,20 +168,6 @@ class LineBundleClass:
 # Coboundary, closedness, exactness
 # ---------------------------------------------------------------------------
 
-def _vertex_incidence(complex: DeltaComplex):
-    """Edge-by-vertex matrix D with D[e][l] = +1, D[e][j] = -1 for the edge
-    between components l < j (facet order: position 0 drops the smaller
-    index)."""
-    n_v = complex.count(0)
-    n_e = complex.count(1)
-    mat = [[0] * n_v for _ in range(n_e)]
-    for e in range(n_e):
-        larger, smaller = complex.facets[0][e]
-        mat[e][smaller] += 1
-        mat[e][larger] -= 1
-    return mat
-
-
 def coboundary(beta: Cochain) -> Cochain:
     """Degree-raising map: the edge between components l < j receives
     beta(l) - beta(j)."""
@@ -211,8 +201,9 @@ def is_exact(phi: Cochain):
     """Solve coboundary(beta) = phi over the coefficient group.
 
     Free and torsion coordinates are handled separately: integer solves via
-    Smith reduction, modular solves for each cyclic factor.  Returns the
-    0-cochain beta or NotExact.
+    Smith reduction, modular solves for each cyclic factor, all against the
+    one cached Smith form of the coboundary matrix.  Returns the 0-cochain
+    beta or NotExact.
     """
     if phi.degree != 1:
         raise PreconditionError("is_exact expects a 1-cochain")
@@ -220,11 +211,11 @@ def is_exact(phi: Cochain):
         raise PreconditionError("is_exact expects a closed 1-cochain")
     cx, group = phi.complex, phi.group
     n_v = cx.count(0)
-    mat = _vertex_incidence(cx)
+    mat, snf = cx._vertex_incidence
     per_vertex = [[0] * group.width for _ in range(n_v)]
     for p in range(group.rank):
         rhs = [phi.values[e][p] for e in range(cx.count(1))]
-        sol = linalg.solve_integer(mat, rhs, n_v)
+        sol = linalg.solve_integer(mat, rhs, n_v, snf)
         if sol is None:
             return NotExact()
         for v in range(n_v):
@@ -232,7 +223,7 @@ def is_exact(phi: Cochain):
     for k, order in enumerate(group.torsion):
         p = group.rank + k
         rhs = [phi.values[e][p] for e in range(cx.count(1))]
-        sol = linalg.solve_mod(mat, rhs, order, n_v)
+        sol = linalg.solve_mod(mat, rhs, order, n_v, snf)
         if sol is None:
             return NotExact()
         for v in range(n_v):
@@ -244,35 +235,25 @@ def is_exact(phi: Cochain):
 # H^1 with finitely generated coefficients
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factor_chain(orders) -> tuple[int, ...]:
-    """Canonical invariant factors of a direct sum of cyclic groups."""
-    primary = defaultdict(list)
+    """Canonical invariant factors of a direct sum of cyclic groups.
+
+    Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
+    Z/gcd``, largest factor first, so nothing is factored.  Orders below 2
+    contribute nothing.
+    """
+    chain = []  # descending: each factor divides the one before it
     for o in orders:
-        for p, e in _factorize(int(o)).items():
-            primary[p].append(e)
-    slots = max((len(v) for v in primary.values()), default=0)
-    chain = []
-    for k in range(slots):
-        f = 1
-        for p, exps in primary.items():
-            exps = sorted(exps, reverse=True)
-            if k < len(exps):
-                f *= p ** exps[k]
-        chain.append(f)
-    return tuple(sorted(chain))
+        a = int(o)
+        if a < 2:
+            continue
+        for k, d in enumerate(chain):
+            chain[k], a = lcm(d, a), gcd(d, a)
+            if a == 1:
+                break
+        else:
+            chain.append(a)
+    return tuple(reversed(chain))
 
 
 def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvariants:
@@ -281,23 +262,16 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e = complex.count(1)
     if n_e == 0:
         return GroupInvariants(0, ())
-    d0_cols = linalg.transpose(_vertex_incidence(complex), complex.count(0))
-    if complex.dimension >= 2:
-        d1 = []
-        for t in range(complex.count(2)):
-            row = [0] * n_e
-            for i, f in enumerate(complex.facets[1][t]):
-                row[f] += (-1) ** i
-            d1.append(row)
-    else:
-        d1 = []
+    d0_cols = linalg.transpose(complex._vertex_incidence[0], complex.count(0))
+    d1 = linalg.transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
 
-    # Integer coefficients: ker(d1) / im(d0) inside Z^edges.
-    gens = linalg.kernel_basis(d1, n_e)
-    free_rank, tors_int = linalg.lattice_quotient(gens, d0_cols, n_e)
-
-    orders = list(tors_int) * group.rank if group.rank else []
-    rank_total = group.rank * free_rank
+    # Integer coefficients: ker(d1) / im(d0) inside Z^edges, tensored with Z^rank.
+    orders, rank_total = [], 0
+    if group.rank:
+        gens = linalg.kernel_basis(d1, n_e)
+        free_rank, tors_int = linalg.lattice_quotient(gens, d0_cols, n_e)
+        orders = list(tors_int) * group.rank
+        rank_total = group.rank * free_rank
 
     # Each cyclic factor Z/n: {x : d1 x = 0 mod n} / (im d0 + n Z^edges).
     for n in group.torsion:

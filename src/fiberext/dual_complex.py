@@ -5,11 +5,19 @@ level-r stratum is an irreducible component of an (r+1)-fold intersection
 of components, and knows which stratum contains it when one index is
 dropped.  From this we build an ordered Delta-complex and compute its
 integer homology by Smith normal form.
+
+Each ``DeltaComplex`` factors each of its matrices at most once: the
+homology profile (one Smith form per boundary matrix) and the
+edge-by-vertex coboundary matrix with its Smith form are cached on the
+instance, so repeated ``homology`` calls and exactness solves over every
+coordinate of a coefficient group reuse them.  The cache is not a field
+and is never shared between complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 
@@ -49,7 +57,9 @@ class DeltaComplex:
 
     ``facets[r][i]`` (r >= 1) lists, for the i-th r-simplex, the indices of
     its r+1 facets in dimension r-1; position k corresponds to dropping the
-    k-th vertex in the global component order.
+    k-th vertex in the global component order.  Chain data are computed at
+    most once per instance and cached on it; the cache is not a field, so
+    equality, hashing and repr ignore it.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
@@ -72,6 +82,30 @@ class DeltaComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** r * c for r, c in enumerate(self.counts))
+
+    @cached_property
+    def _homology(self) -> HomologyProfile:
+        top = self.dimension
+        diag = {r: linalg.snf_diagonal(boundary_matrix(self, r), self.count(r))
+                for r in range(1, top + 1)}
+        betti = []
+        torsion = []
+        for k in range(top + 1):
+            rank_k = len(diag.get(k, []))
+            rank_next = len(diag.get(k + 1, []))
+            betti.append(self.count(k) - rank_k - rank_next)
+            torsion.append(tuple(d for d in diag.get(k + 1, []) if d > 1))
+        return HomologyProfile(tuple(betti), tuple(torsion))
+
+    @cached_property
+    def _vertex_incidence(self):
+        """``(D, (u, s, v))``: the edge-by-vertex coboundary ``D = -B_1^T``
+        (row of the edge between components l < j: +1 at l, -1 at j) and
+        its Smith form."""
+        n_v = self.count(0)
+        b1 = boundary_matrix(self, 1) if self.dimension >= 1 else []
+        mat = [[-x for x in col] for col in linalg.transpose(b1)]
+        return mat, linalg.smith_normal_form(mat, n_v)
 
     def closure(self, r: int, index: int):
         """Subcomplex generated by one simplex, with index maps back.
@@ -185,18 +219,9 @@ class HomologyProfile:
 
 
 def homology(complex: DeltaComplex) -> HomologyProfile:
-    """Integral homology of the complex via Smith normal form."""
-    top = complex.dimension
-    diag = {r: linalg.snf_diagonal(boundary_matrix(complex, r), complex.count(r))
-            for r in range(1, top + 1)}
-    betti = []
-    torsion = []
-    for k in range(top + 1):
-        rank_k = len(diag.get(k, []))
-        rank_next = len(diag.get(k + 1, []))
-        betti.append(complex.count(k) - rank_k - rank_next)
-        torsion.append(tuple(d for d in diag.get(k + 1, []) if d > 1))
-    return HomologyProfile(tuple(betti), tuple(torsion))
+    """Integral homology of the complex via Smith normal form, computed
+    once per complex."""
+    return complex._homology
 
 
 def torus_rank(complex: DeltaComplex) -> int:

@@ -121,10 +121,10 @@ class FiberLattice:
 
     @cached_property
     def _component_group(self) -> FiniteAbelianGroup:
-        n = self.size
-        gens = linalg.kernel_basis([list(self.multiplicities)], n)
-        _, torsion = linalg.lattice_quotient(gens, linalg.transpose(self._integer_matrix[1], n), n)
-        return FiniteAbelianGroup(tuple(torsion))
+        # M c = 0 puts im M inside c-perp, and Z^n / c-perp is free, so
+        # Z^n / im M = c-perp / im M + Z: the torsion is that of coker M.
+        diag = linalg.snf_diagonal(self._integer_matrix[1], self.size)
+        return FiniteAbelianGroup(tuple([d for d in diag if d > 1]))
 
 
 @dataclass(frozen=True)

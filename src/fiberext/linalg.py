@@ -9,6 +9,13 @@ Rational systems are solved without rational arithmetic: each row is scaled
 to integers by the lcm of its denominators, one fraction-free (Bareiss)
 elimination brings the matrix to echelon form with exact integer divisions,
 and ``Fraction`` values are created only in the back-substitution.
+
+The Smith routine picks as pivot the first entry of least absolute value
+in row-major order.  Boundary and incidence matrices are 0/+-1, so most
+pivots are units: the scan stops at the first unit entry, and a unit pivot
+needs no divisibility sweep.  The integer and modular solvers accept a
+precomputed ``(u, s, v)``, so a caller that solves many right-hand sides
+against one matrix factors it once.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ def smith_normal_form(mat, ncols=None):
 
     ``u`` and ``v`` are unimodular; the diagonal of ``s`` is nonnegative and
     forms a divisibility chain.  Pivots are chosen by minimal absolute value
-    to limit coefficient growth.
+    to limit coefficient growth; ties go to the first entry in row-major
+    order, so the scan may stop at the first unit.
     """
     m = len(mat)
     n = len(mat[0]) if mat else (ncols or 0)
@@ -65,17 +73,25 @@ def smith_normal_form(mat, ncols=None):
 
     def add_col(dst, src, q):
         for row in s:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
         for row in v:
-            row[dst] += q * row[src]
+            if row[src]:
+                row[dst] += q * row[src]
 
     for t in range(min(m, n)):
         while True:
-            piv = None
+            piv, least = None, 0
             for i in range(t, m):
+                row = s[i]
                 for j in range(t, n):
-                    if s[i][j] != 0 and (piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]])):
-                        piv = (i, j)
+                    x = row[j]
+                    if x and (piv is None or abs(x) < least):
+                        piv, least = (i, j), abs(x)
+                        if least == 1:
+                            break
+                if least == 1:
+                    break
             if piv is None:
                 return _fix_signs(s, u, v, m, n)
             if piv[0] != t:
@@ -103,6 +119,8 @@ def smith_normal_form(mat, ncols=None):
             if not clean:
                 continue
 
+            if abs(s[t][t]) == 1:
+                break
             # Enforce divisibility of the remaining block by the pivot.
             bad = None
             for i in range(t + 1, m):
@@ -139,11 +157,14 @@ def kernel_basis(mat, ncols=None):
     return [[row[j] for row in v] for j in range(rank, n)]
 
 
-def solve_integer(mat, rhs, ncols=None):
-    """One integer solution of ``mat @ x == rhs``, or ``None``."""
+def solve_integer(mat, rhs, ncols=None, snf=None):
+    """One integer solution of ``mat @ x == rhs``, or ``None``.
+
+    ``snf`` is ``smith_normal_form(mat, ncols)`` when the caller has it.
+    """
     m = len(mat)
     n = len(mat[0]) if mat else (ncols or 0)
-    u, s, v = smith_normal_form(mat, n)
+    u, s, v = snf or smith_normal_form(mat, n)
     c = mat_vec(u, rhs)
     y = [0] * n
     for i in range(m):
@@ -157,11 +178,14 @@ def solve_integer(mat, rhs, ncols=None):
     return mat_vec(v, y)
 
 
-def solve_mod(mat, rhs, mod, ncols=None):
-    """One solution of ``mat @ x == rhs (mod mod)``, or ``None``."""
+def solve_mod(mat, rhs, mod, ncols=None, snf=None):
+    """One solution of ``mat @ x == rhs (mod mod)``, or ``None``.
+
+    ``snf`` is ``smith_normal_form(mat, ncols)`` when the caller has it.
+    """
     m = len(mat)
     n = len(mat[0]) if mat else (ncols or 0)
-    u, s, v = smith_normal_form(mat, n)
+    u, s, v = snf or smith_normal_form(mat, n)
     c = [x % mod for x in mat_vec(u, rhs)]
     y = [0] * n
     for i in range(m):
@@ -201,17 +225,23 @@ def row_lattice_basis(rows, n):
     return basis
 
 
-def coordinates_in_basis(vec, basis):
-    """Coordinates of ``vec`` in an echelon lattice basis, or ``None``."""
+def coordinates_in_basis(vec, sparse_basis):
+    """Coordinates of ``vec`` in an echelon lattice basis, or ``None``.
+
+    Each basis vector is given as its ``(column, entry)`` pairs with a
+    nonzero entry, in column order, so the first pair is its pivot.
+    """
     r = list(vec)
     coords = []
-    for b in basis:
-        p = next(j for j, x in enumerate(b) if x != 0)
-        if r[p] % b[p]:
+    for support in sparse_basis:
+        p, bp = support[0]
+        q, rem = divmod(r[p], bp)
+        if rem:
             return None
-        q = r[p] // b[p]
         coords.append(q)
-        r = [a - q * c for a, c in zip(r, b)]
+        if q:
+            for j, x in support:
+                r[j] -= q * x
     return coords if not any(r) else None
 
 
@@ -224,9 +254,10 @@ def lattice_quotient(gens, rels, n):
     basis = row_lattice_basis(gens, n)
     if not basis:
         return 0, []
+    sparse = [[(j, x) for j, x in enumerate(b) if x] for b in basis]
     cols = []
     for rel in rels:
-        coords = coordinates_in_basis(rel, basis)
+        coords = coordinates_in_basis(rel, sparse)
         if coords is None:
             raise ValueError("relation outside the generated lattice")
         cols.append(coords)
@@ -235,8 +266,6 @@ def lattice_quotient(gens, rels, n):
     free = len(basis) - len(diag)
     torsion = [d for d in diag if d > 1]
     return free, torsion
-
-
 
 
 # ---------------------------------------------------------------------------

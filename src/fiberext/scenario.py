@@ -97,7 +97,7 @@ class CochainData:
 def parse_cochain(data) -> CochainData:
     return CochainData(
         group=parse_group(data["group"]),
-        edge_values=tuple(tuple(v) for v in data["edge_values"]),
+        edge_values=tuple(tuple([int(x) for x in v]) for v in data["edge_values"]),
     )
 
 
@@ -117,23 +117,40 @@ class Scenario:
     expect: tuple = ()
 
 
+def parse_optional_int(x) -> int | None:
+    if x is not None and (isinstance(x, bool) or not isinstance(x, int)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def parse_scenario(data) -> Scenario:
+    if not isinstance(data, dict):
+        raise ValueError(f"a scenario must be a JSON object, not a {type(data).__name__}")
+
+    def section(key, parse, default=None):
+        if key not in data:
+            return default
+        try:
+            return parse(data[key])
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed {key!r} section: {exc}") from None
+
     curve_fibers = {}
     if "curve_fiber" in data:
-        curve_fibers["default"] = parse_curve_fiber(data["curve_fiber"])
-    for label, fib in data.get("curve_fibers", {}).items():
-        curve_fibers[label] = parse_curve_fiber(fib)
+        curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
+    curve_fibers.update(section(
+        "curve_fibers", lambda d: {label: parse_curve_fiber(f) for label, f in d.items()}, {}))
     return Scenario(
         name=data["name"],
         citation=data.get("citation", ""),
-        lattice=parse_lattice(data["lattice"]) if "lattice" in data else None,
-        trace=parse_trace(data["trace"]) if "trace" in data else None,
-        strata=parse_strata(data["strata"]) if "strata" in data else None,
-        h1_structure=data.get("h1_structure"),
+        lattice=section("lattice", parse_lattice),
+        trace=section("trace", parse_trace),
+        strata=section("strata", parse_strata),
+        h1_structure=section("h1_structure", parse_optional_int),
         curve_fibers=curve_fibers,
-        cochain=parse_cochain(data["cochain"]) if "cochain" in data else None,
-        obstruction=parse_obstruction(data["obstruction"]) if "obstruction" in data else None,
-        expect=tuple(data.get("expect", ())),
+        cochain=section("cochain", parse_cochain),
+        obstruction=section("obstruction", parse_obstruction),
+        expect=section("expect", tuple, ()),
     )
 
 

@@ -299,3 +299,132 @@ def validation_checks_reference(lattice):
         ))
 
     return tuple(checks)
+
+
+# ---------------------------------------------------------------------------
+# Reference path for the per-complex cache: the Smith routine with a full
+# pivot scan on every pass, invariant factors by trial division, and the
+# component group through c-perp coordinates, kept verbatim so differential
+# tests can compare against them.
+# ---------------------------------------------------------------------------
+
+def smith_normal_form_reference(mat, ncols=None):
+    """``(u, s, v)`` with ``u @ mat @ v == s`` in Smith normal form."""
+    m = len(mat)
+    n = len(mat[0]) if mat else (ncols or 0)
+    s = [[int(x) for x in row] for row in mat]
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, q):
+        s[dst] = [a + q * b for a, b in zip(s[dst], s[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(dst, src, q):
+        for row in s:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def fix_signs():
+        for t in range(min(m, n)):
+            if s[t][t] < 0:
+                s[t] = [-x for x in s[t]]
+                u[t] = [-x for x in u[t]]
+        return u, s, v
+
+    for t in range(min(m, n)):
+        while True:
+            piv = None
+            for i in range(t, m):
+                for j in range(t, n):
+                    if s[i][j] != 0 and (piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]])):
+                        piv = (i, j)
+            if piv is None:
+                return fix_signs()
+            if piv[0] != t:
+                swap_rows(t, piv[0])
+            if piv[1] != t:
+                swap_cols(t, piv[1])
+            clean = True
+            for i in range(t + 1, m):
+                if s[i][t] != 0:
+                    add_row(i, t, -(s[i][t] // s[t][t]))
+                    if s[i][t] != 0:
+                        swap_rows(t, i)
+                        clean = False
+            if not clean:
+                continue
+            for j in range(t + 1, n):
+                if s[t][j] != 0:
+                    add_col(j, t, -(s[t][j] // s[t][t]))
+                    if s[t][j] != 0:
+                        swap_cols(t, j)
+                        clean = False
+            if not clean:
+                continue
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if s[i][j] % s[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+    return fix_signs()
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def invariant_factor_chain_reference(orders) -> tuple[int, ...]:
+    """Invariant factors of a direct sum of cyclic groups, via primary parts."""
+    primary = {}
+    for o in orders:
+        for p, e in _factorize(int(o)).items():
+            primary.setdefault(p, []).append(e)
+    slots = max((len(v) for v in primary.values()), default=0)
+    chain = []
+    for k in range(slots):
+        f = 1
+        for p, exps in primary.items():
+            exps = sorted(exps, reverse=True)
+            if k < len(exps):
+                f *= p ** exps[k]
+        chain.append(f)
+    return tuple(sorted(chain))
+
+
+def component_group_reference(lattice) -> tuple[int, ...]:
+    """Torsion of ``c-perp / im M``: an echelon basis of ``c-perp`` and the
+    coordinates of the columns of the (integer) matrix in it."""
+    from fiberext import linalg
+
+    n = lattice.size
+    mat = [[int(x) for x in row] for row in lattice.matrix]
+    gens = linalg.kernel_basis([list(lattice.multiplicities)], n)
+    _, torsion = linalg.lattice_quotient(gens, linalg.transpose(mat, n), n)
+    return tuple(torsion)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, main
+from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
 
 
 def write(tmp_path, name, data):
@@ -226,3 +226,95 @@ class TestCorpusCommand:
 
     def test_run_unknown_exits_one(self, capsys):
         assert main(["corpus", "run", "nope"]) == EXIT_INPUT
+
+
+class TestParserReuse:
+    def test_back_to_back_calls_match_fresh_parsers(self, lattice_file, circle_file, capsys):
+        # Flags set by one call must not leak into the next: --matrices and
+        # --mode nef are followed by calls that rely on the defaults.
+        runs = [
+            ["dual-complex", circle_file, "--matrices"],
+            ["dual-complex", circle_file],
+            ["extend", lattice_file, "--mode", "nef", "--targets", "0,0", "--format", "machine"],
+            ["extend", lattice_file],
+            ["cochain", circle_file, "--format", "machine"],
+            ["cochain", circle_file],
+            ["corpus", "list"],
+            ["extend", lattice_file + ".missing"],
+        ]
+        shared = []
+        for argv in runs:
+            shared.append((main(argv), capsys.readouterr()))
+        fresh = []
+        for argv in runs:
+            build_parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr()))
+        assert shared == fresh
+        assert "B_1" in shared[0][1].out and "B_1" not in shared[1][1].out
+        assert build_parser() is build_parser()
+
+
+MALFORMED_SOURCES = {
+    "extend": ({"name": "lat",
+                "lattice": {"labels": ["C1", "C2"], "matrix": [[-2, 2], [2, -2]],
+                            "multiplicities": [1, 1]},
+                "trace": {"values": [-1, 1]}}, ("lattice", "labels")),
+    "dual-complex": ({"name": "cx", "strata": {"levels": [[{"id": "W0", "indices": [0]}]]}},
+                     ("strata", "levels")),
+    "cochain": ({"name": "co", "strata": {"levels": [[{"id": "W0", "indices": [0]}]]},
+                 "cochain": {"group": {"rank": 1}, "edge_values": []}}, ("cochain", "group")),
+    "pic0": ({"name": "fib", "curve_fibers": {"a": {"genera": [0], "edges": [[0, 0]]}}},
+             ("curve_fibers", "a")),
+    "obstruction": ({"name": "obs", "obstruction": {
+        "proper": True, "group": {"rank": 1},
+        "points": [{"label": "p", "torus_rank": 1, "abelian_dim": 0, "value": [1]}]}},
+        ("obstruction", "points")),
+}
+
+
+class TestMalformedScenario:
+    """Every malformed file exits 1 with exactly one ``error:`` line."""
+
+    def run(self, tmp_path, capsys, command, data):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main([command, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("command", sorted(MALFORMED_SOURCES))
+    def test_top_level_list(self, tmp_path, capsys, command):
+        data, _ = MALFORMED_SOURCES[command]
+        assert "JSON object" in self.run(tmp_path, capsys, command, [data])
+
+    @pytest.mark.parametrize("command", sorted(MALFORMED_SOURCES))
+    def test_null_field(self, tmp_path, capsys, command):
+        data, (section, key) = MALFORMED_SOURCES[command]
+        data = json.loads(json.dumps(data))
+        data[section][key] = None
+        assert repr(section) in self.run(tmp_path, capsys, command, data)
+
+    @pytest.mark.parametrize("command", sorted(MALFORMED_SOURCES))
+    def test_wrong_type(self, tmp_path, capsys, command):
+        data, (section, key) = MALFORMED_SOURCES[command]
+        data = json.loads(json.dumps(data))
+        data[section][key] = 7
+        assert repr(section) in self.run(tmp_path, capsys, command, data)
+
+    @pytest.mark.parametrize("section", ["lattice", "strata", "curve_fibers", "expect"])
+    def test_section_of_wrong_type(self, tmp_path, capsys, section):
+        data = {"name": "x", section: 7}
+        assert repr(section) in self.run(tmp_path, capsys, "pic0", data)
+
+    def test_nested_cochain_value(self, tmp_path, capsys, circle_file):
+        data = json.loads(open(circle_file).read())
+        data["cochain"]["edge_values"][0] = [[1]]
+        assert "'cochain'" in self.run(tmp_path, capsys, "cochain", data)
+
+    def test_h1_structure_of_wrong_type(self, tmp_path, capsys, circle_file):
+        data = json.loads(open(circle_file).read())
+        data["h1_structure"] = "1"
+        assert "'h1_structure'" in self.run(tmp_path, capsys, "pic0", data)
