@@ -158,20 +158,20 @@ def cmd_cochain(args) -> int:
         out.payload = {"closed": False, "witness": closed.witness}
         out.human(f"not closed; witness {closed.witness}")
         return out.emit(EXIT_OBSTRUCTED)
-    beta = cochain_mod.is_exact(phi)
-    exact = not isinstance(beta, cochain_mod.NotExact)
     cls = cochain_mod.h1_class(phi)
+    # The class of phi is trivial exactly when phi is exact: one solve.
+    exact = cls.is_trivial
     out.payload = {
         "closed": True,
         "exact": exact,
-        "class_trivial": cls.is_trivial,
+        "class_trivial": exact,
         "h1_rank": cls.group_profile.rank,
         "h1_torsion": list(cls.group_profile.torsion),
     }
     if exact:
-        out.payload["potential"] = [list(v) for v in beta.values]
+        out.payload["potential"] = [list(v) for v in cls.potential.values]
     out.human("closed" + ("; exact" if exact else "; not exact"))
-    out.human(f"class {'trivial' if cls.is_trivial else 'nontrivial'}; "
+    out.human(f"class {'trivial' if exact else 'nontrivial'}; "
               f"H1 profile rank {cls.group_profile.rank}, torsion {list(cls.group_profile.torsion)}")
     return out.emit(EXIT_OK)
 

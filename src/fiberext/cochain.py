@@ -15,6 +15,7 @@ coordinate of the coefficient group reuses one factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -143,14 +144,23 @@ class GroupInvariants:
 
 @dataclass(frozen=True)
 class H1Class:
-    """A cohomology class: closed representative plus the full H^1 profile."""
+    """A cohomology class: closed representative plus the full H^1 profile.
+
+    The exactness solve runs at most once per instance; its result is
+    cached on it, not in a field, so equality and hashing ignore it.
+    """
 
     representative: Cochain
     group_profile: GroupInvariants
 
-    @property
+    @cached_property
+    def potential(self):
+        """``is_exact(representative)``: a 0-cochain or ``NotExact``."""
+        return is_exact(self.representative)
+
+    @cached_property
     def is_trivial(self) -> bool:
-        return not isinstance(is_exact(self.representative), NotExact)
+        return not isinstance(self.potential, NotExact)
 
     def same_class(self, other: "H1Class") -> bool:
         return not isinstance(is_exact(self.representative - other.representative), NotExact)
@@ -266,9 +276,10 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     d1 = linalg.transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
 
     # Integer coefficients: ker(d1) / im(d0) inside Z^edges, tensored with Z^rank.
+    # Without 2-simplices ker(d1) is all of Z^edges.
     orders, rank_total = [], 0
     if group.rank:
-        gens = linalg.kernel_basis(d1, n_e)
+        gens = linalg.kernel_basis(d1, n_e) if d1 else linalg.identity(n_e)
         free_rank, tors_int = linalg.lattice_quotient(gens, d0_cols, n_e)
         orders = list(tors_int) * group.rank
         rank_total = group.rank * free_rank

@@ -10,12 +10,17 @@ to integers by the lcm of its denominators, one fraction-free (Bareiss)
 elimination brings the matrix to echelon form with exact integer divisions,
 and ``Fraction`` values are created only in the back-substitution.
 
-The Smith routine picks as pivot the first entry of least absolute value
-in row-major order.  Boundary and incidence matrices are 0/+-1, so most
-pivots are units: the scan stops at the first unit entry, and a unit pivot
-needs no divisibility sweep.  The integer and modular solvers accept a
-precomputed ``(u, s, v)``, so a caller that solves many right-hand sides
-against one matrix factors it once.
+Invariant factors (``snf_diagonal``) come from a transform-free sparse
+elimination: unit pivots first, and whenever no +-1 entry is left the
+residue is divided by its content, so boundary matrices and the ``[A | n I]``
+relation blocks of cohomology never reach a dense Smith form.
+
+``smith_normal_form`` is kept for callers that need ``(u, s, v)``.  It picks
+as pivot the first entry of least absolute value in row-major order; the
+scan stops at the first unit entry, and a unit pivot needs no divisibility
+sweep.  The integer and modular solvers accept a precomputed ``(u, s, v)``,
+so a caller that solves many right-hand sides against one matrix factors it
+once.
 """
 
 from __future__ import annotations
@@ -145,8 +150,83 @@ def _fix_signs(s, u, v, m, n):
 
 
 def snf_diagonal(mat, ncols=None):
-    _, s, _ = smith_normal_form(mat, ncols)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
+    """Invariant factors of ``mat``: the nonzero Smith diagonal, ascending.
+
+    No transforms are built.  The matrix is held as sparse rows plus a
+    column -> rows index, and every +-1 entry is eliminated first: columns
+    are walked sparsest first, each pivoting on its shortest row with a unit
+    entry, and each pivot contributes the current scale to the diagonal.
+    When no unit is left, the residue is divided by its content ``g`` (as
+    ``SNF(g A) = g SNF(A)``) and the scale multiplied by ``g``.  Only a
+    residue of content 1 without units goes to ``smith_normal_form``.
+    ``ncols`` is accepted for symmetry with it; empty columns add nothing.
+    """
+    rows, cols = {}, {}
+    for i, row in enumerate(mat):
+        sparse = {j: int(x) for j, x in enumerate(row) if x}
+        if sparse:
+            rows[i] = sparse
+            for j in sparse:
+                cols.setdefault(j, set()).add(i)
+    diag, scale = [], 1
+    while rows:
+        pivoted = True
+        while pivoted:
+            pivoted = False
+            for c in sorted(cols, key=lambda j: len(cols[j])):
+                best = None
+                for i in cols.get(c, ()):
+                    if rows[i][c] in (1, -1) and (best is None or len(rows[i]) < len(rows[best])):
+                        best = i
+                if best is not None:
+                    _eliminate_unit(rows, cols, best, c)
+                    diag.append(scale)
+                    pivoted = True
+        if not rows:
+            break
+        g = 0
+        for row in rows.values():
+            for x in row.values():
+                g = gcd(g, x)
+        if g == 1:
+            break
+        scale *= g
+        for row in rows.values():
+            for j in row:
+                row[j] //= g
+    if rows:
+        keep = sorted(cols)
+        _, s, _ = smith_normal_form([[row.get(j, 0) for j in keep] for row in rows.values()], len(keep))
+        diag += [scale * s[t][t] for t in range(min(len(rows), len(keep))) if s[t][t]]
+    return diag
+
+
+def _eliminate_unit(rows, cols, p, c):
+    """Clear column ``c`` with the unit pivot in row ``p``, then drop row
+    ``p`` and column ``c``; column operations would clear the rest of row
+    ``p`` without touching any other row."""
+    prow = rows.pop(p)
+    a = prow.pop(c)
+    for j in prow:
+        cols[j].discard(p)
+    for i in cols.pop(c):
+        if i == p:
+            continue
+        row = rows[i]
+        q = row.pop(c) * a
+        for j, x in prow.items():
+            y = row.get(j, 0) - q * x
+            if y:
+                row[j] = y
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+        if not row:
+            del rows[i]
+    for j in prow:
+        if not cols[j]:
+            del cols[j]
 
 
 def kernel_basis(mat, ncols=None):

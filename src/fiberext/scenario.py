@@ -45,17 +45,24 @@ def parse_trace(data) -> DivisorTrace:
     return DivisorTrace(values=[parse_rational(x) for x in data["values"]])
 
 
+def _stratum_name(x, path) -> str:
+    if not isinstance(x, str):
+        raise ValueError(f"{path} must be a string, got {x!r}")
+    return x
+
+
 def parse_strata(data) -> SncStrata:
+    """Stratum ids and facet references must be strings: they are looked up
+    by value when the dual complex is built."""
     levels = []
-    for level in data["levels"]:
-        levels.append(tuple(
-            Stratum(
-                ident=s["id"],
-                indices=tuple(s["indices"]),
-                facets=tuple(s.get("facets", ())),
-            )
-            for s in level
-        ))
+    for r, level in enumerate(data["levels"]):
+        strata = []
+        for k, s in enumerate(level):
+            path = f"strata.levels[{r}][{k}]"
+            facets = [_stratum_name(f, f"{path}.facets[{i}]")
+                      for i, f in enumerate(s.get("facets", ()))]
+            strata.append(Stratum(_stratum_name(s["id"], f"{path}.id"), tuple(s["indices"]), tuple(facets)))
+        levels.append(tuple(strata))
     return SncStrata(tuple(levels))
 
 

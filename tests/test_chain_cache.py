@@ -1,7 +1,8 @@
 """The per-complex factorization cache and the algorithm swaps that ride
 with it, checked against the reference paths kept in ``oracles``: the
-Smith routine with a full pivot scan, invariant factors by trial division
-and the component group through ``c-perp`` coordinates."""
+Smith routine with a full pivot scan, the transform-free invariant factors
+against two Smith diagonals, invariant factors of cyclic sums by trial
+division and the component group through ``c-perp`` coordinates."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,12 @@ from fiberext.dual_complex import (
     strata_from_multigraph,
 )
 from fiberext.lattice import component_group, validate_lattice
-from oracles import component_group_reference, invariant_factor_chain_reference, smith_normal_form_reference
+from oracles import (
+    component_group_reference,
+    invariant_factor_chain_reference,
+    naive_invariant_factors,
+    smith_normal_form_reference,
+)
 
 
 def chain_matrices(cx):
@@ -31,6 +37,25 @@ def assert_same_smith_form(mat, ncols):
     assert linalg.smith_normal_form(mat, ncols) == smith_normal_form_reference(mat, ncols)
 
 
+def random_matrices(rng, entries, count):
+    """``count`` random ``(matrix, ncols)`` with up to 7 rows and columns,
+    shapes down to 0, and a zeroed row or column in about a third of them."""
+    entries = list(entries)
+    for _ in range(count):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        mat = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+        if m and rng.random() < 0.3:
+            mat[rng.randrange(m)] = [0] * n
+        if n and rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in mat:
+                row[j] = 0
+        yield mat, n
+
+
+ENTRIES = [range(-50, 51), (-1, 0, 0, 0, 1, 1, 2, -3, 50)]
+
+
 class TestUnitPivotScan:
     def test_random_strata(self, rng):
         for _ in range(200):
@@ -42,32 +67,82 @@ class TestUnitPivotScan:
             for mat, n in chain_matrices(cx):
                 assert_same_smith_form(mat, n)
 
-    @pytest.mark.parametrize("entries", [range(-50, 51), (-1, 0, 0, 0, 1, 1, 2, -3, 50)])
+    @pytest.mark.parametrize("entries", ENTRIES)
     def test_random_integer_matrices(self, rng, entries):
-        entries = list(entries)
-        for _ in range(300):
-            m, n = rng.randint(0, 7), rng.randint(0, 7)
-            mat = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
-            if m and rng.random() < 0.3:
-                mat[rng.randrange(m)] = [0] * n
-            if n and rng.random() < 0.3:
-                j = rng.randrange(n)
-                for row in mat:
-                    row[j] = 0
+        for mat, n in random_matrices(rng, entries, 300):
             assert_same_smith_form(mat, n)
+
+
+def assert_same_invariant_factors(mat, ncols):
+    """``snf_diagonal`` against the reference Smith diagonal and plain Euclid."""
+    _, s, _ = smith_normal_form_reference(mat, ncols)
+    diagonal = [s[t][t] for t in range(min(len(mat), ncols)) if s[t][t]]
+    assert linalg.snf_diagonal(mat, ncols) == diagonal == naive_invariant_factors(mat)
+
+
+def relation_block(mat, ncols, n):
+    """``[mat | n I]``: the relations of ``Z^rows / (im mat + n Z^rows)``, as
+    ``cohomology_group`` hands them to ``lattice_quotient`` for ``Z/n``."""
+    return [list(row) + [n if k == i else 0 for k in range(len(mat))]
+            for i, row in enumerate(mat)], ncols + len(mat)
+
+
+class TestTransformFreeInvariantFactors:
+    def test_random_strata(self, rng):
+        for _ in range(200):
+            for mat, n in chain_matrices(build_dual_complex(random_strata(rng))):
+                assert_same_invariant_factors(mat, n)
+
+    def test_corpus_complexes(self, corpus_complexes):
+        for _, cx in corpus_complexes:
+            for mat, n in chain_matrices(cx):
+                assert_same_invariant_factors(mat, n)
+
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @pytest.mark.parametrize("factor", [1, 2, 6, 10**11 + 3])
+    def test_random_integer_matrices(self, rng, entries, factor):
+        """The same 600 matrices at every factor: the content step divides
+        the common factor out and must multiply it back into the scale."""
+        for mat, n in random_matrices(rng, entries, 300):
+            assert_same_invariant_factors([[factor * x for x in row] for row in mat], n)
+
+    @pytest.mark.parametrize("order", [2, 6, 12, 10**11 + 3])
+    def test_cohomology_relation_blocks(self, rng, order):
+        for _ in range(60):
+            cx = build_dual_complex(random_strata(rng))
+            assert_same_invariant_factors(*relation_block(cx._vertex_incidence[0], cx.count(0), order))
+        for mat, n in random_matrices(rng, (-1, 0, 0, 1), 100):
+            assert_same_invariant_factors(*relation_block(mat, n, order))
+
+
+SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-30, 30)),
+                      min_size=n, max_size=n), max_size=5),
+    st.just(n),
+    st.sampled_from([1, 1, 2, 3, 6, 2**40])))
+
+
+@given(SMALL_MATRICES)
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_property(case):
+    mat, n, factor = case
+    assert_same_invariant_factors([[factor * x for x in row] for row in mat], n)
 
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Every matrix handed to ``linalg.smith_normal_form``, in call order."""
+    """Every matrix handed to either factorization entry point,
+    ``linalg.smith_normal_form`` or ``linalg.snf_diagonal``, in call order."""
     calls = []
-    original = linalg.smith_normal_form
 
-    def counting(mat, ncols=None):
-        calls.append([list(row) for row in mat])
-        return original(mat, ncols)
+    def counting(original):
+        def wrapper(mat, ncols=None):
+            calls.append([list(row) for row in mat])
+            return original(mat, ncols)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    for name in ("smith_normal_form", "snf_diagonal"):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
     return calls
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fiberext import cochain as cochain_mod
 from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
 
 
@@ -140,6 +141,26 @@ class TestDualComplexAndCochain:
         out = capsys.readouterr().out
         assert "not exact" in out
         assert "class nontrivial" in out
+
+    @pytest.mark.parametrize("edge_values, exact", [([[1], [0]], False), ([[1], [1]], True)])
+    def test_cochain_solves_exactness_once(self, tmp_path, capsys, monkeypatch, circle_file,
+                                           edge_values, exact):
+        calls = []
+        original = cochain_mod.is_exact
+
+        def counting(phi):
+            calls.append(phi)
+            return original(phi)
+
+        monkeypatch.setattr(cochain_mod, "is_exact", counting)
+        data = json.loads(open(circle_file).read())
+        data["cochain"]["edge_values"] = edge_values
+        path = write(tmp_path, "cochain.json", data)
+        assert main(["cochain", path, "--format", "machine"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] is payload["class_trivial"] is exact
+        assert ("potential" in payload) is exact
+        assert len(calls) == 1
 
     def test_cochain_not_closed_exits_two(self, tmp_path, capsys):
         path = write(tmp_path, "triangle.json", {
@@ -318,3 +339,15 @@ class TestMalformedScenario:
         data = json.loads(open(circle_file).read())
         data["h1_structure"] = "1"
         assert "'h1_structure'" in self.run(tmp_path, capsys, "pic0", data)
+
+    @pytest.mark.parametrize("command", ["dual-complex", "cochain", "pic0"])
+    @pytest.mark.parametrize("field", ["id", "facet"])
+    def test_non_string_stratum_name(self, tmp_path, capsys, circle_file, command, field):
+        data = json.loads(open(circle_file).read())
+        if field == "id":
+            data["strata"]["levels"][0][0]["id"] = ["W0"]
+            path = "strata.levels[0][0].id"
+        else:
+            data["strata"]["levels"][1][0]["facets"] = [["W1"], "W0"]
+            path = "strata.levels[1][0].facets[0]"
+        assert path in self.run(tmp_path, capsys, command, data)
