@@ -8,8 +8,10 @@ exactness and class computations into decidable integer linear algebra.
 
 Coboundary matrices come from the complex's boundary matrices (``d0 =
 -B_1^T``, ``d1 = B_2^T``), so there is one sign convention.  Exactness
-solves read ``d0`` and its Smith form from the complex's cache, so every
-coordinate of the coefficient group reuses one factorization.
+needs no matrix at all: a potential is propagated along a spanning forest
+of the 1-skeleton in the coefficient group and then checked on every edge.
+Without 2-simplices ``ker d1`` is all of ``Z^edges``, so ``H^1`` is read
+from the invariant factors of ``d0`` (and ``[d0 | n I]``) directly.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from math import gcd, lcm
 
 from . import linalg
 from .dual_complex import DeltaComplex, boundary_matrix, homology
-
-
-class PreconditionError(ValueError):
-    """An operation was invoked on data violating its preconditions."""
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -210,35 +209,43 @@ def is_closed(phi: Cochain) -> ClosednessResult:
 def is_exact(phi: Cochain):
     """Solve coboundary(beta) = phi over the coefficient group.
 
-    Free and torsion coordinates are handled separately: integer solves via
-    Smith reduction, modular solves for each cyclic factor, all against the
-    one cached Smith form of the coboundary matrix.  Returns the 0-cochain
-    beta or NotExact.
+    Returns the 0-cochain beta or NotExact.  beta is 0 at the largest
+    vertex index of each connected component and spreads from there along a
+    spanning forest, using ``beta(l) - beta(j) = phi(e)`` for the edge e
+    between components l < j; every edge is then checked.  Two solutions
+    differ by a constant on each component, so a failed check means no
+    solution exists, over any coefficient group.
     """
     if phi.degree != 1:
         raise PreconditionError("is_exact expects a 1-cochain")
     if not is_closed(phi):
         raise PreconditionError("is_exact expects a closed 1-cochain")
     cx, group = phi.complex, phi.group
-    n_v = cx.count(0)
-    mat, snf = cx._vertex_incidence
-    per_vertex = [[0] * group.width for _ in range(n_v)]
-    for p in range(group.rank):
-        rhs = [phi.values[e][p] for e in range(cx.count(1))]
-        sol = linalg.solve_integer(mat, rhs, n_v, snf)
-        if sol is None:
+    edges = cx.facets[0] if cx.dimension >= 1 else ()
+    adjacent = [[] for _ in range(cx.count(0))]
+    for e, (larger, smaller) in enumerate(edges):
+        adjacent[larger].append(e)
+        adjacent[smaller].append(e)
+    beta = [None] * cx.count(0)
+    for root in reversed(range(cx.count(0))):
+        if beta[root] is not None:
+            continue
+        beta[root] = group.zero()
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in adjacent[v]:
+                larger, smaller = edges[e]
+                if v == larger and beta[smaller] is None:
+                    beta[smaller] = group.add(beta[larger], phi.values[e])
+                    stack.append(smaller)
+                elif v == smaller and beta[larger] is None:
+                    beta[larger] = group.sub(beta[smaller], phi.values[e])
+                    stack.append(larger)
+    for e, (larger, smaller) in enumerate(edges):
+        if group.sub(beta[smaller], beta[larger]) != phi.values[e]:
             return NotExact()
-        for v in range(n_v):
-            per_vertex[v][p] = sol[v]
-    for k, order in enumerate(group.torsion):
-        p = group.rank + k
-        rhs = [phi.values[e][p] for e in range(cx.count(1))]
-        sol = linalg.solve_mod(mat, rhs, order, n_v, snf)
-        if sol is None:
-            return NotExact()
-        for v in range(n_v):
-            per_vertex[v][p] = sol[v]
-    return Cochain(cx, group, 0, tuple(tuple(v) for v in per_vertex))
+    return Cochain(cx, group, 0, tuple(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +279,15 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e = complex.count(1)
     if n_e == 0:
         return GroupInvariants(0, ())
-    d0_cols = linalg.transpose(complex._vertex_incidence[0], complex.count(0))
+    # d0 = -B_1^T, so its columns are the negated rows of B_1.
+    d0_cols = [[-x for x in row] for row in boundary_matrix(complex, 1)]
     d1 = linalg.transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
 
     # Integer coefficients: ker(d1) / im(d0) inside Z^edges, tensored with Z^rank.
-    # Without 2-simplices ker(d1) is all of Z^edges.
+    # Without 2-simplices ker(d1) is all of Z^edges, passed as gens None.
     orders, rank_total = [], 0
     if group.rank:
-        gens = linalg.kernel_basis(d1, n_e) if d1 else linalg.identity(n_e)
+        gens = linalg.kernel_basis(d1, n_e) if d1 else None
         free_rank, tors_int = linalg.lattice_quotient(gens, d0_cols, n_e)
         orders = list(tors_int) * group.rank
         rank_total = group.rank * free_rank
@@ -291,8 +299,8 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
                      for t, row in enumerate(d1)]
             gens_mod = [vec[:n_e] for vec in linalg.kernel_basis(block, n_e + len(d1))]
         else:
-            gens_mod = linalg.identity(n_e)
-        rels = [list(c) for c in d0_cols]
+            gens_mod = None
+        rels = list(d0_cols)
         for i in range(n_e):
             rels.append([n if j == i else 0 for j in range(n_e)])
         free_mod, tors_mod = linalg.lattice_quotient(gens_mod, rels, n_e)

@@ -6,12 +6,11 @@ of components, and knows which stratum contains it when one index is
 dropped.  From this we build an ordered Delta-complex and compute its
 integer homology by Smith normal form.
 
-Each ``DeltaComplex`` factors each of its matrices at most once: the
-homology profile (one Smith form per boundary matrix) and the
-edge-by-vertex coboundary matrix with its Smith form are cached on the
-instance, so repeated ``homology`` calls and exactness solves over every
-coordinate of a coefficient group reuse them.  The cache is not a field
-and is never shared between complexes.
+Each ``DeltaComplex`` factors each boundary matrix at most once: the
+homology profile (the invariant factors of every boundary matrix) is
+cached on the instance, so repeated ``homology`` calls reuse it.  The
+cache is not a field and is never shared between complexes.  Exactness of
+cochains needs no factorization (see ``cochain.is_exact``).
 """
 
 from __future__ import annotations
@@ -96,16 +95,6 @@ class DeltaComplex:
             betti.append(self.count(k) - rank_k - rank_next)
             torsion.append(tuple(d for d in diag.get(k + 1, []) if d > 1))
         return HomologyProfile(tuple(betti), tuple(torsion))
-
-    @cached_property
-    def _vertex_incidence(self):
-        """``(D, (u, s, v))``: the edge-by-vertex coboundary ``D = -B_1^T``
-        (row of the edge between components l < j: +1 at l, -1 at j) and
-        its Smith form."""
-        n_v = self.count(0)
-        b1 = boundary_matrix(self, 1) if self.dimension >= 1 else []
-        mat = [[-x for x in col] for col in linalg.transpose(b1)]
-        return mat, linalg.smith_normal_form(mat, n_v)
 
     def closure(self, r: int, index: int):
         """Subcomplex generated by one simplex, with index maps back.

@@ -15,10 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-
-
-class PreconditionError(ValueError):
-    """An operation was invoked on data violating its preconditions."""
+from .errors import PreconditionError
 
 
 def _to_fraction(x) -> Fraction:

@@ -15,12 +15,13 @@ elimination: unit pivots first, and whenever no +-1 entry is left the
 residue is divided by its content, so boundary matrices and the ``[A | n I]``
 relation blocks of cohomology never reach a dense Smith form.
 
-``smith_normal_form`` is kept for callers that need ``(u, s, v)``.  It picks
-as pivot the first entry of least absolute value in row-major order; the
-scan stops at the first unit entry, and a unit pivot needs no divisibility
-sweep.  The integer and modular solvers accept a precomputed ``(u, s, v)``,
-so a caller that solves many right-hand sides against one matrix factors it
-once.
+``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
+integer and modular solvers and ``kernel_basis``.  It picks as pivot the
+first entry of least absolute value in row-major order; the scan stops at
+the first unit entry, and a unit pivot needs no divisibility sweep.
+
+``lattice_quotient`` with ``gens=None`` reads a quotient of all of ``Z^n``
+straight from the invariant factors of its relations, with no echelon basis.
 """
 
 from __future__ import annotations
@@ -237,14 +238,11 @@ def kernel_basis(mat, ncols=None):
     return [[row[j] for row in v] for j in range(rank, n)]
 
 
-def solve_integer(mat, rhs, ncols=None, snf=None):
-    """One integer solution of ``mat @ x == rhs``, or ``None``.
-
-    ``snf`` is ``smith_normal_form(mat, ncols)`` when the caller has it.
-    """
+def solve_integer(mat, rhs, ncols=None):
+    """One integer solution of ``mat @ x == rhs``, or ``None``."""
     m = len(mat)
     n = len(mat[0]) if mat else (ncols or 0)
-    u, s, v = snf or smith_normal_form(mat, n)
+    u, s, v = smith_normal_form(mat, n)
     c = mat_vec(u, rhs)
     y = [0] * n
     for i in range(m):
@@ -258,14 +256,11 @@ def solve_integer(mat, rhs, ncols=None, snf=None):
     return mat_vec(v, y)
 
 
-def solve_mod(mat, rhs, mod, ncols=None, snf=None):
-    """One solution of ``mat @ x == rhs (mod mod)``, or ``None``.
-
-    ``snf`` is ``smith_normal_form(mat, ncols)`` when the caller has it.
-    """
+def solve_mod(mat, rhs, mod, ncols=None):
+    """One solution of ``mat @ x == rhs (mod mod)``, or ``None``."""
     m = len(mat)
     n = len(mat[0]) if mat else (ncols or 0)
-    u, s, v = snf or smith_normal_form(mat, n)
+    u, s, v = smith_normal_form(mat, n)
     c = [x % mod for x in mat_vec(u, rhs)]
     y = [0] * n
     for i in range(m):
@@ -328,24 +323,27 @@ def coordinates_in_basis(vec, sparse_basis):
 def lattice_quotient(gens, rels, n):
     """Invariants of ``span(gens) / span(rels)`` inside Z^n.
 
+    ``gens=None`` stands for all of Z^n: in its identity basis every
+    relation is its own coordinate vector, so no basis is built.  Otherwise
     ``rels`` must lie in the lattice spanned by ``gens``.  Returns
     ``(free_rank, torsion)`` with torsion a divisibility chain of ints > 1.
     """
-    basis = row_lattice_basis(gens, n)
-    if not basis:
-        return 0, []
-    sparse = [[(j, x) for j, x in enumerate(b) if x] for b in basis]
-    cols = []
-    for rel in rels:
-        coords = coordinates_in_basis(rel, sparse)
-        if coords is None:
-            raise ValueError("relation outside the generated lattice")
-        cols.append(coords)
-    rel_mat = transpose(cols, len(basis))
-    diag = snf_diagonal(rel_mat, len(cols))
-    free = len(basis) - len(diag)
+    if gens is None:
+        dim, cols = n, rels
+    else:
+        basis = row_lattice_basis(gens, n)
+        if not basis:
+            return 0, []
+        sparse = [[(j, x) for j, x in enumerate(b) if x] for b in basis]
+        dim, cols = len(basis), []
+        for rel in rels:
+            coords = coordinates_in_basis(rel, sparse)
+            if coords is None:
+                raise ValueError("relation outside the generated lattice")
+            cols.append(coords)
+    diag = snf_diagonal(transpose(cols, dim), len(cols))
     torsion = [d for d in diag if d > 1]
-    return free, torsion
+    return dim - len(diag), torsion
 
 
 # ---------------------------------------------------------------------------

@@ -428,3 +428,42 @@ def component_group_reference(lattice) -> tuple[int, ...]:
     gens = linalg.kernel_basis([list(lattice.multiplicities)], n)
     _, torsion = linalg.lattice_quotient(gens, linalg.transpose(mat, n), n)
     return tuple(torsion)
+
+
+# ---------------------------------------------------------------------------
+# Reference path for exactness: the Smith-based solves the package used
+# before the spanning-forest propagation, kept so differential tests can
+# compare verdicts against them.
+# ---------------------------------------------------------------------------
+
+def vertex_coboundary(cx):
+    """The edge-by-vertex coboundary ``d0 = -B_1^T`` (no rows without edges)."""
+    from fiberext import linalg
+    from fiberext.dual_complex import boundary_matrix
+
+    b1 = boundary_matrix(cx, 1) if cx.dimension >= 1 else []
+    return [[-x for x in col] for col in linalg.transpose(b1)]
+
+
+def is_exact_reference(phi):
+    """``coboundary(beta) = phi`` solved against ``d0 = -B_1^T``: an integer
+    solve per free coordinate and a modular solve per cyclic factor of the
+    coefficient group.  Returns the 0-cochain or ``NotExact``."""
+    from fiberext import linalg
+    from fiberext.cochain import Cochain, NotExact
+
+    cx, group = phi.complex, phi.group
+    n_v = cx.count(0)
+    mat = vertex_coboundary(cx)
+    per_vertex = [[0] * group.width for _ in range(n_v)]
+    for p in range(group.width):
+        rhs = [value[p] for value in phi.values]
+        if p < group.rank:
+            sol = linalg.solve_integer(mat, rhs, n_v)
+        else:
+            sol = linalg.solve_mod(mat, rhs, group.torsion[p - group.rank], n_v)
+        if sol is None:
+            return NotExact()
+        for v in range(n_v):
+            per_vertex[v][p] = sol[v]
+    return Cochain(cx, group, 0, tuple(tuple(v) for v in per_vertex))

@@ -1,0 +1,162 @@
+"""Spanning-forest exactness and the ``gens=None`` quotient of ``Z^n``,
+checked against the Smith-based solves kept in ``oracles``: the same
+verdict, a potential whose coboundary is the cochain, and 0 at the largest
+vertex of every connected component."""
+
+import pytest
+
+from conftest import random_strata
+from fiberext import cochain, lattice, linalg
+from fiberext.cochain import Cochain, CoefficientGroup, NotExact, coboundary, is_closed, is_exact
+from fiberext.dual_complex import build_dual_complex, strata_from_multigraph
+from oracles import is_exact_reference
+
+GROUPS = (
+    CoefficientGroup(rank=1),                        # Z
+    CoefficientGroup(rank=2),                        # Z^2
+    CoefficientGroup(torsion=(6,)),                  # Z/6
+    CoefficientGroup(rank=1, torsion=(4,)),          # Z + Z/4
+    CoefficientGroup(torsion=(10**11 + 3,)),         # Z/(10^11 + 3)
+)
+
+
+def random_element(rng, group):
+    free = [rng.randint(-20, 20) for _ in range(group.rank)]
+    return group.reduce(free + [rng.randrange(n) for n in group.torsion])
+
+
+def random_nonzero(rng, group):
+    while True:
+        a = random_element(rng, group)
+        if not group.is_zero(a):
+            return a
+
+
+def components(cx):
+    """Vertex sets of the connected components of the 1-skeleton."""
+    parent = list(range(cx.count(0)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in (cx.facets[0] if cx.dimension >= 1 else ()):
+        parent[find(a)] = find(b)
+    comps = {}
+    for v in range(cx.count(0)):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())
+
+
+def free_edges(cx):
+    """Edges that are no face of a 2-simplex: bumping one keeps a cochain closed."""
+    bound = {f for facets in cx.facets[1] for f in facets} if cx.dimension >= 2 else set()
+    return [e for e in range(cx.count(1)) if e not in bound]
+
+
+def check_verdict(phi):
+    """Assert agreement with the reference; return True when ``phi`` is exact."""
+    beta, ref = is_exact(phi), is_exact_reference(phi)
+    assert isinstance(beta, NotExact) == isinstance(ref, NotExact)
+    if isinstance(beta, NotExact):
+        return False
+    assert coboundary(ref) == phi
+    assert coboundary(beta) == phi
+    for comp in components(phi.complex):
+        assert phi.group.is_zero(beta.values[max(comp)])
+    return True
+
+
+def check_complex(rng, cx):
+    """Exact cochains and one-edge bumps over every group; the verdict counts."""
+    verdicts = []
+    for group in GROUPS:
+        beta = Cochain(cx, group, 0, [random_element(rng, group) for _ in range(cx.count(0))])
+        phi = coboundary(beta)
+        assert check_verdict(phi)
+        verdicts.append(True)
+        edges = free_edges(cx)
+        if edges:
+            values = list(phi.values)
+            e = rng.choice(edges)
+            values[e] = group.add(values[e], random_nonzero(rng, group))
+            bumped = Cochain(cx, group, 1, values)
+            assert is_closed(bumped)
+            verdicts.append(check_verdict(bumped))
+    return verdicts
+
+
+def random_multigraph(rng):
+    """Several components on shuffled vertex labels, isolated vertices,
+    spanning trees plus extra and parallel edges."""
+    sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(rng.randint(1, 4))]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    edges = []
+    start = 0
+    for size in sizes:
+        comp = labels[start:start + size]
+        start += size
+        for k in range(1, size):
+            edges.append((comp[rng.randrange(k)], comp[k]))
+        for _ in range(rng.randint(0, 2 * size) if size > 1 else 0):
+            edges.append(tuple(rng.sample(comp, 2)))
+    for _ in range(rng.randint(0, 3)):
+        if edges:
+            edges.append(rng.choice(edges)[::-1])
+    rng.shuffle(edges)
+    return build_dual_complex(strata_from_multigraph(len(labels), edges))
+
+
+class TestSpanningForestExactness:
+    def test_random_strata(self, rng):
+        verdicts = []
+        for _ in range(500):
+            verdicts += check_complex(rng, build_dual_complex(random_strata(rng)))
+        assert False in verdicts
+
+    def test_random_multigraphs(self, rng):
+        verdicts = []
+        for _ in range(300):
+            verdicts += check_complex(rng, random_multigraph(rng))
+        assert False in verdicts
+
+    @pytest.mark.parametrize("n_vertices", [0, 1, 4])
+    def test_complex_without_edges(self, n_vertices):
+        cx = build_dual_complex(strata_from_multigraph(n_vertices, []))
+        for group in GROUPS:
+            phi = Cochain(cx, group, 1, ())
+            assert check_verdict(phi)
+            assert is_exact(phi).values == (group.zero(),) * n_vertices
+
+    def test_potential_spreads_from_the_largest_vertex(self):
+        """Two components and an isolated vertex: each root is the largest
+        vertex of its component and takes the value 0."""
+        cx = build_dual_complex(strata_from_multigraph(6, [(0, 3), (3, 1), (0, 1), (2, 4)]))
+        group = CoefficientGroup(rank=1, torsion=(4,))
+        beta = Cochain(cx, group, 0, [(1, 1), (2, 2), (3, 3), (4, 0), (5, 1), (6, 2)])
+        found = is_exact(coboundary(beta))
+        assert found.values == ((-3, 1), (-2, 2), (-2, 2), (0, 0), (0, 0), (0, 0))
+
+    def test_bumped_cycle_edge_is_not_exact(self):
+        cx = build_dual_complex(strata_from_multigraph(3, [(0, 1), (1, 2), (2, 0), (0, 1)]))
+        for group in GROUPS:
+            phi = coboundary(Cochain(cx, group, 0, [group.zero()] * 3))
+            for e in range(cx.count(1)):
+                values = list(phi.values)
+                values[e] = group.add(values[e], group.reduce([1] * group.width))
+                assert not check_verdict(Cochain(cx, group, 1, values))
+
+
+def test_quotient_of_all_of_z_n_matches_the_identity_basis(rng):
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        rels = [[rng.choice((-3, -1, 0, 0, 0, 1, 1, 2, 6)) for _ in range(n)]
+                for _ in range(rng.randint(0, 8))]
+        assert linalg.lattice_quotient(None, rels, n) == linalg.lattice_quotient(linalg.identity(n), rels, n)
+
+
+def test_precondition_error_is_defined_once():
+    assert lattice.PreconditionError is cochain.PreconditionError
