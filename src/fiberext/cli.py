@@ -1,8 +1,12 @@
 """Command-line entry point.
 
 Subcommands ingest JSON scenario files (rationals as "p/q" strings) and
-dispatch to the library.  Exit codes: 0 success, 1 input or validation
-error, 2 mathematical obstruction.
+dispatch to the library.  Each handler computes every value once and
+returns ``(exit code, payload, human lines)``; ``main`` alone renders the
+result, as the lines or (``--format machine``) as the payload in JSON with
+the exit code added, and turns input errors into exit code 1 and one
+``error:`` line.  Exit codes: 0 success, 1 input or validation error, 2
+mathematical obstruction.
 """
 
 from __future__ import annotations
@@ -39,209 +43,145 @@ EXIT_INPUT = 1
 EXIT_OBSTRUCTED = 2
 
 
-class _Output:
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-        self.lines: list[str] = []
-        self.payload: dict = {}
-
-    def human(self, line: str):
-        self.lines.append(line)
-
-    def emit(self, code: int) -> int:
-        if self.fmt == "machine":
-            self.payload["exit_code"] = code
-            print(json.dumps(self.payload, indent=2))
-        else:
-            for line in self.lines:
-                print(line)
-        return code
-
-
-def _rat(x):
-    return str(x)
-
-
-def _rats(xs):
-    return [str(x) for x in xs]
-
-
-def _need(scenario, attr, what):
-    value = getattr(scenario, attr)
-    if value is None or value == {} or value == ():
-        raise ValueError(f"scenario file lacks a {what!r} section")
-    return value
-
-
-def cmd_extend(args) -> int:
-    out = _Output(args.format)
+def cmd_extend(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
-    lattice = _need(scenario, "lattice", "lattice")
-    trace = _need(scenario, "trace", "trace")
+    lattice, trace = scenario.need("lattice"), scenario.need("trace")
     report = validate_lattice(lattice)
     if not report.valid:
         raise PreconditionError(f"invalid lattice: failed {report.failed()}")
     if args.mode == "trivial":
-        result = extend_trivial(lattice, trace)
-        symbol = "a"
+        result, symbol = extend_trivial(lattice, trace), "a"
     else:
-        targets = None
-        if args.targets:
-            targets = [parse_rational(t) for t in args.targets.split(",")]
-        result = extend_nef(lattice, trace, targets)
-        symbol = "b"
+        targets = [parse_rational(t) for t in args.targets.split(",")] if args.targets else None
+        result, symbol = extend_nef(lattice, trace, targets), "b"
     if isinstance(result, Obstructed):
-        out.payload = {"obstructed": True, "reason": result.reason,
-                       "value": _rat(result.value) if result.value is not None else None}
-        detail = f" = {_rat(result.value)} != 0" if result.value is not None else ""
-        out.human(f"obstructed: {result.reason}{detail}")
-        return out.emit(EXIT_OBSTRUCTED)
-    out.payload = {
-        "coefficients": _rats(result.coefficients),
-        "denominator": result.denominator,
-        "normalization": result.normalization,
-        "achieved_trace": _rats(result.achieved_trace),
-    }
-    coeffs = ", ".join(_rats(result.coefficients))
-    out.human(f"{symbol} = ({coeffs}); m = {result.denominator}")
-    out.human(f"achieved trace = ({', '.join(_rats(result.achieved_trace))})")
-    out.human(f"normalization: {result.normalization}")
+        value = None if result.value is None else str(result.value)
+        detail = "" if value is None else f" = {value} != 0"
+        return (EXIT_OBSTRUCTED, {"obstructed": True, "reason": result.reason, "value": value},
+                [f"obstructed: {result.reason}{detail}"])
+    coeffs = [str(x) for x in result.coefficients]
+    achieved = [str(x) for x in result.achieved_trace]
+    payload = {"coefficients": coeffs, "denominator": result.denominator,
+               "normalization": result.normalization, "achieved_trace": achieved}
+    lines = [f"{symbol} = ({', '.join(coeffs)}); m = {result.denominator}",
+             f"achieved trace = ({', '.join(achieved)})",
+             f"normalization: {result.normalization}"]
     if args.mode == "trivial":
-        out.human(f"denominator bound = {denominator_bound(lattice)}; "
-                  f"component group invariants = {list(component_group(lattice).invariant_factors)}")
-        out.payload["denominator_bound"] = denominator_bound(lattice)
-        out.payload["component_group"] = list(component_group(lattice).invariant_factors)
-    return out.emit(EXIT_OK)
+        bound = denominator_bound(lattice)
+        factors = list(component_group(lattice).invariant_factors)
+        payload.update(denominator_bound=bound, component_group=factors)
+        lines.append(f"denominator bound = {bound}; component group invariants = {factors}")
+    return EXIT_OK, payload, lines
 
 
-def _homology_summary(profile):
-    parts = []
-    for k, (b, tors) in enumerate(zip(profile.betti, profile.torsion)):
-        pieces = (["Z"] * b if b else []) + [f"Z/{d}" for d in tors]
-        parts.append(f"H{k} = " + (" + ".join(pieces) if pieces else "0"))
-    return "; ".join(parts)
-
-
-def cmd_dual_complex(args) -> int:
-    out = _Output(args.format)
-    scenario = load_scenario_file(args.file)
-    strata = _need(scenario, "strata", "strata")
-    complex = build_dual_complex(strata)
+def cmd_dual_complex(args) -> tuple[int, dict, list[str]]:
+    complex = build_dual_complex(load_scenario_file(args.file).need("strata"))
     profile = homology(complex)
-    out.payload = {
+    rank = torus_rank(complex)
+    payload = {
         "simplex_counts": list(complex.counts),
         "betti": list(profile.betti),
         "torsion": [list(t) for t in profile.torsion],
-        "torus_rank": torus_rank(complex),
+        "torus_rank": rank,
         "euler_characteristic": complex.euler_characteristic(),
     }
-    out.human(f"simplices per dimension: {list(complex.counts)}")
-    out.human(_homology_summary(profile))
-    out.human(f"torus rank {torus_rank(complex)}")
+    groups = [" + ".join(["Z"] * b + [f"Z/{d}" for d in tors]) or "0"
+              for b, tors in zip(profile.betti, profile.torsion)]
+    lines = [f"simplices per dimension: {list(complex.counts)}",
+             "; ".join(f"H{k} = {g}" for k, g in enumerate(groups)),
+             f"torus rank {rank}"]
     if args.matrices:
-        out.payload["boundary_matrices"] = {
-            str(r): boundary_matrix(complex, r) for r in range(1, complex.dimension + 1)
-        }
-        for r in range(1, complex.dimension + 1):
-            out.human(f"B_{r} = {boundary_matrix(complex, r)}")
-    return out.emit(EXIT_OK)
+        matrices = {str(r): boundary_matrix(complex, r) for r in range(1, complex.dimension + 1)}
+        payload["boundary_matrices"] = matrices
+        lines += [f"B_{r} = {m}" for r, m in matrices.items()]
+    return EXIT_OK, payload, lines
 
 
-def cmd_cochain(args) -> int:
-    out = _Output(args.format)
+def cmd_cochain(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
-    strata = _need(scenario, "strata", "strata")
-    data = _need(scenario, "cochain", "cochain")
-    phi = data.bind(strata)
+    strata = scenario.need("strata")
+    phi = scenario.need("cochain").bind(strata)
     closed = cochain_mod.is_closed(phi)
     if not closed:
-        out.payload = {"closed": False, "witness": closed.witness}
-        out.human(f"not closed; witness {closed.witness}")
-        return out.emit(EXIT_OBSTRUCTED)
+        return (EXIT_OBSTRUCTED, {"closed": False, "witness": closed.witness},
+                [f"not closed; witness {closed.witness}"])
     cls = cochain_mod.h1_class(phi)
     # The class of phi is trivial exactly when phi is exact: one solve.
     exact = cls.is_trivial
-    out.payload = {
-        "closed": True,
-        "exact": exact,
-        "class_trivial": exact,
-        "h1_rank": cls.group_profile.rank,
-        "h1_torsion": list(cls.group_profile.torsion),
-    }
+    rank, torsion = cls.group_profile.rank, list(cls.group_profile.torsion)
+    payload = {"closed": True, "exact": exact, "class_trivial": exact,
+               "h1_rank": rank, "h1_torsion": torsion}
     if exact:
-        out.payload["potential"] = [list(v) for v in cls.potential.values]
-    out.human("closed" + ("; exact" if exact else "; not exact"))
-    out.human(f"class {'trivial' if exact else 'nontrivial'}; "
-              f"H1 profile rank {cls.group_profile.rank}, torsion {list(cls.group_profile.torsion)}")
-    return out.emit(EXIT_OK)
+        payload["potential"] = [list(v) for v in cls.potential.values]
+    return EXIT_OK, payload, [
+        "closed; exact" if exact else "closed; not exact",
+        f"class {'trivial' if exact else 'nontrivial'}; H1 profile rank {rank}, torsion {torsion}",
+    ]
 
 
-def cmd_pic0(args) -> int:
-    out = _Output(args.format)
+def cmd_pic0(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
-    results = {}
     try:
-        for label, fiber in scenario.curve_fibers.items():
-            kind = classify_curve_fiber(fiber)
-            results[label] = kind
+        kinds = {label: classify_curve_fiber(f) for label, f in scenario.curve_fibers.items()}
         if scenario.strata is not None:
-            kind = classify_snc_fiber(SncFiber(scenario.strata, scenario.h1_structure))
-            results["snc"] = kind
+            kinds["snc"] = classify_snc_fiber(SncFiber(scenario.strata, scenario.h1_structure))
     except NotSemistable as exc:
-        out.payload = {"error": "NotSemistable", "detail": str(exc)}
-        out.human(f"not semistable: {exc}")
-        return out.emit(EXIT_OBSTRUCTED)
-    if not results:
+        return EXIT_OBSTRUCTED, {"error": "NotSemistable", "detail": str(exc)}, [f"not semistable: {exc}"]
+    if not kinds:
         raise ValueError("scenario file has no fiber to classify")
-    out.payload = {
-        label: {"torus_rank": k.torus_rank, "abelian_dim": k.abelian_dim,
-                "proper": k.proper, "label": k.label}
-        for label, k in results.items()
-    }
-    for label, k in results.items():
-        out.human(f"{label}: semi-abelian type: {k.label}, (t,a)=({k.torus_rank},{k.abelian_dim})"
-                  + (", proper" if k.proper else ""))
-    return out.emit(EXIT_OK)
+    payload = {label: {"torus_rank": k.torus_rank, "abelian_dim": k.abelian_dim,
+                       "proper": k.proper, "label": k.label} for label, k in kinds.items()}
+    return EXIT_OK, payload, [
+        f"{label}: semi-abelian type: {k.label}, (t,a)=({k.torus_rank},{k.abelian_dim})"
+        + (", proper" if k.proper else "") for label, k in kinds.items()]
 
 
-def cmd_obstruction(args) -> int:
-    out = _Output(args.format)
-    scenario = load_scenario_file(args.file)
-    data = _need(scenario, "obstruction", "obstruction")
-    result = extension_obstruction(data)
+def cmd_obstruction(args) -> tuple[int, dict, list[str]]:
+    result = extension_obstruction(load_scenario_file(args.file).need("obstruction"))
     if isinstance(result, ObstructionCertificate):
-        out.payload = {"obstructed": True, "witnesses": list(result.witnesses),
-                       "values": [list(v) for v in result.values], "note": result.note}
-        out.human(f"obstructed; witnesses {result.witnesses[0]!r}, {result.witnesses[1]!r}")
-        out.human(result.note)
-        return out.emit(EXIT_OBSTRUCTED)
-    out.payload = {"obstructed": False, "reason": result.reason}
-    out.human(f"unobstructed: {result.reason}")
-    return out.emit(EXIT_OK)
+        payload = {"obstructed": True, "witnesses": list(result.witnesses),
+                   "values": [list(v) for v in result.values], "note": result.note}
+        return EXIT_OBSTRUCTED, payload, [
+            f"obstructed; witnesses {result.witnesses[0]!r}, {result.witnesses[1]!r}", result.note]
+    return EXIT_OK, {"obstructed": False, "reason": result.reason}, [f"unobstructed: {result.reason}"]
 
 
-def cmd_corpus(args) -> int:
-    out = _Output(args.format)
+def cmd_corpus(args) -> tuple[int, dict, list[str]]:
     if args.action == "list":
         catalog = corpus.list_scenarios()
-        out.payload = {"scenarios": [{"name": n, "citation": c} for n, c in catalog]}
-        for name, citation in catalog:
-            out.human(f"{name}: {citation}")
-        return out.emit(EXIT_OK)
+        return (EXIT_OK, {"scenarios": [{"name": n, "citation": c} for n, c in catalog]},
+                [f"{n}: {c}" for n, c in catalog])
     reports = [corpus.run_scenario(args.name)] if args.name else corpus.run_all()
-    all_ok = all(r.passed for r in reports)
-    out.payload = {"reports": [
+    payload = {"reports": [
         {"name": r.name, "passed": r.passed,
          "checks": [{"op": c.op, "passed": c.passed, "expected": c.expected,
                      "actual": c.actual, "provenance": c.provenance} for c in r.checks]}
         for r in reports
     ]}
+    lines = []
     for r in reports:
-        out.human(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-        for c in r.checks:
-            mark = "ok" if c.passed else "FAIL"
-            out.human(f"  [{mark}] {c.op}: expected {c.expected}; got {c.actual}")
-    return out.emit(EXIT_OK if all_ok else EXIT_INPUT)
+        lines.append(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+        lines += [f"  [{'ok' if c.passed else 'FAIL'}] {c.op}: expected {c.expected}; got {c.actual}"
+                  for c in r.checks]
+    return (EXIT_OK if all(r.passed for r in reports) else EXIT_INPUT), payload, lines
+
+
+_FILE = ("file", {})
+# name -> (handler, help, extra arguments); every subcommand also takes --format.
+_COMMANDS = {
+    "extend": (cmd_extend, "solve the divisor-extension system of a fiber lattice", [
+        _FILE,
+        ("--mode", {"choices": ("trivial", "nef"), "default": "trivial"}),
+        ("--targets", {"help": "comma-separated nonnegative rational targets (nef mode)"})]),
+    "dual-complex": (cmd_dual_complex, "build the dual complex and compute homology", [
+        _FILE, ("--matrices", {"action": "store_true", "help": "print the boundary matrices"})]),
+    "cochain": (cmd_cochain, "closedness, exactness, and H1 class of a gluing cochain", [_FILE]),
+    "pic0": (cmd_pic0, "classify the semi-abelian type of Pic^0 of a fiber", [_FILE]),
+    "obstruction": (cmd_obstruction, "certify an extension obstruction scenario", [_FILE]),
+    "corpus": (cmd_corpus, "list or run the bundled scenario corpus", [
+        ("action", {"choices": ("list", "run")}),
+        ("name", {"nargs": "?", "help": "run a single scenario by name"})]),
+}
 
 
 @functools.cache
@@ -252,54 +192,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact divisor extension, dual complexes, and Pic^0 of degenerate fibers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
+    for name, (handler, help, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
         p.add_argument("--format", choices=("human", "machine"), default="human")
-
-    p = sub.add_parser("extend", help="solve the divisor-extension system of a fiber lattice")
-    p.add_argument("file")
-    p.add_argument("--mode", choices=("trivial", "nef"), default="trivial")
-    p.add_argument("--targets", help="comma-separated nonnegative rational targets (nef mode)")
-    add_format(p)
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser("dual-complex", help="build the dual complex and compute homology")
-    p.add_argument("file")
-    p.add_argument("--matrices", action="store_true", help="print the boundary matrices")
-    add_format(p)
-    p.set_defaults(func=cmd_dual_complex)
-
-    p = sub.add_parser("cochain", help="closedness, exactness, and H1 class of a gluing cochain")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=cmd_cochain)
-
-    p = sub.add_parser("pic0", help="classify the semi-abelian type of Pic^0 of a fiber")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=cmd_pic0)
-
-    p = sub.add_parser("obstruction", help="certify an extension obstruction scenario")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(func=cmd_obstruction)
-
-    p = sub.add_parser("corpus", help="list or run the bundled scenario corpus")
-    p.add_argument("action", choices=("list", "run"))
-    p.add_argument("name", nargs="?", help="run a single scenario by name")
-    add_format(p)
-    p.set_defaults(func=cmd_corpus)
-
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        code, payload, lines = args.func(args)
+        if args.format == "machine":
+            print(json.dumps({**payload, "exit_code": code}, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

@@ -257,12 +257,17 @@ def invariant_factor_chain(orders) -> tuple[int, ...]:
 
     Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
     Z/gcd``, largest factor first, so nothing is factored.  Orders below 2
-    contribute nothing.
+    contribute nothing.  An order dividing the smallest factor passes
+    through every merge unchanged, so it is appended at once: equal orders
+    cost linear time.
     """
     chain = []  # descending: each factor divides the one before it
     for o in orders:
         a = int(o)
         if a < 2:
+            continue
+        if chain and chain[-1] % a == 0:
+            chain.append(a)
             continue
         for k, d in enumerate(chain):
             chain[k], a = lcm(d, a), gcd(d, a)

@@ -89,13 +89,23 @@ def _run_check(sc: Scenario, entry) -> CheckResult:
     return CheckResult(op, passed, expected, actual, provenance)
 
 
+def _equal(want, got, show=str):
+    """A check that one computed value equals the expected one."""
+    return got == want, show(want), show(got)
+
+
 def _check_validate(sc, entry):
     report = lattice_mod.validate_lattice(sc.lattice)
     want = bool(entry["valid"])
     return report.valid == want, f"valid={want}", f"valid={report.valid}, failed={report.failed()}"
 
 
-def _match_extension(entry, result):
+def _check_extension(sc, entry):
+    if entry["op"] == "extend_trivial":
+        result = lattice_mod.extend_trivial(sc.lattice, sc.trace)
+    else:
+        targets = [parse_rational(x) for x in entry["targets"]] if "targets" in entry else None
+        result = lattice_mod.extend_nef(sc.lattice, sc.trace, targets)
     if entry.get("obstructed"):
         ok = isinstance(result, lattice_mod.Obstructed)
         return ok, "obstructed", type(result).__name__
@@ -122,41 +132,12 @@ def _match_extension(entry, result):
     return ok, "; ".join(wants), actual
 
 
-def _check_extend_trivial(sc, entry):
-    return _match_extension(entry, lattice_mod.extend_trivial(sc.lattice, sc.trace))
-
-
-def _check_extend_nef(sc, entry):
-    targets = None
-    if "targets" in entry:
-        targets = [parse_rational(x) for x in entry["targets"]]
-    return _match_extension(entry, lattice_mod.extend_nef(sc.lattice, sc.trace, targets))
-
-
-def _check_denominator_bound(sc, entry):
-    got = lattice_mod.denominator_bound(sc.lattice)
-    want = int(entry["value"])
-    return got == want, str(want), str(got)
-
-
-def _check_component_group(sc, entry):
-    got = lattice_mod.component_group(sc.lattice).invariant_factors
-    want = tuple(entry["invariant_factors"])
-    return got == want, str(list(want)), str(list(got))
-
-
 def _check_homology(sc, entry):
     profile = homology(build_dual_complex(sc.strata))
     want_betti = tuple(entry["betti"])
     want_torsion = tuple(tuple(t) for t in entry.get("torsion", [[]] * len(want_betti)))
     ok = profile.betti == want_betti and profile.torsion == want_torsion
     return ok, f"betti={list(want_betti)}", f"betti={list(profile.betti)}, torsion={profile.torsion}"
-
-
-def _check_torus_rank(sc, entry):
-    got = torus_rank(build_dual_complex(sc.strata))
-    want = int(entry["value"])
-    return got == want, str(want), str(got)
 
 
 def _classification_matches(entry, kind):
@@ -187,24 +168,14 @@ def _check_classify_curve(sc, entry):
     return _classification_matches(entry, classify_curve_fiber(fiber))
 
 
-def _check_classify_snc(sc, entry):
-    fiber = SncFiber(strata=sc.strata, h1_structure=sc.h1_structure)
-    return _classification_matches(entry, classify_snc_fiber(fiber))
-
-
 def _check_numerical_triviality(sc, entry):
     fiber = sc.curve_fibers[entry.get("fiber", "default")]
     got = numerical_triviality_on_fiber(fiber, entry["degrees"])
-    want = bool(entry["trivial"])
-    return got == want, f"trivial={want}", f"trivial={got}"
-
-
-def _bound_cochain(sc):
-    return sc.cochain.bind(sc.strata)
+    return _equal(bool(entry["trivial"]), got, "trivial={}".format)
 
 
 def _check_is_closed(sc, entry):
-    result = cochain_mod.is_closed(_bound_cochain(sc))
+    result = cochain_mod.is_closed(sc.cochain.bind(sc.strata))
     ok = result.closed == bool(entry["closed"])
     if "witness" in entry:
         ok &= result.witness == entry["witness"]
@@ -212,14 +183,12 @@ def _check_is_closed(sc, entry):
 
 
 def _check_is_exact(sc, entry):
-    result = cochain_mod.is_exact(_bound_cochain(sc))
-    got = not isinstance(result, cochain_mod.NotExact)
-    want = bool(entry["exact"])
-    return got == want, f"exact={want}", f"exact={got}"
+    got = not isinstance(cochain_mod.is_exact(sc.cochain.bind(sc.strata)), cochain_mod.NotExact)
+    return _equal(bool(entry["exact"]), got, "exact={}".format)
 
 
 def _check_h1_class(sc, entry):
-    cls = cochain_mod.h1_class(_bound_cochain(sc))
+    cls = cochain_mod.h1_class(sc.cochain.bind(sc.strata))
     want = bool(entry["trivial"])
     return cls.is_trivial == want, f"trivial={want}", (
         f"trivial={cls.is_trivial}, H1={cls.group_profile}"
@@ -238,16 +207,19 @@ def _check_obstruction(sc, entry):
     return ok, f"obstructed={want}", actual
 
 
+# op -> check(scenario, entry) returning (passed, expected, actual).
 _HANDLERS = {
     "validate_lattice": _check_validate,
-    "extend_trivial": _check_extend_trivial,
-    "extend_nef": _check_extend_nef,
-    "denominator_bound": _check_denominator_bound,
-    "component_group": _check_component_group,
+    "extend_trivial": _check_extension,
+    "extend_nef": _check_extension,
+    "denominator_bound": lambda sc, e: _equal(int(e["value"]), lattice_mod.denominator_bound(sc.lattice)),
+    "component_group": lambda sc, e: _equal(
+        list(e["invariant_factors"]), list(lattice_mod.component_group(sc.lattice).invariant_factors)),
     "homology": _check_homology,
-    "torus_rank": _check_torus_rank,
+    "torus_rank": lambda sc, e: _equal(int(e["value"]), torus_rank(build_dual_complex(sc.strata))),
     "classify_curve_fiber": _check_classify_curve,
-    "classify_snc_fiber": _check_classify_snc,
+    "classify_snc_fiber": lambda sc, e: _classification_matches(
+        e, classify_snc_fiber(SncFiber(sc.strata, sc.h1_structure))),
     "numerical_triviality": _check_numerical_triviality,
     "is_closed": _check_is_closed,
     "is_exact": _check_is_exact,

@@ -329,19 +329,20 @@ def lattice_quotient(gens, rels, n):
     ``(free_rank, torsion)`` with torsion a divisibility chain of ints > 1.
     """
     if gens is None:
-        dim, cols = n, rels
+        dim, rows = n, rels
     else:
         basis = row_lattice_basis(gens, n)
         if not basis:
             return 0, []
         sparse = [[(j, x) for j, x in enumerate(b) if x] for b in basis]
-        dim, cols = len(basis), []
+        dim, rows = len(basis), []
         for rel in rels:
             coords = coordinates_in_basis(rel, sparse)
             if coords is None:
                 raise ValueError("relation outside the generated lattice")
-            cols.append(coords)
-    diag = snf_diagonal(transpose(cols, dim), len(cols))
+            rows.append(coords)
+    # One row per relation: invariant factors do not change under transposition.
+    diag = snf_diagonal(rows, dim)
     torsion = [d for d in diag if d > 1]
     return dim - len(diag), torsion
 

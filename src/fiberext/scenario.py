@@ -123,6 +123,13 @@ class Scenario:
     obstruction: ObstructionScenario | None = None
     expect: tuple = ()
 
+    def need(self, section: str):
+        """The named section; a ValueError if the file lacks it or it is empty."""
+        value = getattr(self, section)
+        if value in (None, {}, ()):
+            raise ValueError(f"scenario file lacks a {section!r} section")
+        return value
+
 
 def parse_optional_int(x) -> int | None:
     if x is not None and (isinstance(x, bool) or not isinstance(x, int)):

@@ -181,6 +181,9 @@ ORDERS = st.lists(
 
 @given(ORDERS)
 @example([0, 1, 4, 6, 8, 8, 999983, 999983, 1])
+@example([6] * 1000)
+@example([4] * 50 + [2])
+@example([2] * 50 + [4, 1, 4])
 @settings(max_examples=300, deadline=None)
 def test_invariant_factor_chain_matches_factoring(orders):
     assert invariant_factor_chain(orders) == invariant_factor_chain_reference(orders)

@@ -1,9 +1,10 @@
-"""Golden ``--format machine`` output of every bundled scenario.
+"""Golden ``--format machine`` and ``--format human`` output of every
+bundled scenario.
 
 Each scenario runs under every subcommand that applies to it (chosen from
 the sections of its JSON file), plus ``corpus list`` and ``corpus run``.
-Stdout and the exit code must match ``tests/golden/machine_output.json``
-byte for byte.  Regenerate the file only when an output change is intended:
+Stdout and the exit code must match ``tests/golden/<format>_output.json``
+byte for byte.  Regenerate the files only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -16,7 +17,10 @@ import json
 import sys
 from pathlib import Path
 
-GOLDEN = Path(__file__).parent / "golden" / "machine_output.json"
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden"
+FORMATS = ("machine", "human")
 SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
 
 
@@ -43,22 +47,27 @@ def golden_cases():
     return cases
 
 
-def run_case(argv):
+def run_case(argv, fmt):
     from fiberext.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--format", "machine"])
+        code = main(argv + ["--format", fmt])
     return {"exit_code": code, "stdout": out.getvalue()}
 
 
-def capture():
-    return {case: run_case(argv) for case, argv in golden_cases()}
+def capture(fmt):
+    return {case: run_case(argv, fmt) for case, argv in golden_cases()}
 
 
-def test_machine_output_matches_golden():
-    golden = json.loads(GOLDEN.read_text())
-    actual = capture()
+def golden_path(fmt):
+    return GOLDEN / f"{fmt}_output.json"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_output_matches_golden(fmt):
+    golden = json.loads(golden_path(fmt).read_text())
+    actual = capture(fmt)
     assert sorted(actual) == sorted(golden)
     for case in sorted(golden):
         assert actual[case] == golden[case], case
@@ -67,5 +76,6 @@ def test_machine_output_matches_golden():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.mkdir(exist_ok=True)
+    for fmt in FORMATS:
+        golden_path(fmt).write_text(json.dumps(capture(fmt), indent=1, sort_keys=True) + "\n")
