@@ -12,16 +12,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import PreconditionError
 
 
+class _IntFractions(dict):
+    """``Fraction(k)`` by int key: a lookup for the keys stored, built otherwise."""
+
+    def __missing__(self, k: int) -> Fraction:
+        return Fraction(k)
+
+
+# Intersection numbers and traces are small integers, and Fractions are
+# immutable, so one shared Fraction per small int serves every entry.
+_FRACTION = _IntFractions({k: Fraction(k) for k in range(-64, 65)})
+
+
 def _to_fraction(x) -> Fraction:
+    if type(x) is int:
+        return _FRACTION[x]
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floating point input is not accepted; use Fraction, int, or 'p/q'")
     return Fraction(x)
+
+
+def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:
+    """``values`` as Fractions, and as integers over the lcm of their denominators.
+
+    Ints stay ints: an all-int vector is its own integer form.  Tuples are
+    made from lists, not generators: a tuple grown from a generator bypasses
+    the interpreter's tuple free list but is freed onto it.
+    """
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return tuple(list(map(_FRACTION.__getitem__, values))), 1, values
+    fracs = tuple([_to_fraction(x) for x in values])
+    return (fracs, *linalg.common_denominator(fracs))
+
+
+def _multiplicity(c) -> int:
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)) or c.denominator != 1:
+        raise ValueError(f"multiplicities must be positive integers, got {c!r}")
+    return int(c)
 
 
 @dataclass(frozen=True)
@@ -30,8 +67,9 @@ class FiberLattice:
 
     ``matrix[i][j]`` is the intersection number of components i and j;
     ``multiplicities`` are their coefficients in the scheme-theoretic fiber.
-    Invariants are computed at most once per instance and cached on it; the
-    cache is not a field, so equality, hashing and repr ignore it.
+    The integer form ``(d, d * matrix)`` is built with the Fraction tuples,
+    and invariants are computed at most once per instance and cached on it;
+    neither is a field, so equality, hashing and repr ignore them.
     """
 
     labels: tuple[str, ...]
@@ -42,11 +80,13 @@ class FiberLattice:
     def __post_init__(self):
         n = len(self.labels)
         object.__setattr__(self, "labels", tuple(self.labels))
-        # Tuples from lists, not generators: a tuple grown from a generator
-        # bypasses the interpreter's tuple free list but is freed onto it.
-        mat = tuple([tuple([_to_fraction(x) for x in row]) for row in self.matrix])
+        rows = [_exact(row) for row in self.matrix]
+        mat = tuple([row for row, _, _ in rows])
+        d = lcm(*[m for _, m, _ in rows])
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "multiplicities", tuple([int(c) for c in self.multiplicities]))
+        object.__setattr__(self, "_integer_matrix",
+                           (d, [a if m == d else [x * (d // m) for x in a] for _, m, a in rows]))
+        object.__setattr__(self, "multiplicities", tuple([_multiplicity(c) for c in self.multiplicities]))
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("intersection matrix must be square and match the labels")
         if len(self.multiplicities) != n:
@@ -59,13 +99,7 @@ class FiberLattice:
         return len(self.labels)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.matrix for x in row)
-
-    @cached_property
-    def _integer_matrix(self) -> tuple[int, list[list[int]]]:
-        """``(d, d * matrix)`` in integers, d the lcm of the denominators."""
-        d = lcm(*[x.denominator for row in self.matrix for x in row])
-        return d, [[x.numerator * (d // x.denominator) for x in row] for row in self.matrix]
+        return self._integer_matrix[0] == 1
 
     @cached_property
     def _gauge_reduced(self) -> tuple[list[int], list[list[int]]]:
@@ -80,16 +114,16 @@ class FiberLattice:
         n = self.size
         checks = []
 
-        _, a = self._integer_matrix
+        d, a = self._integer_matrix
         symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
         checks.append(("symmetric", symmetric, "" if symmetric else "matrix is not symmetric"))
 
-        mc = _pair(self, self.multiplicities)
-        trivial = all(x == 0 for x in mc)
+        mc = [sum(map(mul, row, self.multiplicities)) for row in a]
+        trivial = not any(mc)
         checks.append((
             "fiber_class_trivial",
             trivial,
-            "" if trivial else f"matrix * multiplicities = {mc}",
+            "" if trivial else f"matrix * multiplicities = {[Fraction(x, d) for x in mc]}",
         ))
 
         nsd, rank = _semidefinite_rank([[-x for x in row] for row in a]) if symmetric else (False, 0)
@@ -131,12 +165,15 @@ class DivisorTrace:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple([_to_fraction(v) for v in self.values]))
+        values, m, nums = _exact(self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_integer_values", (m, nums))
 
     def total(self, lattice: FiberLattice) -> Fraction:
         if len(self.values) != lattice.size:
             raise ValueError("trace length does not match the lattice")
-        return sum((c * v for c, v in zip(lattice.multiplicities, self.values)), Fraction(0))
+        m, nums = self._integer_values
+        return Fraction(sum(map(mul, lattice.multiplicities, nums)), m)
 
 
 @dataclass(frozen=True)
@@ -236,32 +273,32 @@ def _gauge_index(lattice: FiberLattice) -> int:
 def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) -> ExtensionResult:
     """Solve matrix @ x = targets - trace with x fixed to 0 at the gauge index.
 
-    The reduced matrix (gauge row and column deleted) is negative definite,
-    hence invertible; solvability of the full system is the caller's burden.
+    ``targets`` is an ``_exact`` triple.  The reduced matrix (gauge row and
+    column deleted) is negative definite, hence invertible; solvability of
+    the full system is the caller's burden.  It runs in integers: with
+    ``A = d * matrix`` and ``targets - trace = w / m``, it solves ``A y = d w``
+    and returns ``x = y / m``.
     """
-    d = lattice._integer_matrix[0]
+    d, a = lattice._integer_matrix
     idx, reduced = lattice._gauge_reduced
     i0 = _gauge_index(lattice)
-    sub = linalg.solve_rational(reduced, [d * (targets[i] - trace.values[i]) for i in idx])
+    goal, mt, t = targets
+    mv, v = trace._integer_values
+    m = lcm(mt, mv)
+    w = [x * (m // mt) - y * (m // mv) for x, y in zip(t, v)]
+    sub = linalg.solve_rational(reduced, [d * w[i] for i in idx])
     if sub is None:
         raise ArithmeticError("certificate failure: the gauge-reduced matrix is singular")
-    sol = sub[:i0] + [Fraction(0)] + sub[i0:]
-    achieved = [v + x for v, x in zip(trace.values, _pair(lattice, sol))]
-    if achieved != list(targets):
-        raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(targets)}")
-    return ExtensionResult(tuple(sol), _denominator(sol), f"{symbol}[{i0}] = 0", tuple(achieved))
-
-
-def _pair(lattice: FiberLattice, vec) -> list[Fraction]:
-    """``matrix @ vec`` in integers over a common denominator."""
-    d, a = lattice._integer_matrix
-    m = _denominator(vec)
-    nums = [x.numerator * (m // x.denominator) for x in vec]
-    return [Fraction(sum(x * y for x, y in zip(row, nums)), d * m) for row in a]
-
-
-def _denominator(coeffs) -> int:
-    return lcm(*[c.denominator for c in coeffs]) if coeffs else 1
+    e, y = linalg.common_denominator(sub)
+    y = y[:i0] + [0] + y[i0:]
+    # x = y / (e m) meets the targets iff A y = d e w, on every row.
+    ay = [sum(map(mul, row, y)) for row in a]
+    if ay != [d * e * x for x in w]:
+        achieved = [x + Fraction(r, d * e * m) for x, r in zip(trace.values, ay)]
+        raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(goal)}")
+    den = e * m
+    sol = tuple([Fraction(k, den) for k in y])
+    return ExtensionResult(sol, den // gcd(den, *y), f"{symbol}[{i0}] = 0", goal)
 
 
 def extend_trivial(lattice: FiberLattice, trace: DivisorTrace):
@@ -275,7 +312,7 @@ def extend_trivial(lattice: FiberLattice, trace: DivisorTrace):
     total = trace.total(lattice)
     if total != 0:
         return Obstructed("trace pairs nonzero against the fiber class", total)
-    return _extend(lattice, trace, [Fraction(0)] * lattice.size, "a")
+    return _extend(lattice, trace, _exact([0] * lattice.size), "a")
 
 
 def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
@@ -290,15 +327,17 @@ def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
     if targets is None:
         if total < 0:
             return Obstructed("negative total: no nonnegative targets exist", total)
-        d = [Fraction(0)] * lattice.size
+        d = [0] * lattice.size
         d[i0] = total / lattice.multiplicities[i0]
+        d = _exact(d)
     else:
-        d = [_to_fraction(x) for x in targets]
-        if len(d) != lattice.size:
+        d = _exact(targets)
+        _, m, nums = d
+        if len(nums) != lattice.size:
             raise ValueError("target vector length does not match the lattice")
-        if any(x < 0 for x in d):
+        if any(x < 0 for x in nums):
             raise PreconditionError("targets must be nonnegative")
-        weighted = sum((Fraction(c) * x for c, x in zip(lattice.multiplicities, d)), Fraction(0))
+        weighted = Fraction(sum(map(mul, lattice.multiplicities, nums)), m)
         if weighted != total:
             return Obstructed("target sum mismatch: sum c_i d_i must equal the total", weighted - total)
     return _extend(lattice, trace, d, "b")
@@ -340,7 +379,7 @@ def kodaira_cycle(n: int) -> FiberLattice:
         mat[j][i] += 1
     return FiberLattice(
         labels=tuple(f"C{i + 1}" for i in range(n)),
-        matrix=tuple(tuple(Fraction(x) for x in row) for row in mat),
+        matrix=mat,
         multiplicities=(1,) * n,
         connected=True,
     )

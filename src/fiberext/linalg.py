@@ -6,7 +6,8 @@ rows; an empty matrix must be accompanied by an explicit column count where
 the shape is ambiguous.
 
 Rational systems are solved without rational arithmetic: each row is scaled
-to integers by the lcm of its denominators, one fraction-free (Bareiss)
+to integers by the lcm of its denominators (an all-int row is taken as it
+is, with no per-entry arithmetic), one fraction-free (Bareiss)
 elimination brings the matrix to echelon form with exact integer divisions,
 and ``Fraction`` values are created only in the back-substitution.
 
@@ -28,6 +29,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def common_denominator(values) -> tuple[int, list[int]]:
+    """``(m, m * values)`` in integers, m the lcm of the denominators of the
+    ints and Fractions in ``values``.  An all-int list is returned as it is."""
+    if set(map(type, values)) <= {int}:
+        return 1, values
+    m = lcm(*[x.denominator for x in values])
+    return m, [x.numerator * (m // x.denominator) for x in values]
 
 
 def identity(n):
@@ -351,19 +361,16 @@ def lattice_quotient(gens, rels, n):
 # Rational elimination, fraction-free
 # ---------------------------------------------------------------------------
 
-def _echelon(mat, ncols):
-    """Fraction-free row echelon form (Bareiss 1968) of a rational matrix.
+def _echelon(rows, ncols):
+    """Fraction-free row echelon form (Bareiss 1968) of an integer matrix.
 
-    Pivots are searched in the first ``ncols`` columns only, so augmented
-    columns ride along.  Every division is exact: after step k each entry is
-    a (k+1)-minor of the row-permuted, row-scaled integer matrix, so the last
-    pivot is the determinant of the pivot block.  Returns ``(rows, pivots)``.
+    ``rows`` is a list the routine reorders and refills; the row lists in it
+    are read, never written.  Pivots are searched in the first ``ncols``
+    columns only, so augmented columns ride along.  Every division is exact:
+    after step k each entry is a (k+1)-minor of the row-permuted matrix, so
+    the last pivot is the determinant of the pivot block.  Returns
+    ``(rows, pivots)``.
     """
-    rows = []
-    for row in mat:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        den = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (den // x.denominator) for x in row])
     pivots, prev = [], 1
     for col in range(ncols):
         r = len(pivots)
@@ -403,7 +410,7 @@ def rational_kernel(mat, ncols=None):
     """Basis of the rational nullspace ``{x : mat @ x == 0}``: per non-pivot
     column j, the vector that is 1 at j and 0 at the other non-pivot columns."""
     n = len(mat[0]) if mat else (ncols or 0)
-    rows, pivots = _echelon(mat, n)
+    rows, pivots = _echelon([common_denominator(row)[1] for row in mat], n)
     basis = []
     for fcol in (j for j in range(n) if j not in pivots):
         vec = [-x for x in _back_substitute(rows, pivots, fcol, n)]
@@ -417,7 +424,7 @@ def solve_rational(mat, rhs):
     if not mat:
         return []
     n = len(mat[0])
-    rows, pivots = _echelon([list(row) + [b] for row, b in zip(mat, rhs)], n)
+    rows, pivots = _echelon([common_denominator([*row, b])[1] for row, b in zip(mat, rhs)], n)
     if any(row[n] for row in rows[len(pivots):]):
         return None
     return _back_substitute(rows, pivots, n, n)

@@ -2,6 +2,13 @@
 
 Rationals are written as integers or strings "p/q"; floating point values
 are rejected outright so no inexact number can leak into a computation.
+
+JSON integers in lattice matrices and traces stay Python ints, passed
+through after one ``type(x) is int`` test; only other values go through
+``parse_rational``.  ``FiberLattice`` and ``DivisorTrace`` keep the ints
+as their integer form and build their public ``Fraction`` tuples from a
+shared table of small values.  Flags (``connected``, ``nodal``, ``proper``)
+must be JSON booleans, and lattice labels a list of strings.
 """
 
 from __future__ import annotations
@@ -32,17 +39,35 @@ def parse_rational(x) -> Fraction:
         raise ValueError(f"zero denominator in rational {x!r}") from None
 
 
+def _rationals(values) -> list:
+    return [x if type(x) is int else parse_rational(x) for x in values]
+
+
+def _flag(data, key: str, path: str, default=None) -> bool:
+    """``data[key]``, which must be a JSON boolean; ``default`` if absent and given."""
+    x = data[key] if default is None else data.get(key, default)
+    if type(x) is not bool:
+        raise ValueError(f"{path} must be true or false, got {x!r}")
+    return x
+
+
+def _labels(x) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
+        raise TypeError(f"labels must be a list of strings, got {x!r}")
+    return tuple(x)
+
+
 def parse_lattice(data) -> FiberLattice:
     return FiberLattice(
-        labels=tuple(data["labels"]),
-        matrix=[[parse_rational(x) for x in row] for row in data["matrix"]],
+        labels=_labels(data["labels"]),
+        matrix=[_rationals(row) for row in data["matrix"]],
         multiplicities=tuple(data["multiplicities"]),
-        connected=bool(data.get("connected", True)),
+        connected=_flag(data, "connected", "lattice.connected", True),
     )
 
 
 def parse_trace(data) -> DivisorTrace:
-    return DivisorTrace(values=[parse_rational(x) for x in data["values"]])
+    return DivisorTrace(values=_rationals(data["values"]))
 
 
 def _stratum_name(x, path) -> str:
@@ -70,11 +95,11 @@ def parse_group(data) -> CoefficientGroup:
     return CoefficientGroup(rank=int(data.get("rank", 0)), torsion=tuple(data.get("torsion", ())))
 
 
-def parse_curve_fiber(data) -> CurveFiber:
+def parse_curve_fiber(data, path: str = "curve_fiber") -> CurveFiber:
     return CurveFiber(
         genera=tuple(data["genera"]),
         edges=tuple(tuple(e) for e in data.get("edges", ())),
-        nodal=bool(data.get("nodal", True)),
+        nodal=_flag(data, "nodal", f"{path}.nodal", True),
     )
 
 
@@ -88,7 +113,7 @@ def parse_obstruction(data) -> ObstructionScenario:
         )
         for p in data["points"]
     )
-    return ObstructionScenario(proper_base=bool(data["proper"]), group=group, points=points)
+    return ObstructionScenario(proper_base=_flag(data, "proper", "obstruction.proper"), group=group, points=points)
 
 
 @dataclass(frozen=True)
@@ -153,7 +178,7 @@ def parse_scenario(data) -> Scenario:
     if "curve_fiber" in data:
         curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
     curve_fibers.update(section(
-        "curve_fibers", lambda d: {label: parse_curve_fiber(f) for label, f in d.items()}, {}))
+        "curve_fibers", lambda d: {label: parse_curve_fiber(f, f"curve_fibers.{label}") for label, f in d.items()}, {}))
     return Scenario(
         name=data["name"],
         citation=data.get("citation", ""),

@@ -236,6 +236,28 @@ def solve_rational_reference(mat, rhs):
     return sol
 
 
+def integer_matrix_reference(lattice) -> tuple[int, list[list[int]]]:
+    """``(d, d * matrix)``, d the lcm of the denominators, read back from the
+    public ``Fraction`` matrix as the lattice once did on first use."""
+    d = lcm(*[x.denominator for row in lattice.matrix for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in lattice.matrix]
+
+
+def extend_reference(lattice, trace, targets):
+    """``(coefficients, denominator, achieved trace)`` of the solution of
+    ``matrix @ x = targets - trace`` with x = 0 at the first component of
+    nonzero multiplicity, all in ``Fraction`` arithmetic."""
+    n = lattice.size
+    mat = lattice.matrix
+    i0 = next(i for i, c in enumerate(lattice.multiplicities) if c)
+    idx = [i for i in range(n) if i != i0]
+    rhs = [Fraction(targets[i]) - trace.values[i] for i in idx]
+    sub = solve_rational_reference([[mat[i][j] for j in idx] for i in idx], rhs)
+    sol = sub[:i0] + [Fraction(0)] + sub[i0:]
+    achieved = [v + sum(mat[i][j] * sol[j] for j in range(n)) for i, v in enumerate(trace.values)]
+    return tuple(sol), lcm(*[x.denominator for x in sol]), tuple(achieved)
+
+
 def positive_semidefinite_reference(mat) -> bool:
     """Exact PSD test by symmetric Gaussian elimination.
 

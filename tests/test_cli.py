@@ -340,6 +340,32 @@ class TestMalformedScenario:
         data["h1_structure"] = "1"
         assert "'h1_structure'" in self.run(tmp_path, capsys, "pic0", data)
 
+    @pytest.mark.parametrize("command, path", [
+        ("extend", "lattice.connected"),
+        ("pic0", "curve_fibers.a.nodal"),
+        ("obstruction", "obstruction.proper"),
+    ])
+    def test_string_boolean(self, tmp_path, capsys, command, path):
+        data, _ = MALFORMED_SOURCES[command]
+        data = json.loads(json.dumps(data))
+        *parents, key = path.split(".")
+        node = data
+        for part in parents:
+            node = node[part]
+        node[key] = "false"
+        assert path in self.run(tmp_path, capsys, command, data)
+
+    def test_string_labels(self, tmp_path, capsys):
+        data = json.loads(json.dumps(MALFORMED_SOURCES["extend"][0]))
+        data["lattice"]["labels"] = "AB"
+        assert "labels must be a list of strings" in self.run(tmp_path, capsys, "extend", data)
+
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_non_integer_multiplicity(self, tmp_path, capsys, value):
+        data = json.loads(json.dumps(MALFORMED_SOURCES["extend"][0]))
+        data["lattice"]["multiplicities"][0] = value
+        assert "multiplicities must be positive integers" in self.run(tmp_path, capsys, "extend", data)
+
     @pytest.mark.parametrize("command", ["dual-complex", "cochain", "pic0"])
     @pytest.mark.parametrize("field", ["id", "facet"])
     def test_non_string_stratum_name(self, tmp_path, capsys, circle_file, command, field):

@@ -1,12 +1,18 @@
 """Result guards are real exceptions, so they still run under ``python -O``."""
 
 import ast
+import contextlib
+import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fiberext import linalg
+from fiberext.cli import main
 from fiberext.lattice import DivisorTrace, extend_nef, extend_trivial, kodaira_cycle
 
 SOURCE = Path(__file__).parent.parent / "src" / "fiberext"
@@ -42,3 +48,15 @@ def test_singular_reduced_system_is_a_certificate_failure(monkeypatch):
     monkeypatch.setattr(linalg, "solve_rational", lambda mat, rhs: None)
     with pytest.raises(ArithmeticError, match="certificate failure"):
         extend_trivial(kodaira_cycle(3), DivisorTrace((1, -1, 0)))
+
+
+def test_corpus_passes_under_python_dash_o():
+    argv = ["corpus", "run", "--format", "machine"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    run = subprocess.run([sys.executable, "-O", "-m", "fiberext.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == out.getvalue()

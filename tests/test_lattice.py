@@ -72,6 +72,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             FiberLattice(("A",), ((0,),), (0,))
 
+    @pytest.mark.parametrize("mult", [(Fraction(3, 2), 1), (1.9, 1), (True, 1), ("1", 1)])
+    def test_non_integer_multiplicity_rejected(self, mult):
+        with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+            FiberLattice(("A", "B"), ((-2, 2), (2, -2)), mult)
+
+    def test_integral_fraction_multiplicity_is_an_int(self):
+        lat = FiberLattice(("A", "B"), ((-2, 2), (2, -2)), (Fraction(2), 2))
+        assert lat.multiplicities == (2, 2) and type(lat.multiplicities[0]) is int
+
     def test_random_blowup_lattices_are_valid(self, rng):
         for _ in range(60):
             lat = random_fiber_lattice(rng)
