@@ -57,7 +57,6 @@ from .pic0 import (
     ObstructionScenario,
     SamplePoint,
     SemiAbelianType,
-    SncFiber,
     Unobstructed,
     classify_curve_fiber,
     classify_snc_fiber,

@@ -18,7 +18,7 @@ import sys
 
 from . import cochain as cochain_mod
 from . import corpus
-from .dual_complex import boundary_matrix, build_dual_complex, homology, torus_rank
+from .dual_complex import boundary_matrix, homology, torus_rank
 from .lattice import (
     Obstructed,
     PreconditionError,
@@ -31,7 +31,6 @@ from .lattice import (
 from .pic0 import (
     NotSemistable,
     ObstructionCertificate,
-    SncFiber,
     classify_curve_fiber,
     classify_snc_fiber,
     extension_obstruction,
@@ -75,7 +74,7 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_dual_complex(args) -> tuple[int, dict, list[str]]:
-    complex = build_dual_complex(load_scenario_file(args.file).need("strata"))
+    complex = load_scenario_file(args.file).need("strata")
     profile = homology(complex)
     rank = torus_rank(complex)
     payload = {
@@ -99,8 +98,8 @@ def cmd_dual_complex(args) -> tuple[int, dict, list[str]]:
 
 def cmd_cochain(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
-    strata = scenario.need("strata")
-    phi = scenario.need("cochain").bind(strata)
+    scenario.need("strata")
+    phi = scenario.need("cochain")
     closed = cochain_mod.is_closed(phi)
     if not closed:
         return (EXIT_OBSTRUCTED, {"closed": False, "witness": closed.witness},
@@ -124,7 +123,7 @@ def cmd_pic0(args) -> tuple[int, dict, list[str]]:
     try:
         kinds = {label: classify_curve_fiber(f) for label, f in scenario.curve_fibers.items()}
         if scenario.strata is not None:
-            kinds["snc"] = classify_snc_fiber(SncFiber(scenario.strata, scenario.h1_structure))
+            kinds["snc"] = classify_snc_fiber(scenario.strata, scenario.h1_structure)
     except NotSemistable as exc:
         return EXIT_OBSTRUCTED, {"error": "NotSemistable", "detail": str(exc)}, [f"not semistable: {exc}"]
     if not kinds:

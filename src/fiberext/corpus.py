@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import cochain as cochain_mod
 from . import lattice as lattice_mod
-from .dual_complex import build_dual_complex, homology, torus_rank
+from .dual_complex import homology, torus_rank
 from .pic0 import (
     NotSemistable,
     classify_curve_fiber,
@@ -21,7 +21,6 @@ from .pic0 import (
     extension_obstruction,
     numerical_triviality_on_fiber,
     ObstructionCertificate,
-    SncFiber,
 )
 from .scenario import Scenario, load_scenario_file, parse_rational
 
@@ -133,7 +132,7 @@ def _check_extension(sc, entry):
 
 
 def _check_homology(sc, entry):
-    profile = homology(build_dual_complex(sc.strata))
+    profile = homology(sc.strata)
     want_betti = tuple(entry["betti"])
     want_torsion = tuple(tuple(t) for t in entry.get("torsion", [[]] * len(want_betti)))
     ok = profile.betti == want_betti and profile.torsion == want_torsion
@@ -175,7 +174,7 @@ def _check_numerical_triviality(sc, entry):
 
 
 def _check_is_closed(sc, entry):
-    result = cochain_mod.is_closed(sc.cochain.bind(sc.strata))
+    result = cochain_mod.is_closed(sc.cochain)
     ok = result.closed == bool(entry["closed"])
     if "witness" in entry:
         ok &= result.witness == entry["witness"]
@@ -183,12 +182,12 @@ def _check_is_closed(sc, entry):
 
 
 def _check_is_exact(sc, entry):
-    got = not isinstance(cochain_mod.is_exact(sc.cochain.bind(sc.strata)), cochain_mod.NotExact)
+    got = not isinstance(cochain_mod.is_exact(sc.cochain), cochain_mod.NotExact)
     return _equal(bool(entry["exact"]), got, "exact={}".format)
 
 
 def _check_h1_class(sc, entry):
-    cls = cochain_mod.h1_class(sc.cochain.bind(sc.strata))
+    cls = cochain_mod.h1_class(sc.cochain)
     want = bool(entry["trivial"])
     return cls.is_trivial == want, f"trivial={want}", (
         f"trivial={cls.is_trivial}, H1={cls.group_profile}"
@@ -216,10 +215,10 @@ _HANDLERS = {
     "component_group": lambda sc, e: _equal(
         list(e["invariant_factors"]), list(lattice_mod.component_group(sc.lattice).invariant_factors)),
     "homology": _check_homology,
-    "torus_rank": lambda sc, e: _equal(int(e["value"]), torus_rank(build_dual_complex(sc.strata))),
+    "torus_rank": lambda sc, e: _equal(int(e["value"]), torus_rank(sc.strata)),
     "classify_curve_fiber": _check_classify_curve,
     "classify_snc_fiber": lambda sc, e: _classification_matches(
-        e, classify_snc_fiber(SncFiber(sc.strata, sc.h1_structure))),
+        e, classify_snc_fiber(sc.strata, sc.h1_structure)),
     "numerical_triviality": _check_numerical_triviality,
     "is_closed": _check_is_closed,
     "is_exact": _check_is_exact,

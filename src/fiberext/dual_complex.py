@@ -3,8 +3,9 @@
 The combinatorics of an snc variety are recorded stratum by stratum: a
 level-r stratum is an irreducible component of an (r+1)-fold intersection
 of components, and knows which stratum contains it when one index is
-dropped.  From this we build an ordered Delta-complex and compute its
-integer homology by Smith normal form.
+dropped.  From this we build an ordered Delta-complex, in one checking
+walk, and compute its integer homology by Smith normal form.  A scenario
+file's ``strata`` section loads as one ``DeltaComplex``.
 
 Each ``DeltaComplex`` factors each boundary matrix at most once: the
 homology profile (the invariant factors of every boundary matrix) is
@@ -31,23 +32,12 @@ class Stratum:
     indices: tuple[int, ...]
     facets: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "facets", tuple(self.facets))
-
 
 @dataclass(frozen=True)
 class SncStrata:
     """Strata of an snc variety, grouped by level (r = |J| - 1)."""
 
     levels: tuple[tuple[Stratum, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(tuple(level) for level in self.levels))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.levels) - 1
 
 
 @dataclass(frozen=True)
@@ -122,60 +112,56 @@ def build_dual_complex(strata: SncStrata) -> DeltaComplex:
 
     One r-simplex per level-r stratum; several simplices may share a vertex
     set (a Delta-complex, not a simplicial complex).  Facet references must
-    be consistent: the two ways around any codimension-2 face agree.
+    be consistent: the two ways around any codimension-2 face agree.  One
+    walk, level by level, checks each stratum and resolves its facets to
+    positions one level down; of several faults it reports the first met.
     """
-    seen = {}
-    by_level = []
+    seen = set()
+    ids, facets = [], []
+    below, below_indices, below_facets = {}, [], []  # the level under the current one
     for r, level in enumerate(strata.levels):
-        table = {}
+        position, indices, rows = {}, [], []
         for s in level:
-            if s.ident in seen:
-                raise StrataError(f"duplicate stratum id {s.ident!r}")
-            seen[s.ident] = (r, s)
-            if len(s.indices) != r + 1:
-                raise StrataError(f"stratum {s.ident!r} at level {r} must have {r + 1} indices")
-            if any(a >= b for a, b in zip(s.indices, s.indices[1:])):
-                raise StrataError(f"index set of {s.ident!r} must be strictly increasing")
+            ident, idx = s.ident, s.indices
+            if ident in seen:
+                raise StrataError(f"duplicate stratum id {ident!r}")
+            seen.add(ident)
+            if len(idx) != r + 1:
+                raise StrataError(f"stratum {ident!r} at level {r} must have {r + 1} indices")
+            if r and any(a >= b for a, b in zip(idx, idx[1:])):
+                raise StrataError(f"index set of {ident!r} must be strictly increasing")
             if len(s.facets) != (r + 1 if r > 0 else 0):
-                raise StrataError(f"stratum {s.ident!r} must list {r + 1} facets")
-            table[s.ident] = s
-        by_level.append(table)
-
-    if strata.levels:
-        vertex_indices = [s.indices[0] for s in strata.levels[0]]
-        if len(set(vertex_indices)) != len(vertex_indices):
-            raise StrataError("component indices at level 0 must be distinct")
-
-    for r in range(1, len(strata.levels)):
-        for s in strata.levels[r]:
+                raise StrataError(f"stratum {ident!r} must list {r + 1} facets")
+            position[ident] = len(indices)
+            indices.append(idx)
+            row = []
             for i, fid in enumerate(s.facets):
-                if fid not in by_level[r - 1]:
-                    raise StrataError(f"facet {fid!r} of {s.ident!r} is not a level-{r - 1} stratum")
-                expected = s.indices[:i] + s.indices[i + 1:]
-                if by_level[r - 1][fid].indices != expected:
+                p = below.get(fid)
+                if p is None:
+                    raise StrataError(f"facet {fid!r} of {ident!r} is not a level-{r - 1} stratum")
+                expected = idx[:i] + idx[i + 1:]
+                if below_indices[p] != expected:
                     raise StrataError(
-                        f"facet {fid!r} of {s.ident!r} has index set "
-                        f"{by_level[r - 1][fid].indices}, expected {expected}"
+                        f"facet {fid!r} of {ident!r} has index set "
+                        f"{below_indices[p]}, expected {expected}"
                     )
-            if r >= 2:
-                for i in range(r + 1):
-                    for j in range(i + 1, r + 1):
-                        fi = by_level[r - 1][s.facets[i]]
-                        fj = by_level[r - 1][s.facets[j]]
-                        if fi.facets[j - 1] != fj.facets[i]:
-                            raise StrataError(
-                                f"inconsistent facets of {s.ident!r}: dropping indices "
-                                f"{s.indices[i]} and {s.indices[j]} in either order must "
-                                "reach the same stratum"
-                            )
-
-    ids = tuple(tuple(s.ident for s in level) for level in strata.levels)
-    position = [{s.ident: k for k, s in enumerate(level)} for level in strata.levels]
-    facets = tuple(
-        tuple(tuple(position[r - 1][fid] for fid in s.facets) for s in strata.levels[r])
-        for r in range(1, len(strata.levels))
-    )
-    return DeltaComplex(ids, facets)
+                row.append(p)
+            for i in range(r + 1 if r >= 2 else 0):
+                fi = below_facets[row[i]]
+                for j in range(i + 1, r + 1):
+                    if fi[j - 1] != below_facets[row[j]][i]:
+                        raise StrataError(
+                            f"inconsistent facets of {ident!r}: dropping indices "
+                            f"{idx[i]} and {idx[j]} in either order must "
+                            "reach the same stratum"
+                        )
+            rows.append(tuple(row))
+        if not r and len({idx[0] for idx in indices}) != len(indices):
+            raise StrataError("component indices at level 0 must be distinct")
+        ids.append(tuple(position))
+        facets.append(tuple(rows))
+        below, below_indices, below_facets = position, indices, rows
+    return DeltaComplex(tuple(ids), tuple(facets[1:]))
 
 
 def boundary_matrix(complex: DeltaComplex, r: int):

@@ -1,10 +1,11 @@
 """Semi-abelian classification of Pic^0 of degenerate fibers.
 
 Curve fibers are handled through their dual multigraphs (loops record
-nodal self-intersections); higher-dimensional snc fibers go through the
-dual complex.  The torus rank is the first Betti number in either case;
-the abelian part is the sum of component genera for curves and must be
-supplied as h^1(O) for general snc fibers.
+nodal self-intersections); higher-dimensional snc fibers through their
+dual complex, which ``classify_snc_fiber`` takes as built.  The torus rank
+is the first Betti number in either case; the abelian part is the sum of
+component genera for curves and must be supplied as h^1(O) for general
+snc fibers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cochain import CoefficientGroup
-from .dual_complex import SncStrata, build_dual_complex, torus_rank
+from .dual_complex import DeltaComplex, torus_rank
 
 
 class NotSemistable(ValueError):
@@ -42,14 +43,6 @@ class CurveFiber:
     @property
     def components(self) -> int:
         return len(self.genera)
-
-
-@dataclass(frozen=True)
-class SncFiber:
-    """An snc fiber: stratum description plus h^1(O) when known."""
-
-    strata: SncStrata
-    h1_structure: int | None = None
 
 
 @dataclass(frozen=True)
@@ -101,16 +94,16 @@ def classify_curve_fiber(fiber: CurveFiber) -> SemiAbelianType:
     return _semi_abelian_type(t, a)
 
 
-def classify_snc_fiber(fiber: SncFiber) -> SemiAbelianType:
-    """Pic^0 of a projective snc variety: the torus rank is combinatorial;
-    the abelian dimension needs h^1(O) as extra geometric input."""
-    complex = build_dual_complex(fiber.strata)
+def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -> SemiAbelianType:
+    """Pic^0 of a projective snc variety with dual complex ``complex``: the
+    torus rank is combinatorial; the abelian dimension needs h^1(O) as extra
+    geometric input."""
     t = torus_rank(complex)
-    if fiber.h1_structure is None:
+    if h1_structure is None:
         return _semi_abelian_type(t, None)
-    a = fiber.h1_structure - t
+    a = h1_structure - t
     if a < 0:
-        raise ValueError(f"h^1(O) = {fiber.h1_structure} is smaller than the torus rank {t}")
+        raise ValueError(f"h^1(O) = {h1_structure} is smaller than the torus rank {t}")
     return _semi_abelian_type(t, a)
 
 

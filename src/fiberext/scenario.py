@@ -8,7 +8,13 @@ through after one ``type(x) is int`` test; only other values go through
 ``parse_rational``.  ``FiberLattice`` and ``DivisorTrace`` keep the ints
 as their integer form and build their public ``Fraction`` tuples from a
 shared table of small values.  Flags (``connected``, ``nodal``, ``proper``)
-must be JSON booleans, and lattice labels a list of strings.
+must be JSON booleans.  Integer fields of strata, cochains and
+obstructions take JSON integers only, and ids, facet references and labels
+strings; nothing behind this boundary coerces.  A wrong type raises an
+error naming its path, e.g. ``strata.levels[0][1].indices[0]``.
+
+``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
+snc checks) and ``cochain`` as a ``Cochain`` bound to it.
 """
 
 from __future__ import annotations
@@ -16,16 +22,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .cochain import Cochain, CoefficientGroup
-from .dual_complex import SncStrata, Stratum, build_dual_complex
+from .dual_complex import DeltaComplex, SncStrata, Stratum, build_dual_complex
 from .lattice import DivisorTrace, FiberLattice
 from .pic0 import (
     CurveFiber,
     ObstructionScenario,
     SamplePoint,
-    SemiAbelianType,
     _semi_abelian_type,
 )
 
@@ -51,15 +55,35 @@ def _flag(data, key: str, path: str, default=None) -> bool:
     return x
 
 
-def _labels(x) -> tuple[str, ...]:
-    if not isinstance(x, list) or not all(isinstance(s, str) for s in x):
-        raise TypeError(f"labels must be a list of strings, got {x!r}")
+_WANT = {int: ("an integer", "a list of integers"), str: ("a string", "a list of strings")}
+
+
+def _one(x, kind, path: str, *args):
+    """``x``, which must be a JSON value of type ``kind`` (a bool is no int).
+    ``path.format(*args)`` names it in the error, so paths are formatted
+    only when a check fails."""
+    if type(x) is not kind:
+        raise TypeError(f"{path.format(*args)} must be {_WANT[kind][0]}, got {x!r}")
+    return x
+
+
+def _list(x, kind, path: str, *args) -> tuple:
+    """``x`` as a tuple; it must be a JSON list of values of type ``kind``."""
+    if type(x) is not list:
+        raise TypeError(f"{path.format(*args)} must be {_WANT[kind][1]}, got {x!r}")
+    for i, v in enumerate(x):
+        if type(v) is not kind:
+            _one(v, kind, path + f"[{i}]", *args)
     return tuple(x)
+
+
+def _lacks(section: str) -> ValueError:
+    return ValueError(f"scenario file lacks a {section!r} section")
 
 
 def parse_lattice(data) -> FiberLattice:
     return FiberLattice(
-        labels=_labels(data["labels"]),
+        labels=_list(data["labels"], str, "lattice.labels"),
         matrix=[_rationals(row) for row in data["matrix"]],
         multiplicities=tuple(data["multiplicities"]),
         connected=_flag(data, "connected", "lattice.connected", True),
@@ -70,29 +94,27 @@ def parse_trace(data) -> DivisorTrace:
     return DivisorTrace(values=_rationals(data["values"]))
 
 
-def _stratum_name(x, path) -> str:
-    if not isinstance(x, str):
-        raise ValueError(f"{path} must be a string, got {x!r}")
-    return x
+def parse_strata(data) -> DeltaComplex:
+    """The dual complex of a ``strata`` section.
 
-
-def parse_strata(data) -> SncStrata:
-    """Stratum ids and facet references must be strings: they are looked up
-    by value when the dual complex is built."""
+    Ids and facet references must be strings and index sets lists of JSON
+    integers; ``build_dual_complex`` then makes every snc check."""
     levels = []
     for r, level in enumerate(data["levels"]):
         strata = []
         for k, s in enumerate(level):
-            path = f"strata.levels[{r}][{k}]"
-            facets = [_stratum_name(f, f"{path}.facets[{i}]")
-                      for i, f in enumerate(s.get("facets", ()))]
-            strata.append(Stratum(_stratum_name(s["id"], f"{path}.id"), tuple(s["indices"]), tuple(facets)))
+            strata.append(Stratum(
+                _one(s["id"], str, "strata.levels[{}][{}].id", r, k),
+                _list(s["indices"], int, "strata.levels[{}][{}].indices", r, k),
+                _list(s.get("facets", []), str, "strata.levels[{}][{}].facets", r, k),
+            ))
         levels.append(tuple(strata))
-    return SncStrata(tuple(levels))
+    return build_dual_complex(SncStrata(tuple(levels)))
 
 
-def parse_group(data) -> CoefficientGroup:
-    return CoefficientGroup(rank=int(data.get("rank", 0)), torsion=tuple(data.get("torsion", ())))
+def parse_group(data, path: str) -> CoefficientGroup:
+    return CoefficientGroup(rank=_one(data.get("rank", 0), int, "{}.rank", path),
+                            torsion=_list(data.get("torsion", []), int, "{}.torsion", path))
 
 
 def parse_curve_fiber(data, path: str = "curve_fiber") -> CurveFiber:
@@ -104,33 +126,26 @@ def parse_curve_fiber(data, path: str = "curve_fiber") -> CurveFiber:
 
 
 def parse_obstruction(data) -> ObstructionScenario:
-    group = parse_group(data["group"])
-    points = tuple(
-        SamplePoint(
-            label=p["label"],
-            fiber_type=_semi_abelian_type(int(p["torus_rank"]), int(p["abelian_dim"])),
-            value=tuple(p["value"]),
-        )
-        for p in data["points"]
-    )
-    return ObstructionScenario(proper_base=_flag(data, "proper", "obstruction.proper"), group=group, points=points)
+    group = parse_group(data["group"], "obstruction.group")
+    points = []
+    for j, p in enumerate(data["points"]):
+        label = _one(p["label"], str, "obstruction.points[{}].label", j)
+        t = _one(p["torus_rank"], int, "obstruction.points[{}].torus_rank", j)
+        a = _one(p["abelian_dim"], int, "obstruction.points[{}].abelian_dim", j)
+        value = _list(p["value"], int, "obstruction.points[{}].value", j)
+        points.append(SamplePoint(label, _semi_abelian_type(t, a), value))
+    return ObstructionScenario(proper_base=_flag(data, "proper", "obstruction.proper"), group=group,
+                               points=tuple(points))
 
 
-@dataclass(frozen=True)
-class CochainData:
-    group: CoefficientGroup
-    edge_values: tuple[tuple[int, ...], ...]
-
-    def bind(self, strata: SncStrata) -> Cochain:
-        complex = build_dual_complex(strata)
-        return Cochain(complex, self.group, 1, self.edge_values)
-
-
-def parse_cochain(data) -> CochainData:
-    return CochainData(
-        group=parse_group(data["group"]),
-        edge_values=tuple(tuple([int(x) for x in v]) for v in data["edge_values"]),
-    )
+def parse_cochain(data, complex: DeltaComplex | None) -> Cochain:
+    """A gluing 1-cochain on ``complex``, the scenario's dual complex."""
+    if complex is None:
+        raise _lacks("strata")
+    group = parse_group(data["group"], "cochain.group")
+    values = tuple(_list(v, int, "cochain.edge_values[{}]", e)
+                   for e, v in enumerate(data["edge_values"]))
+    return Cochain(complex, group, 1, values)
 
 
 @dataclass(frozen=True)
@@ -141,10 +156,10 @@ class Scenario:
     citation: str = ""
     lattice: FiberLattice | None = None
     trace: DivisorTrace | None = None
-    strata: SncStrata | None = None
+    strata: DeltaComplex | None = None
     h1_structure: int | None = None
     curve_fibers: dict = field(default_factory=dict)
-    cochain: CochainData | None = None
+    cochain: Cochain | None = None
     obstruction: ObstructionScenario | None = None
     expect: tuple = ()
 
@@ -152,14 +167,8 @@ class Scenario:
         """The named section; a ValueError if the file lacks it or it is empty."""
         value = getattr(self, section)
         if value in (None, {}, ()):
-            raise ValueError(f"scenario file lacks a {section!r} section")
+            raise _lacks(section)
         return value
-
-
-def parse_optional_int(x) -> int | None:
-    if x is not None and (isinstance(x, bool) or not isinstance(x, int)):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return x
 
 
 def parse_scenario(data) -> Scenario:
@@ -179,15 +188,16 @@ def parse_scenario(data) -> Scenario:
         curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
     curve_fibers.update(section(
         "curve_fibers", lambda d: {label: parse_curve_fiber(f, f"curve_fibers.{label}") for label, f in d.items()}, {}))
+    strata = section("strata", parse_strata)
     return Scenario(
         name=data["name"],
         citation=data.get("citation", ""),
         lattice=section("lattice", parse_lattice),
         trace=section("trace", parse_trace),
-        strata=section("strata", parse_strata),
-        h1_structure=section("h1_structure", parse_optional_int),
+        strata=strata,
+        h1_structure=section("h1_structure", lambda x: x if x is None else _one(x, int, "h1_structure")),
         curve_fibers=curve_fibers,
-        cochain=section("cochain", parse_cochain),
+        cochain=section("cochain", lambda d: parse_cochain(d, strata)),
         obstruction=section("obstruction", parse_obstruction),
         expect=section("expect", tuple, ()),
     )

@@ -489,3 +489,59 @@ def is_exact_reference(phi):
         for v in range(n_v):
             per_vertex[v][p] = sol[v]
     return Cochain(cx, group, 0, tuple(tuple(v) for v in per_vertex))
+
+
+def build_dual_complex_reference(strata):
+    """The three-walk ``build_dual_complex``: every shape check on every
+    stratum first, then facet references looked up by id, then positions."""
+    from fiberext.dual_complex import DeltaComplex, StrataError
+
+    seen = {}
+    by_level = []
+    for r, level in enumerate(strata.levels):
+        table = {}
+        for s in level:
+            if s.ident in seen:
+                raise StrataError(f"duplicate stratum id {s.ident!r}")
+            seen[s.ident] = (r, s)
+            if len(s.indices) != r + 1:
+                raise StrataError(f"stratum {s.ident!r} at level {r} must have {r + 1} indices")
+            if any(a >= b for a, b in zip(s.indices, s.indices[1:])):
+                raise StrataError(f"index set of {s.ident!r} must be strictly increasing")
+            if len(s.facets) != (r + 1 if r > 0 else 0):
+                raise StrataError(f"stratum {s.ident!r} must list {r + 1} facets")
+            table[s.ident] = s
+        by_level.append(table)
+    if strata.levels:
+        vertex_indices = [s.indices[0] for s in strata.levels[0]]
+        if len(set(vertex_indices)) != len(vertex_indices):
+            raise StrataError("component indices at level 0 must be distinct")
+    for r in range(1, len(strata.levels)):
+        for s in strata.levels[r]:
+            for i, fid in enumerate(s.facets):
+                if fid not in by_level[r - 1]:
+                    raise StrataError(f"facet {fid!r} of {s.ident!r} is not a level-{r - 1} stratum")
+                expected = s.indices[:i] + s.indices[i + 1:]
+                if by_level[r - 1][fid].indices != expected:
+                    raise StrataError(
+                        f"facet {fid!r} of {s.ident!r} has index set "
+                        f"{by_level[r - 1][fid].indices}, expected {expected}"
+                    )
+            if r >= 2:
+                for i in range(r + 1):
+                    for j in range(i + 1, r + 1):
+                        fi = by_level[r - 1][s.facets[i]]
+                        fj = by_level[r - 1][s.facets[j]]
+                        if fi.facets[j - 1] != fj.facets[i]:
+                            raise StrataError(
+                                f"inconsistent facets of {s.ident!r}: dropping indices "
+                                f"{s.indices[i]} and {s.indices[j]} in either order must "
+                                "reach the same stratum"
+                            )
+    ids = tuple(tuple(s.ident for s in level) for level in strata.levels)
+    position = [{s.ident: k for k, s in enumerate(level)} for level in strata.levels]
+    facets = tuple(
+        tuple(tuple(position[r - 1][fid] for fid in s.facets) for s in strata.levels[r])
+        for r in range(1, len(strata.levels))
+    )
+    return DeltaComplex(ids, facets)

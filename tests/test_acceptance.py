@@ -30,7 +30,6 @@ from fiberext.pic0 import (
     classify_snc_fiber,
     extension_obstruction,
     numerical_triviality_on_fiber,
-    SncFiber,
 )
 from fiberext import corpus
 
@@ -136,11 +135,11 @@ def test_acceptance_boundary_squares_to_zero(report):
 
 def test_acceptance_two_edge_circle_fiber(report):
     sc = corpus.load_scenario("example-5.1-type-iii-dual-complex")
-    cx = build_dual_complex(sc.strata)
+    cx = sc.strata
     profile = homology(cx)
     assert profile.degree(1) == (1, ())
     assert torus_rank(cx) == 1
-    kind = classify_snc_fiber(SncFiber(sc.strata, sc.h1_structure))
+    kind = classify_snc_fiber(sc.strata, sc.h1_structure)
     assert (kind.torus_rank, kind.abelian_dim, kind.label) == (1, 0, "torus")
     report("PASS two-edge circle fiber: H1 = Z, torus rank 1, multiplicative type (1,0)")
 

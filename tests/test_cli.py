@@ -367,13 +367,46 @@ class TestMalformedScenario:
         assert "multiplicities must be positive integers" in self.run(tmp_path, capsys, "extend", data)
 
     @pytest.mark.parametrize("command", ["dual-complex", "cochain", "pic0"])
-    @pytest.mark.parametrize("field", ["id", "facet"])
+    @pytest.mark.parametrize("field", ["id", "facet", "string index", "boolean index"])
     def test_non_string_stratum_name(self, tmp_path, capsys, circle_file, command, field):
         data = json.loads(open(circle_file).read())
         if field == "id":
             data["strata"]["levels"][0][0]["id"] = ["W0"]
             path = "strata.levels[0][0].id"
-        else:
+        elif field == "facet":
             data["strata"]["levels"][1][0]["facets"] = [["W1"], "W0"]
             path = "strata.levels[1][0].facets[0]"
+        else:
+            # Once read as 0 and 1, which built a valid complex.
+            data["strata"]["levels"][0][1]["indices"] = ["0"] if field == "string index" else [True]
+            path = "strata.levels[0][1].indices[0]"
+        assert path in self.run(tmp_path, capsys, command, data)
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("cochain", "cochain.group.rank", True),
+        ("cochain", "cochain.group.torsion[0]", "4"),
+        ("cochain", "cochain.edge_values[0][0]", "1"),
+        ("obstruction", "obstruction.group.rank", True),
+        ("obstruction", "obstruction.points[0].torus_rank", "1"),
+        ("obstruction", "obstruction.points[0].abelian_dim", False),
+        ("obstruction", "obstruction.points[1].value[0]", "1"),
+        ("obstruction", "obstruction.points[1].label", 7),
+    ])
+    def test_field_type_not_coerced(self, tmp_path, capsys, circle_file, command, path, value):
+        # Integers were once coerced by int(), so a cochain file with
+        # "rank": true and "edge_values": [["1"]] was read as exact, and
+        # point values went unchecked until the group law raised TypeError.
+        if command == "cochain":
+            data = json.loads(open(circle_file).read())
+            data["cochain"] = {"group": {"rank": 1, "torsion": [4]}, "edge_values": [[1, 0], [0, 3]]}
+        else:
+            data = json.loads(json.dumps(MALFORMED_SOURCES["obstruction"][0]))
+            points = data["obstruction"]["points"]
+            points.append(dict(points[0], label="q", value=[2]))
+        node, key = data, None
+        for part in path.replace("[", ".").replace("]", "").split("."):
+            if key is not None:
+                node = node[key]
+            key = int(part) if part.isdigit() else part
+        node[key] = value
         assert path in self.run(tmp_path, capsys, command, data)

@@ -8,7 +8,6 @@ from fiberext.pic0 import (
     ObstructionCertificate,
     ObstructionScenario,
     SamplePoint,
-    SncFiber,
     Unobstructed,
     classify_curve_fiber,
     classify_snc_fiber,
@@ -78,20 +77,20 @@ class TestSncClassification:
             curve_type = classify_curve_fiber(fiber)
             strata = strata_from_multigraph(n, edges)
             h1 = sum(genera) + curve_type.torus_rank
-            snc_type = classify_snc_fiber(SncFiber(strata, h1_structure=h1))
+            snc_type = classify_snc_fiber(build_dual_complex(strata), h1_structure=h1)
             assert (snc_type.torus_rank, snc_type.abelian_dim) == \
                 (curve_type.torus_rank, curve_type.abelian_dim)
             assert snc_type.label == curve_type.label
 
     def test_unknown_structure_leaves_abelian_part_open(self):
         strata = strata_from_multigraph(2, [(0, 1), (0, 1)])
-        t = classify_snc_fiber(SncFiber(strata))
+        t = classify_snc_fiber(build_dual_complex(strata))
         assert t.torus_rank == 1 and t.abelian_dim is None
 
     def test_h1_below_torus_rank_rejected(self):
         strata = strata_from_multigraph(2, [(0, 1), (0, 1)])
         with pytest.raises(ValueError):
-            classify_snc_fiber(SncFiber(strata, h1_structure=0))
+            classify_snc_fiber(build_dual_complex(strata), h1_structure=0)
 
     def test_torus_rank_is_first_betti(self):
         strata = strata_from_multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 2)])
