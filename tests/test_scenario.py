@@ -239,21 +239,31 @@ TYPE_MUTATIONS = [
 ]
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(mutation=st.sampled_from(TYPE_MUTATIONS))
-def test_wrong_json_type_is_one_path_named_error(tmp_path_factory, mutation):
-    name, section, keys, path, wrong = mutation
-    data = json.loads(json.dumps(CORPUS[name]))
-    node = data
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = wrong
-    file = tmp_path_factory.mktemp("mutant") / "bad.json"
-    file.write_text(json.dumps(data))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([COMMAND_OF[section], str(file)])
-    lines = err.getvalue().splitlines()
-    assert code == EXIT_INPUT and out.getvalue() == ""
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert path in lines[0]
+def test_wrong_json_type_is_one_path_named_error(tmp_path):
+    # One example per mutation: hypothesis does not replay a choice it has
+    # made, so len(TYPE_MUTATIONS) examples visit every index; the count
+    # at the end checks that they did.
+    file = tmp_path / "bad.json"
+    seen = set()
+
+    @settings(max_examples=len(TYPE_MUTATIONS), deadline=None, derandomize=True)
+    @given(index=st.sampled_from(range(len(TYPE_MUTATIONS))))
+    def check(index):
+        seen.add(index)
+        name, section, keys, path, wrong = TYPE_MUTATIONS[index]
+        data = json.loads(json.dumps(CORPUS[name]))
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = wrong
+        file.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([COMMAND_OF[section], str(file)])
+        lines = err.getvalue().splitlines()
+        assert code == EXIT_INPUT and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert path in lines[0]
+
+    check()
+    assert len(seen) == len(TYPE_MUTATIONS)
