@@ -10,8 +10,9 @@ Coboundary matrices come from the complex's boundary matrices (``d0 =
 -B_1^T``, ``d1 = B_2^T``), so there is one sign convention.  Exactness
 needs no matrix at all: a potential is propagated along a spanning forest
 of the 1-skeleton in the coefficient group and then checked on every edge.
-Without 2-simplices ``ker d1`` is all of ``Z^edges``, so ``H^1`` is read
-from the invariant factors of ``d0`` (and ``[d0 | n I]``) directly.
+``H^1`` needs no lattice basis: each coefficient factor gives one integer
+relation matrix (``d0`` for ``Z``, the mapping cone of ``n`` for ``Z/n``),
+and the group is read from its invariant factors (see ``cohomology_group``).
 """
 
 from __future__ import annotations
@@ -280,40 +281,39 @@ def invariant_factor_chain(orders) -> tuple[int, ...]:
 
 def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvariants:
     """H^1 of the complex with the given coefficients, computed directly
-    from the cochain complex (not via universal coefficients)."""
-    n_e = complex.count(1)
+    from the cochain complex (not via universal coefficients).
+
+    ``ker d1`` is saturated in ``Z^E``, so ``H^1(Z)`` has free rank
+    ``E - rk d0 - rk d1`` and the torsion of ``Z^E / im d0``.  For ``Z/n``,
+    ``C (x) Z/n`` of the free complex C is quasi-isomorphic to the mapping
+    cone of multiplication by n on C (Weibel, *An Introduction to
+    Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
+    ``(Z^T + Z^E) / span{(0, d0 e_v), (-d1 e_e, n e_e)}``.  The cone is
+    acyclic over Q, so that quotient has free rank exactly T.
+    """
+    n_e, n_t = complex.count(1), complex.count(2)
     if n_e == 0:
         return GroupInvariants(0, ())
-    # d0 = -B_1^T, so its columns are the negated rows of B_1.
+    # Column v of d0 = -B_1^T is row v of B_1 negated; column e of d1 = B_2^T is row e of B_2.
     d0_cols = [[-x for x in row] for row in boundary_matrix(complex, 1)]
-    d1 = linalg.transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
+    d1_cols = boundary_matrix(complex, 2) if n_t else [[]] * n_e
 
-    # Integer coefficients: ker(d1) / im(d0) inside Z^edges, tensored with Z^rank.
-    # Without 2-simplices ker(d1) is all of Z^edges, passed as gens None.
-    orders, rank_total = [], 0
+    orders, rank = [], 0
     if group.rank:
-        gens = linalg.kernel_basis(d1, n_e) if d1 else None
-        free_rank, tors_int = linalg.lattice_quotient(gens, d0_cols, n_e)
-        orders = list(tors_int) * group.rank
-        rank_total = group.rank * free_rank
+        free, torsion = linalg.lattice_quotient(d0_cols, n_e)
+        rank = group.rank * (free - len(linalg.snf_diagonal(d1_cols)))
+        orders = torsion * group.rank
 
-    # Each cyclic factor Z/n: {x : d1 x = 0 mod n} / (im d0 + n Z^edges).
     for n in group.torsion:
-        if d1:
-            block = [row + [-n if col == t else 0 for col in range(len(d1))]
-                     for t, row in enumerate(d1)]
-            gens_mod = [vec[:n_e] for vec in linalg.kernel_basis(block, n_e + len(d1))]
-        else:
-            gens_mod = None
-        rels = list(d0_cols)
-        for i in range(n_e):
-            rels.append([n if j == i else 0 for j in range(n_e)])
-        free_mod, tors_mod = linalg.lattice_quotient(gens_mod, rels, n_e)
-        if free_mod:
-            raise ArithmeticError(f"certificate failure: H^1 with Z/{n} coefficients has free rank {free_mod}")
-        orders.extend(tors_mod)
+        rels = [[0] * n_t + col for col in d0_cols]
+        rels += [[-x for x in col] + [n if j == e else 0 for j in range(n_e)]
+                 for e, col in enumerate(d1_cols)]
+        free, torsion = linalg.lattice_quotient(rels, n_t + n_e)
+        if free != n_t:
+            raise ArithmeticError(f"certificate failure: the mapping cone of {n} has free rank {free}, not {n_t}")
+        orders.extend(torsion)
 
-    return GroupInvariants(rank_total, invariant_factor_chain(orders))
+    return GroupInvariants(rank, invariant_factor_chain(orders))
 
 
 def hom_from_h1(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvariants:

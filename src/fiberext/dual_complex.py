@@ -75,7 +75,7 @@ class DeltaComplex:
     @cached_property
     def _homology(self) -> HomologyProfile:
         top = self.dimension
-        diag = {r: linalg.snf_diagonal(boundary_matrix(self, r), self.count(r))
+        diag = {r: linalg.snf_diagonal(boundary_matrix(self, r))
                 for r in range(1, top + 1)}
         betti = []
         torsion = []

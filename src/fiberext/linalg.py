@@ -13,16 +13,16 @@ and ``Fraction`` values are created only in the back-substitution.
 
 Invariant factors (``snf_diagonal``) come from a transform-free sparse
 elimination: unit pivots first, and whenever no +-1 entry is left the
-residue is divided by its content, so boundary matrices and the ``[A | n I]``
-relation blocks of cohomology never reach a dense Smith form.
+residue is divided by its content, so boundary matrices and the mapping-cone
+relations of cohomology (``n`` times an identity block beside ``+-1``
+incidences) never reach a dense Smith form.  ``lattice_quotient`` reads a
+quotient ``Z^n / span(rels)`` straight from them, with no lattice basis.
 
 ``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
-integer and modular solvers and ``kernel_basis``.  It picks as pivot the
-first entry of least absolute value in row-major order; the scan stops at
-the first unit entry, and a unit pivot needs no divisibility sweep.
-
-``lattice_quotient`` with ``gens=None`` reads a quotient of all of ``Z^n``
-straight from the invariant factors of its relations, with no echelon basis.
+integer and modular solvers and ``kernel_basis``, which the package itself
+no longer calls.  It picks as pivot the first entry of least absolute value
+in row-major order; the scan stops at the first unit entry, and a unit
+pivot needs no divisibility sweep.
 """
 
 from __future__ import annotations
@@ -46,12 +46,6 @@ def identity(n):
 
 def mat_vec(mat, vec):
     return [sum(row[j] * vec[j] for j in range(len(vec))) for row in mat]
-
-
-def transpose(mat, ncols=None):
-    if not mat:
-        return [[] for _ in range(ncols or 0)]
-    return [list(col) for col in zip(*mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def _fix_signs(s, u, v, m, n):
     return u, s, v
 
 
-def snf_diagonal(mat, ncols=None):
+def snf_diagonal(mat):
     """Invariant factors of ``mat``: the nonzero Smith diagonal, ascending.
 
     No transforms are built.  The matrix is held as sparse rows plus a
@@ -170,7 +164,7 @@ def snf_diagonal(mat, ncols=None):
     When no unit is left, the residue is divided by its content ``g`` (as
     ``SNF(g A) = g SNF(A)``) and the scale multiplied by ``g``.  Only a
     residue of content 1 without units goes to ``smith_normal_form``.
-    ``ncols`` is accepted for symmetry with it; empty columns add nothing.
+    Empty columns add nothing, so no column count is needed.
     """
     rows, cols = {}, {}
     for i, row in enumerate(mat):
@@ -288,73 +282,13 @@ def solve_mod(mat, rhs, mod, ncols=None):
 # Lattices and quotients
 # ---------------------------------------------------------------------------
 
-def row_lattice_basis(rows, n):
-    """Echelon basis of the lattice spanned (over Z) by the given rows."""
-    work = [list(r) for r in rows if any(r)]
-    basis = []
-    for col in range(n):
-        live = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            p = live[0]
-            reduced = [p]
-            for r in live[1:]:
-                q = r[col] // p[col]
-                r2 = [a - q * b for a, b in zip(r, p)]
-                (reduced if r2[col] != 0 else rest).append(r2)
-            live = reduced
-        if live:
-            basis.append(live[0])
-        work = [r for r in rest if any(r)]
-    return basis
-
-
-def coordinates_in_basis(vec, sparse_basis):
-    """Coordinates of ``vec`` in an echelon lattice basis, or ``None``.
-
-    Each basis vector is given as its ``(column, entry)`` pairs with a
-    nonzero entry, in column order, so the first pair is its pivot.
-    """
-    r = list(vec)
-    coords = []
-    for support in sparse_basis:
-        p, bp = support[0]
-        q, rem = divmod(r[p], bp)
-        if rem:
-            return None
-        coords.append(q)
-        if q:
-            for j, x in support:
-                r[j] -= q * x
-    return coords if not any(r) else None
-
-
-def lattice_quotient(gens, rels, n):
-    """Invariants of ``span(gens) / span(rels)`` inside Z^n.
-
-    ``gens=None`` stands for all of Z^n: in its identity basis every
-    relation is its own coordinate vector, so no basis is built.  Otherwise
-    ``rels`` must lie in the lattice spanned by ``gens``.  Returns
-    ``(free_rank, torsion)`` with torsion a divisibility chain of ints > 1.
-    """
-    if gens is None:
-        dim, rows = n, rels
-    else:
-        basis = row_lattice_basis(gens, n)
-        if not basis:
-            return 0, []
-        sparse = [[(j, x) for j, x in enumerate(b) if x] for b in basis]
-        dim, rows = len(basis), []
-        for rel in rels:
-            coords = coordinates_in_basis(rel, sparse)
-            if coords is None:
-                raise ValueError("relation outside the generated lattice")
-            rows.append(coords)
-    # One row per relation: invariant factors do not change under transposition.
-    diag = snf_diagonal(rows, dim)
-    torsion = [d for d in diag if d > 1]
-    return dim - len(diag), torsion
+def lattice_quotient(rels, n):
+    """Invariants of ``Z^n / span(rels)``: ``(free_rank, torsion)``, torsion
+    a divisibility chain of ints > 1.  In the identity basis of ``Z^n`` each
+    relation is its own coordinate vector, so its rows are factored as they
+    are (invariant factors do not change under transposition)."""
+    diag = snf_diagonal(rels)
+    return n - len(diag), [d for d in diag if d > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ class CurveFiber:
     nodal: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "genera", tuple(int(g) for g in self.genera))
-        object.__setattr__(self, "edges", tuple((int(a), int(b)) for a, b in self.edges))
         if any(g < 0 for g in self.genera):
             raise ValueError("genera must be nonnegative")
         n = len(self.genera)

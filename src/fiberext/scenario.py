@@ -8,10 +8,12 @@ through after one ``type(x) is int`` test; only other values go through
 ``parse_rational``.  ``FiberLattice`` and ``DivisorTrace`` keep the ints
 as their integer form and build their public ``Fraction`` tuples from a
 shared table of small values.  Flags (``connected``, ``nodal``, ``proper``)
-must be JSON booleans.  Integer fields of strata, cochains and
-obstructions take JSON integers only, and ids, facet references and labels
-strings; nothing behind this boundary coerces.  A wrong type raises an
-error naming its path, e.g. ``strata.levels[0][1].indices[0]``.
+must be JSON booleans.  Integer fields (multiplicities, genera, curve
+edges, strata indices, cochain and obstruction values) take JSON integers
+only, and ids, facet references and labels strings; nothing behind this
+boundary coerces.  A wrong type or a missing required key raises an error
+naming its path, e.g. ``strata.levels[0][1].indices[0]`` or
+``lattice.matrix[1][0]``.  Paths are formatted only when a check fails.
 
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
 snc checks) and ``cochain`` as a ``Cochain`` bound to it.
@@ -43,19 +45,23 @@ def parse_rational(x) -> Fraction:
         raise ValueError(f"zero denominator in rational {x!r}") from None
 
 
-def _rationals(values) -> list:
-    return [x if type(x) is int else parse_rational(x) for x in values]
+def _rationals(values, path: str, *args) -> list:
+    """``values``, a JSON list of exact rationals: ints pass through, other
+    entries go through ``parse_rational``; a bad entry is named by its path."""
+    try:
+        return [x if type(x) is int else parse_rational(x) for x in values]
+    except ValueError:
+        # Find the entry again to name it; parse_rational raises on it.
+        for i, x in enumerate(values):
+            try:
+                parse_rational(x)
+            except ValueError as exc:
+                raise ValueError(f"{path.format(*args)}[{i}]: {exc}") from None
 
 
-def _flag(data, key: str, path: str, default=None) -> bool:
-    """``data[key]``, which must be a JSON boolean; ``default`` if absent and given."""
-    x = data[key] if default is None else data.get(key, default)
-    if type(x) is not bool:
-        raise ValueError(f"{path} must be true or false, got {x!r}")
-    return x
-
-
-_WANT = {int: ("an integer", "a list of integers"), str: ("a string", "a list of strings")}
+_WANT = {int: ("an integer", "a list of integers"), str: ("a string", "a list of strings"),
+         bool: ("true or false", "a list of booleans"), list: ("a list", "a list of lists"),
+         dict: ("a JSON object", "a list of JSON objects")}
 
 
 def _one(x, kind, path: str, *args):
@@ -77,21 +83,36 @@ def _list(x, kind, path: str, *args) -> tuple:
     return tuple(x)
 
 
+def _get(data, key: str, kind, at: str, *args):
+    """The required ``data[key]``, of JSON type ``kind``; ``[kind]`` asks for
+    a JSON list of such values, returned as a tuple.  ``at.format(*args)`` is
+    the path of ``data`` with a trailing dot (empty at the top level), so
+    ``at + key`` names the value if it is missing or of the wrong type."""
+    try:
+        x = data[key]
+    except KeyError:
+        raise ValueError(f"{at.format(*args)}{key} is missing") from None
+    if type(kind) is list:
+        return _list(x, kind[0], at + key, *args)
+    return x if type(x) is kind else _one(x, kind, at + key, *args)
+
+
 def _lacks(section: str) -> ValueError:
     return ValueError(f"scenario file lacks a {section!r} section")
 
 
 def parse_lattice(data) -> FiberLattice:
     return FiberLattice(
-        labels=_list(data["labels"], str, "lattice.labels"),
-        matrix=[_rationals(row) for row in data["matrix"]],
-        multiplicities=tuple(data["multiplicities"]),
-        connected=_flag(data, "connected", "lattice.connected", True),
+        labels=_get(data, "labels", [str], "lattice."),
+        matrix=[_rationals(row, "lattice.matrix[{}]", i)
+                for i, row in enumerate(_get(data, "matrix", [list], "lattice."))],
+        multiplicities=_get(data, "multiplicities", [int], "lattice."),
+        connected=_one(data.get("connected", True), bool, "lattice.connected"),
     )
 
 
 def parse_trace(data) -> DivisorTrace:
-    return DivisorTrace(values=_rationals(data["values"]))
+    return DivisorTrace(values=_rationals(_get(data, "values", list, "trace."), "trace.values"))
 
 
 def parse_strata(data) -> DeltaComplex:
@@ -99,14 +120,15 @@ def parse_strata(data) -> DeltaComplex:
 
     Ids and facet references must be strings and index sets lists of JSON
     integers; ``build_dual_complex`` then makes every snc check."""
+    at = "strata.levels[{}][{}]."
     levels = []
-    for r, level in enumerate(data["levels"]):
+    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
         strata = []
-        for k, s in enumerate(level):
+        for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r)):
             strata.append(Stratum(
-                _one(s["id"], str, "strata.levels[{}][{}].id", r, k),
-                _list(s["indices"], int, "strata.levels[{}][{}].indices", r, k),
-                _list(s.get("facets", []), str, "strata.levels[{}][{}].facets", r, k),
+                _get(s, "id", str, at, r, k),
+                _get(s, "indices", [int], at, r, k),
+                _list(s.get("facets", []), str, at + "facets", r, k),
             ))
         levels.append(tuple(strata))
     return build_dual_complex(SncStrata(tuple(levels)))
@@ -117,24 +139,33 @@ def parse_group(data, path: str) -> CoefficientGroup:
                             torsion=_list(data.get("torsion", []), int, "{}.torsion", path))
 
 
+def _edge(e, path: str, *args) -> tuple:
+    """A curve-fiber edge: a JSON list of two component indices."""
+    e = _list(e, int, path, *args)
+    if len(e) != 2:
+        raise ValueError(f"{path.format(*args)} must list two components, got {list(e)!r}")
+    return e
+
+
 def parse_curve_fiber(data, path: str = "curve_fiber") -> CurveFiber:
+    """A curve fiber; ``path`` names the section in errors (``curve_fibers.<label>``)."""
+    edges = _list(data.get("edges", []), list, "{}.edges", path)
     return CurveFiber(
-        genera=tuple(data["genera"]),
-        edges=tuple(tuple(e) for e in data.get("edges", ())),
-        nodal=_flag(data, "nodal", f"{path}.nodal", True),
+        genera=_get(data, "genera", [int], "{}.", path),
+        edges=tuple([_edge(e, "{}.edges[{}]", path, i) for i, e in enumerate(edges)]),
+        nodal=_one(data.get("nodal", True), bool, "{}.nodal", path),
     )
 
 
 def parse_obstruction(data) -> ObstructionScenario:
-    group = parse_group(data["group"], "obstruction.group")
+    group = parse_group(_get(data, "group", dict, "obstruction."), "obstruction.group")
+    at = "obstruction.points[{}]."
     points = []
-    for j, p in enumerate(data["points"]):
-        label = _one(p["label"], str, "obstruction.points[{}].label", j)
-        t = _one(p["torus_rank"], int, "obstruction.points[{}].torus_rank", j)
-        a = _one(p["abelian_dim"], int, "obstruction.points[{}].abelian_dim", j)
-        value = _list(p["value"], int, "obstruction.points[{}].value", j)
-        points.append(SamplePoint(label, _semi_abelian_type(t, a), value))
-    return ObstructionScenario(proper_base=_flag(data, "proper", "obstruction.proper"), group=group,
+    for j, p in enumerate(_get(data, "points", [dict], "obstruction.")):
+        label = _get(p, "label", str, at, j)
+        t, a = _get(p, "torus_rank", int, at, j), _get(p, "abelian_dim", int, at, j)
+        points.append(SamplePoint(label, _semi_abelian_type(t, a), _get(p, "value", [int], at, j)))
+    return ObstructionScenario(proper_base=_get(data, "proper", bool, "obstruction."), group=group,
                                points=tuple(points))
 
 
@@ -142,9 +173,9 @@ def parse_cochain(data, complex: DeltaComplex | None) -> Cochain:
     """A gluing 1-cochain on ``complex``, the scenario's dual complex."""
     if complex is None:
         raise _lacks("strata")
-    group = parse_group(data["group"], "cochain.group")
+    group = parse_group(_get(data, "group", dict, "cochain."), "cochain.group")
     values = tuple(_list(v, int, "cochain.edge_values[{}]", e)
-                   for e, v in enumerate(data["edge_values"]))
+                   for e, v in enumerate(_get(data, "edge_values", [list], "cochain.")))
     return Cochain(complex, group, 1, values)
 
 
@@ -190,7 +221,7 @@ def parse_scenario(data) -> Scenario:
         "curve_fibers", lambda d: {label: parse_curve_fiber(f, f"curve_fibers.{label}") for label, f in d.items()}, {}))
     strata = section("strata", parse_strata)
     return Scenario(
-        name=data["name"],
+        name=_get(data, "name", str, ""),
         citation=data.get("citation", ""),
         lattice=section("lattice", parse_lattice),
         trace=section("trace", parse_trace),

@@ -11,6 +11,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
+def _transpose(mat):
+    return [list(col) for col in zip(*mat)]
+
+
 def rational_rank_oracle(mat):
     work = [[Fraction(x) for x in row] for row in mat]
     rank = 0
@@ -448,8 +452,93 @@ def component_group_reference(lattice) -> tuple[int, ...]:
     n = lattice.size
     mat = [[int(x) for x in row] for row in lattice.matrix]
     gens = linalg.kernel_basis([list(lattice.multiplicities)], n)
-    _, torsion = linalg.lattice_quotient(gens, linalg.transpose(mat, n), n)
+    _, torsion = lattice_quotient_reference(gens, _transpose(mat), n)
     return tuple(torsion)
+
+
+# ---------------------------------------------------------------------------
+# Reference path for H^1: kernel bases of the cocycle conditions, an echelon
+# basis of each and the coordinates of the relations in it, as the package
+# computed it before the mapping cone.
+# ---------------------------------------------------------------------------
+
+def _row_lattice_basis(rows, n):
+    """Echelon basis of the lattice spanned (over Z) by the given rows."""
+    work = [list(r) for r in rows if any(r)]
+    basis = []
+    for col in range(n):
+        live = [r for r in work if r[col] != 0]
+        rest = [r for r in work if r[col] == 0]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            p = live[0]
+            reduced = [p]
+            for r in live[1:]:
+                q = r[col] // p[col]
+                r2 = [a - q * b for a, b in zip(r, p)]
+                (reduced if r2[col] != 0 else rest).append(r2)
+            live = reduced
+        if live:
+            basis.append(live[0])
+        work = [r for r in rest if any(r)]
+    return basis
+
+
+def _coordinates_in_basis(vec, basis):
+    """Coordinates of ``vec`` in an echelon lattice basis, or ``None``."""
+    r = list(vec)
+    coords = []
+    for b in basis:
+        p = next(j for j, x in enumerate(b) if x)
+        q, rem = divmod(r[p], b[p])
+        if rem:
+            return None
+        coords.append(q)
+        r = [x - q * y for x, y in zip(r, b)]
+    return coords if not any(r) else None
+
+
+def lattice_quotient_reference(gens, rels, n):
+    """``(free_rank, torsion)`` of ``span(gens) / span(rels)`` inside Z^n;
+    ``rels`` must lie in the lattice spanned by ``gens``."""
+    from fiberext import linalg
+
+    basis = _row_lattice_basis(gens, n)
+    rows = []
+    for rel in rels:
+        coords = _coordinates_in_basis(rel, basis)
+        if coords is None:
+            raise ValueError("relation outside the generated lattice")
+        rows.append(coords)
+    diag = linalg.snf_diagonal(rows)
+    return len(basis) - len(diag), [d for d in diag if d > 1]
+
+
+def cohomology_group_reference(complex, group):
+    """H^1 as ``ker d1 / im d0`` over Z and ``{x : d1 x = 0 mod n} /
+    (im d0 + n Z^E)`` for each ``Z/n``, each cocycle lattice a kernel basis."""
+    from fiberext import linalg
+    from fiberext.cochain import GroupInvariants, invariant_factor_chain
+    from fiberext.dual_complex import boundary_matrix
+
+    n_e = complex.count(1)
+    if n_e == 0:
+        return GroupInvariants(0, ())
+    d0_cols = [[-x for x in row] for row in boundary_matrix(complex, 1)]
+    d1 = _transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
+    orders, rank = [], 0
+    if group.rank:
+        free, torsion = lattice_quotient_reference(linalg.kernel_basis(d1, n_e), d0_cols, n_e)
+        orders, rank = list(torsion) * group.rank, free * group.rank
+    for n in group.torsion:
+        block = [row + [-n if col == t else 0 for col in range(len(d1))] for t, row in enumerate(d1)]
+        cocycles = [vec[:n_e] for vec in linalg.kernel_basis(block, n_e + len(d1))]
+        rels = d0_cols + [[n if j == i else 0 for j in range(n_e)] for i in range(n_e)]
+        free, torsion = lattice_quotient_reference(cocycles, rels, n_e)
+        if free:
+            raise ArithmeticError(f"H^1 with Z/{n} coefficients has free rank {free}")
+        orders.extend(torsion)
+    return GroupInvariants(rank, invariant_factor_chain(orders))
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +549,10 @@ def component_group_reference(lattice) -> tuple[int, ...]:
 
 def vertex_coboundary(cx):
     """The edge-by-vertex coboundary ``d0 = -B_1^T`` (no rows without edges)."""
-    from fiberext import linalg
     from fiberext.dual_complex import boundary_matrix
 
     b1 = boundary_matrix(cx, 1) if cx.dimension >= 1 else []
-    return [[-x for x in col] for col in linalg.transpose(b1)]
+    return [[-x for x in col] for col in _transpose(b1)]
 
 
 def is_exact_reference(phi):

@@ -9,7 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_fiber_lattice, random_strata
 from fiberext import linalg
-from fiberext.cochain import Cochain, CoefficientGroup, NotExact, coboundary, invariant_factor_chain, is_exact
+from fiberext.cochain import (
+    Cochain,
+    CoefficientGroup,
+    NotExact,
+    coboundary,
+    cohomology_group,
+    invariant_factor_chain,
+    is_exact,
+)
 from fiberext.dual_complex import (
     boundary_matrix,
     build_dual_complex,
@@ -78,14 +86,27 @@ def assert_same_invariant_factors(mat, ncols):
     """``snf_diagonal`` against the reference Smith diagonal and plain Euclid."""
     _, s, _ = smith_normal_form_reference(mat, ncols)
     diagonal = [s[t][t] for t in range(min(len(mat), ncols)) if s[t][t]]
-    assert linalg.snf_diagonal(mat, ncols) == diagonal == naive_invariant_factors(mat)
+    assert linalg.snf_diagonal(mat) == diagonal == naive_invariant_factors(mat)
 
 
 def relation_block(mat, ncols, n):
-    """``[mat | n I]``: the relations of ``Z^rows / (im mat + n Z^rows)``, as
-    ``cohomology_group`` hands them to ``lattice_quotient`` for ``Z/n``."""
+    """``[mat | n I]``: the relations of ``Z^rows / (im mat + n Z^rows)``."""
     return [list(row) + [n if k == i else 0 for k in range(len(mat))]
             for i, row in enumerate(mat)], ncols + len(mat)
+
+
+@pytest.fixture
+def quotients(monkeypatch):
+    """Every ``(rels, n)`` that ``cohomology_group`` hands to
+    ``linalg.lattice_quotient``, in call order."""
+    calls = []
+
+    def recording(rels, n, original=linalg.lattice_quotient):
+        calls.append((rels, n))
+        return original(rels, n)
+
+    monkeypatch.setattr(linalg, "lattice_quotient", recording)
+    return calls
 
 
 class TestTransformFreeInvariantFactors:
@@ -108,12 +129,20 @@ class TestTransformFreeInvariantFactors:
             assert_same_invariant_factors([[factor * x for x in row] for row in mat], n)
 
     @pytest.mark.parametrize("order", [2, 6, 12, 10**11 + 3])
-    def test_cohomology_relation_blocks(self, rng, order):
+    def test_cohomology_relation_blocks(self, rng, order, quotients):
+        """``[A | n I]`` blocks, and the mapping cones of ``n`` on complexes
+        with 2-simplices exactly as ``cohomology_group`` factors them."""
         for _ in range(60):
             cx = build_dual_complex(random_strata(rng))
             assert_same_invariant_factors(*relation_block(vertex_coboundary(cx), cx.count(0), order))
         for mat, n in random_matrices(rng, (-1, 0, 0, 1), 100):
             assert_same_invariant_factors(*relation_block(mat, n, order))
+        while len(quotients) < 60:
+            cx = build_dual_complex(random_strata(rng))
+            if cx.count(2):
+                cohomology_group(cx, CoefficientGroup(torsion=(order,)))
+        for rels, n in quotients:
+            assert_same_invariant_factors(rels, n)
 
 
 SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
@@ -137,9 +166,9 @@ def factored(monkeypatch):
     calls = []
 
     def counting(original):
-        def wrapper(mat, ncols=None):
+        def wrapper(mat, *ncols):
             calls.append([list(row) for row in mat])
-            return original(mat, ncols)
+            return original(mat, *ncols)
         return wrapper
 
     for name in ("smith_normal_form", "snf_diagonal"):

@@ -113,7 +113,7 @@ class TestExtend:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
-            == captured.err.splitlines() == ["error: zero denominator in rational '1/0'"]
+            == captured.err.splitlines() == ["error: trace.values[0]: zero denominator in rational '1/0'"]
 
     def test_zero_denominator_in_targets_exits_one(self, lattice_file, capsys):
         assert main(["extend", lattice_file, "--mode", "nef", "--targets", "1/0,0"]) == EXIT_INPUT
@@ -364,7 +364,7 @@ class TestMalformedScenario:
     def test_non_integer_multiplicity(self, tmp_path, capsys, value):
         data = json.loads(json.dumps(MALFORMED_SOURCES["extend"][0]))
         data["lattice"]["multiplicities"][0] = value
-        assert "multiplicities must be positive integers" in self.run(tmp_path, capsys, "extend", data)
+        assert "lattice.multiplicities[0] must be an integer" in self.run(tmp_path, capsys, "extend", data)
 
     @pytest.mark.parametrize("command", ["dual-complex", "cochain", "pic0"])
     @pytest.mark.parametrize("field", ["id", "facet", "string index", "boolean index"])

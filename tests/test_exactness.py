@@ -1,15 +1,16 @@
-"""Spanning-forest exactness and the ``gens=None`` quotient of ``Z^n``,
-checked against the Smith-based solves kept in ``oracles``: the same
-verdict, a potential whose coboundary is the cochain, and 0 at the largest
-vertex of every connected component."""
+"""Spanning-forest exactness and the mapping-cone ``H^1``, checked against
+the paths kept in ``oracles``.  Exactness: the same verdict as the Smith
+solves, a potential whose coboundary is the cochain, and 0 at the largest
+vertex of every connected component.  ``H^1``: the same group as the
+kernel-basis path and as ``Hom(H_1, A)``."""
 
 import pytest
 
 from conftest import random_strata
 from fiberext import cochain, lattice, linalg
 from fiberext.cochain import Cochain, CoefficientGroup, NotExact, coboundary, is_closed, is_exact
-from fiberext.dual_complex import build_dual_complex, strata_from_multigraph
-from oracles import is_exact_reference
+from fiberext.dual_complex import DeltaComplex, build_dual_complex, homology, simplex_strata, strata_from_multigraph
+from oracles import cohomology_group_reference, is_exact_reference, lattice_quotient_reference
 
 GROUPS = (
     CoefficientGroup(rank=1),                        # Z
@@ -150,12 +151,54 @@ class TestSpanningForestExactness:
                 assert not check_verdict(Cochain(cx, group, 1, values))
 
 
+def one_vertex_complex(rng):
+    """One vertex, loops for edges and triangles on random triples of them:
+    a Delta-complex whose ``H_1`` often has torsion."""
+    n_e, n_t = rng.randint(1, 6), rng.randint(0, 5)
+    triangles = tuple(tuple(rng.randrange(n_e) for _ in range(3)) for _ in range(n_t))
+    ids = (("V",), tuple(f"E{e}" for e in range(n_e)), tuple(f"T{t}" for t in range(n_t)))
+    return DeltaComplex(ids, (((0, 0),) * n_e, triangles))
+
+
+# The groups above, a torsion-only chain and a free part beside a three-step chain.
+COHOMOLOGY_GROUPS = GROUPS + (
+    CoefficientGroup(torsion=(2, 4)),                # Z/2 + Z/4
+    CoefficientGroup(rank=1, torsion=(3, 6, 12)),    # Z + Z/3 + Z/6 + Z/12
+)
+
+
+def check_cohomology(cx):
+    """The same ``H^1`` three ways over every group; returns the torsion of ``H_1``."""
+    for group in COHOMOLOGY_GROUPS:
+        assert cochain.cohomology_group(cx, group) == cohomology_group_reference(cx, group) \
+            == cochain.hom_from_h1(cx, group)
+    return homology(cx).degree(1)[1]
+
+
+class TestMappingConeCohomology:
+    def test_random_strata(self, rng):
+        for _ in range(500):
+            check_cohomology(build_dual_complex(random_strata(rng)))
+
+    def test_random_multigraphs(self, rng):
+        for _ in range(300):
+            assert check_cohomology(random_multigraph(rng)) == ()
+
+    def test_one_vertex_complexes(self, rng):
+        torsion = [check_cohomology(one_vertex_complex(rng)) for _ in range(300)]
+        assert sum(map(bool, torsion)) >= 30
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_simplex_boundaries(self, k):
+        check_cohomology(build_dual_complex(simplex_strata(tuple(range(k)), full=False)))
+
+
 def test_quotient_of_all_of_z_n_matches_the_identity_basis(rng):
     for _ in range(400):
         n = rng.randint(0, 7)
         rels = [[rng.choice((-3, -1, 0, 0, 0, 1, 1, 2, 6)) for _ in range(n)]
                 for _ in range(rng.randint(0, 8))]
-        assert linalg.lattice_quotient(None, rels, n) == linalg.lattice_quotient(linalg.identity(n), rels, n)
+        assert linalg.lattice_quotient(rels, n) == lattice_quotient_reference(linalg.identity(n), rels, n)
 
 
 def test_precondition_error_is_defined_once():

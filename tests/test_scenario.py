@@ -1,6 +1,6 @@
 """The scenario loader: strata parsed straight into one ``DeltaComplex``,
 cochains bound to it at load, and path-named errors for values of the
-wrong JSON type."""
+wrong JSON type and for missing required keys."""
 
 import collections
 import contextlib
@@ -207,11 +207,14 @@ def test_each_strata_op_builds_its_complex_once(builds, name):
 
 
 # ---------------------------------------------------------------------------
-# Values of the wrong JSON type under strata, cochain and obstruction
+# Values of the wrong JSON type, and missing keys, in every parsed section
 # ---------------------------------------------------------------------------
 
-COMMAND_OF = {"strata": "dual-complex", "cochain": "cochain", "obstruction": "obstruction"}
+COMMAND_OF = {"lattice": "extend", "trace": "extend", "strata": "dual-complex", "cochain": "cochain",
+              "obstruction": "obstruction", "curve_fiber": "pic0", "curve_fibers": "pic0"}
 WRONG_VALUES = (None, True, "1", [1], {})
+# Leaves that are exact rationals: a JSON int or a "p/q" string.
+RATIONAL_LEAVES = ("lattice.matrix[", "trace.values[")
 
 
 def _leaves(node, keys, path):
@@ -229,14 +232,30 @@ def _json_type(x):
     return "null" if x is None else type(x).__name__
 
 
+def _accepts(path, leaf):
+    return {"int", "str"} if path.startswith(RATIONAL_LEAVES) else {_json_type(leaf)}
+
+
 # (scenario, section, keys to the leaf, path as errors print it, replacement)
 TYPE_MUTATIONS = [
     (name, section, keys, path, wrong)
     for name, data in CORPUS.items()
     for section in COMMAND_OF if section in data
     for keys, path, leaf in _leaves(data[section], (section,), section)
-    for wrong in WRONG_VALUES if _json_type(wrong) != _json_type(leaf)
+    for wrong in WRONG_VALUES if _json_type(wrong) not in _accepts(path, leaf)
 ]
+
+
+def run_mutant(file, command, data):
+    """Exit code and the one ``error:`` line of ``command`` on ``data``."""
+    file.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(file)])
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_INPUT and out.getvalue() == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 def test_wrong_json_type_is_one_path_named_error(tmp_path):
@@ -256,14 +275,91 @@ def test_wrong_json_type_is_one_path_named_error(tmp_path):
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = wrong
-        file.write_text(json.dumps(data))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([COMMAND_OF[section], str(file)])
-        lines = err.getvalue().splitlines()
-        assert code == EXIT_INPUT and out.getvalue() == ""
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert path in lines[0]
+        assert path in run_mutant(file, COMMAND_OF[section], data)
 
     check()
     assert len(seen) == len(TYPE_MUTATIONS)
+
+
+# Keys the loader requires, wherever they occur in a parsed section.
+REQUIRED_KEYS = {"labels", "matrix", "multiplicities", "values", "levels", "id", "indices",
+                 "genera", "group", "edge_values", "points", "proper", "label", "torus_rank",
+                 "abelian_dim", "value"}
+
+
+def _required(node, keys, path):
+    """(keys to the dict, key, path of the key) of each required key under ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in REQUIRED_KEYS:
+                yield keys, key, f"{path}.{key}"
+            yield from _required(value, keys + (key,), f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _required(value, keys + (i,), f"{path}[{i}]")
+
+
+# (scenario, command, keys to the dict, key to delete, path as errors print it)
+MISSING_KEYS = [(name, "pic0", (), "name", "name") for name in CORPUS] + [
+    (name, COMMAND_OF[section], (section,) + keys, key, path)
+    for name, data in CORPUS.items()
+    for section in COMMAND_OF if section in data
+    for keys, key, path in _required(data[section], (), section)
+]
+
+
+def test_missing_key_is_one_path_named_error(tmp_path):
+    file = tmp_path / "bad.json"
+    sections = {case[2][0] for case in MISSING_KEYS if case[2]}
+    assert sections == set(COMMAND_OF) and len(MISSING_KEYS) > 100
+    for name, command, keys, key, path in MISSING_KEYS:
+        data = json.loads(json.dumps(CORPUS[name]))
+        node = data
+        for k in keys:
+            node = node[k]
+        del node[key]
+        line = run_mutant(file, command, data)
+        assert f"{path} is missing" in line, (name, path, line)
+
+
+@pytest.mark.parametrize("genera, edges, path", [
+    (["1", True], [["0", 1], [0, True]], "curve_fibers.x.genera[0] must be an integer"),
+    ([0, 0], [["0", 1], [0, True]], "curve_fibers.x.edges[0][0] must be an integer"),
+    ([0, 0], [[0, 1], [0, 1, 1]], "curve_fibers.x.edges[1] must list two components"),
+    ([0, 0], [[0, 1], [0]], "curve_fibers.x.edges[1] must list two components"),
+])
+def test_curve_fiber_takes_json_integer_pairs_only(tmp_path, genera, edges, path):
+    fiber = {"genera": genera, "edges": edges}
+    assert path in run_mutant(tmp_path / "bad.json", "pic0", {"name": "fib", "curve_fibers": {"x": fiber}})
+
+
+def _containers(node, keys, path):
+    """(keys, path) of each list or object strictly inside ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            sub = f"{path}.{key}" if isinstance(node, dict) else f"{path}[{key}]"
+            yield keys + (key,), sub
+            yield from _containers(value, keys + (key,), sub)
+
+
+# (scenario, section, keys to a nested list or object, path as errors print it)
+CONTAINER_MUTATIONS = [
+    (name, section, keys, path)
+    for name, data in CORPUS.items()
+    for section in COMMAND_OF if section in data and section != "curve_fibers"
+    for keys, path in _containers(data[section], (section,), section)
+]
+
+
+def test_container_of_wrong_type_is_one_path_named_error(tmp_path):
+    file = tmp_path / "bad.json"
+    assert len(CONTAINER_MUTATIONS) > 50
+    for name, section, keys, path in CONTAINER_MUTATIONS:
+        data = json.loads(json.dumps(CORPUS[name]))
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = 7
+        line = run_mutant(file, COMMAND_OF[section], data)
+        assert path in line, (name, path, line)
