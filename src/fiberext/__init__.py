@@ -32,8 +32,10 @@ from .dual_complex import (
     SncStrata,
     Stratum,
     boundary_matrix,
+    boundary_rows,
     build_dual_complex,
     homology,
+    homology_degree,
     torus_rank,
 )
 from .lattice import (

@@ -6,13 +6,18 @@ group of the base field.  Here the value group is replaced by a finitely
 generated abelian group (written additively), which turns closedness,
 exactness and class computations into decidable integer linear algebra.
 
-Coboundary matrices come from the complex's boundary matrices (``d0 =
+Coboundaries are the transposed boundary maps of the complex (``d0 =
 -B_1^T``, ``d1 = B_2^T``), so there is one sign convention.  Exactness
 needs no matrix at all: a potential is propagated along a spanning forest
 of the 1-skeleton in the coefficient group and then checked on every edge.
-``H^1`` needs no lattice basis: each coefficient factor gives one integer
+Closedness is walked at most once per cochain and cached on it.  ``H^1``
+needs no lattice basis: each coefficient factor gives one sparse integer
 relation matrix (``d0`` for ``Z``, the mapping cone of ``n`` for ``Z/n``),
-and the group is read from its invariant factors (see ``cohomology_group``).
+built straight from the boundary rows the complex caches, and the group is
+read from its invariant factors (see ``cohomology_group``).
+
+Group elements are tuples of Python ints; ``CoefficientGroup`` rejects
+bools, floats and strings instead of truncating them.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .dual_complex import DeltaComplex, boundary_matrix, homology
+from .dual_complex import DeltaComplex, boundary_rows, homology_degree
 from .errors import PreconditionError
 
 
@@ -34,7 +39,11 @@ class CoefficientGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(n) for n in self.torsion))
+        torsion = tuple(self.torsion)
+        for x in (self.rank, *torsion):
+            if type(x) is not int:
+                raise TypeError(f"rank and torsion orders must be integers, got {x!r}")
+        object.__setattr__(self, "torsion", torsion)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         if any(n <= 1 for n in self.torsion):
@@ -48,12 +57,18 @@ class CoefficientGroup:
         return self.rank + len(self.torsion)
 
     def reduce(self, vec):
-        vec = tuple(int(x) for x in vec)
+        """``vec``, a sequence of ints, as a tuple with its torsion
+        coordinates reduced."""
+        vec = tuple(vec)
+        for x in vec:
+            if type(x) is not int:
+                raise TypeError(f"group elements must have integer coordinates, got {x!r}")
         if len(vec) != self.width:
             raise ValueError(f"element must have {self.width} coordinates")
+        if not self.torsion:
+            return vec
         free = vec[: self.rank]
-        tors = tuple(x % n for x, n in zip(vec[self.rank:], self.torsion))
-        return free + tors
+        return free + tuple(x % n for x, n in zip(vec[self.rank:], self.torsion))
 
     def zero(self):
         return (0,) * self.width
@@ -79,7 +94,12 @@ class CoefficientGroup:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Total assignment of coefficient-group elements to the r-simplices."""
+    """Total assignment of coefficient-group elements to the r-simplices.
+
+    The closedness walk of a 1-cochain runs at most once per instance; its
+    result is cached on it, not in a field, so equality, hashing and repr
+    ignore it.
+    """
 
     complex: DeltaComplex
     group: CoefficientGroup
@@ -109,6 +129,18 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return all(self.group.is_zero(v) for v in self.values)
+
+    @cached_property
+    def _closedness(self) -> "ClosednessResult":
+        """``is_closed(self)`` of a 1-cochain: the first 2-simplex on which
+        phi(ij) + phi(jk) - phi(ik) does not vanish is the witness."""
+        cx, group, values = self.complex, self.group, self.values
+        if cx.dimension < 2:
+            return ClosednessResult(True)
+        for t, (f_jk, f_ik, f_ij) in enumerate(cx.facets[1]):
+            if not group.is_zero(group.sub(group.add(values[f_ij], values[f_jk]), values[f_ik])):
+                return ClosednessResult(False, cx.simplex_ids[2][t])
+        return ClosednessResult(True)
 
 
 @dataclass(frozen=True)
@@ -193,18 +225,11 @@ def coboundary(beta: Cochain) -> Cochain:
 
 def is_closed(phi: Cochain) -> ClosednessResult:
     """A 1-cochain is closed iff phi(ij) + phi(jk) - phi(ik) vanishes on
-    every 2-simplex Z_ijk; the first offending simplex is the witness."""
+    every 2-simplex Z_ijk; the first offending simplex is the witness.  The
+    walk runs once per cochain."""
     if phi.degree != 1:
         raise PreconditionError("is_closed expects a 1-cochain")
-    cx, group = phi.complex, phi.group
-    if cx.dimension < 2:
-        return ClosednessResult(True)
-    for t in range(cx.count(2)):
-        f_jk, f_ik, f_ij = cx.facets[1][t]
-        total = group.sub(group.add(phi.values[f_ij], phi.values[f_jk]), phi.values[f_ik])
-        if not group.is_zero(total):
-            return ClosednessResult(False, cx.simplex_ids[2][t])
-    return ClosednessResult(True)
+    return phi._closedness
 
 
 def is_exact(phi: Cochain):
@@ -294,20 +319,26 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e, n_t = complex.count(1), complex.count(2)
     if n_e == 0:
         return GroupInvariants(0, ())
-    # Column v of d0 = -B_1^T is row v of B_1 negated; column e of d1 = B_2^T is row e of B_2.
-    d0_cols = [[-x for x in row] for row in boundary_matrix(complex, 1)]
-    d1_cols = boundary_matrix(complex, 2) if n_t else [[]] * n_e
+    # The relations are read off the cached boundary rows, never written:
+    # column v of d0 = -B_1^T is row v of B_1 negated, column e of d1 =
+    # B_2^T is row e of B_2.  Signs of whole rows do not change a span, so
+    # the rows of B_1 span im d0 as they are.
+    b1 = boundary_rows(complex, 1)
+    b2 = boundary_rows(complex, 2) if n_t else ({},) * n_e
 
     orders, rank = [], 0
     if group.rank:
-        free, torsion = linalg.lattice_quotient(d0_cols, n_e)
-        rank = group.rank * (free - len(linalg.snf_diagonal(d1_cols)))
+        free, torsion = linalg.lattice_quotient(b1, n_e)
+        rank = group.rank * (free - len(linalg.snf_diagonal(b2)))
         orders = torsion * group.rank
 
     for n in group.torsion:
-        rels = [[0] * n_t + col for col in d0_cols]
-        rels += [[-x for x in col] + [n if j == e else 0 for j in range(n_e)]
-                 for e, col in enumerate(d1_cols)]
+        # (0, d0 e_v), then (-d1 e_e, n e_e): Z^T first, Z^E shifted by T.
+        rels = [{n_t + e: -x for e, x in row.items()} for row in b1]
+        for e, row in enumerate(b2):
+            rel = {t: -x for t, x in row.items()}
+            rel[n_t + e] = n
+            rels.append(rel)
         free, torsion = linalg.lattice_quotient(rels, n_t + n_e)
         if free != n_t:
             raise ArithmeticError(f"certificate failure: the mapping cone of {n} has free rank {free}, not {n_t}")
@@ -317,8 +348,9 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
 
 
 def hom_from_h1(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvariants:
-    """Hom(H_1(complex, Z), group), from the integral homology profile."""
-    b1, divisors = homology(complex).degree(1)
+    """Hom(H_1(complex, Z), group), from the integral homology in degree 1
+    (the invariant factors of B_1 and B_2 only)."""
+    b1, divisors = homology_degree(complex, 1)
     rank = b1 * group.rank
     orders = list(group.torsion) * b1
     for d in divisors:

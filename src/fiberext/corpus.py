@@ -169,7 +169,7 @@ def _check_classify_curve(sc, entry):
 
 def _check_numerical_triviality(sc, entry):
     fiber = sc.curve_fibers[entry.get("fiber", "default")]
-    got = numerical_triviality_on_fiber(fiber, entry["degrees"])
+    got = numerical_triviality_on_fiber(fiber, [parse_rational(d) for d in entry["degrees"]])
     return _equal(bool(entry["trivial"]), got, "trivial={}".format)
 
 

@@ -4,14 +4,21 @@ The combinatorics of an snc variety are recorded stratum by stratum: a
 level-r stratum is an irreducible component of an (r+1)-fold intersection
 of components, and knows which stratum contains it when one index is
 dropped.  From this we build an ordered Delta-complex, in one checking
-walk, and compute its integer homology by Smith normal form.  A scenario
-file's ``strata`` section loads as one ``DeltaComplex``.
+walk, and compute its integer homology from the invariant factors of its
+boundary matrices.  A scenario file's ``strata`` section loads as one
+``DeltaComplex``.
 
-Each ``DeltaComplex`` factors each boundary matrix at most once: the
-homology profile (the invariant factors of every boundary matrix) is
-cached on the instance, so repeated ``homology`` calls reuse it.  The
-cache is not a field and is never shared between complexes.  Exactness of
-cochains needs no factorization (see ``cochain.is_exact``).
+Each ``DeltaComplex`` caches one sparse form of its chain complex: row
+``f`` of ``B_r`` is ``{j: +-1}`` over the r-simplices ``j`` that have the
+(r-1)-simplex ``f`` as a facet, built in one pass over ``facets[r-1]`` the
+first time degree r is asked for (``boundary_rows``).  Homology and the
+``H^1`` relations of ``cochain`` read these rows and never write them.
+The invariant factors of each ``B_r`` are computed at most once, when a
+degree that needs them is first asked for (``homology_degree``), so
+``H_1`` factors ``B_1`` and ``B_2`` only.  ``boundary_matrix`` is a dense
+view of the rows, for display.  The caches are not fields and are never
+shared between complexes.  Exactness of cochains needs no factorization
+(see ``cochain.is_exact``).
 """
 
 from __future__ import annotations
@@ -46,9 +53,10 @@ class DeltaComplex:
 
     ``facets[r][i]`` (r >= 1) lists, for the i-th r-simplex, the indices of
     its r+1 facets in dimension r-1; position k corresponds to dropping the
-    k-th vertex in the global component order.  Chain data are computed at
-    most once per instance and cached on it; the cache is not a field, so
-    equality, hashing and repr ignore it.
+    k-th vertex in the global component order.  Boundary rows and their
+    invariant factors are computed at most once per instance and degree and
+    cached on it; the caches are not fields, so equality, hashing and repr
+    ignore them.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
@@ -73,18 +81,14 @@ class DeltaComplex:
         return sum((-1) ** r * c for r, c in enumerate(self.counts))
 
     @cached_property
-    def _homology(self) -> HomologyProfile:
-        top = self.dimension
-        diag = {r: linalg.snf_diagonal(boundary_matrix(self, r))
-                for r in range(1, top + 1)}
-        betti = []
-        torsion = []
-        for k in range(top + 1):
-            rank_k = len(diag.get(k, []))
-            rank_next = len(diag.get(k + 1, []))
-            betti.append(self.count(k) - rank_k - rank_next)
-            torsion.append(tuple(d for d in diag.get(k + 1, []) if d > 1))
-        return HomologyProfile(tuple(betti), tuple(torsion))
+    def _rows(self) -> dict:
+        """Degree r -> the sparse rows of B_r (see ``boundary_rows``)."""
+        return {}
+
+    @cached_property
+    def _invariant_factors(self) -> dict:
+        """Degree r -> the invariant factors of B_r."""
+        return {}
 
     def closure(self, r: int, index: int):
         """Subcomplex generated by one simplex, with index maps back.
@@ -164,20 +168,65 @@ def build_dual_complex(strata: SncStrata) -> DeltaComplex:
     return DeltaComplex(tuple(ids), tuple(facets[1:]))
 
 
-def boundary_matrix(complex: DeltaComplex, r: int):
-    """Integer boundary matrix B_r mapping r-chains to (r-1)-chains.
+def boundary_rows(complex: DeltaComplex, r: int) -> tuple[dict[int, int], ...]:
+    """Sparse rows of the integer boundary matrix B_r, cached on the complex.
 
-    The column of an r-simplex is the alternating sum of its facets.
+    Row ``f`` maps each r-simplex ``j`` with ``f`` among its facets to the
+    sign ``(-1)^k`` of that facet's position ``k`` (summed, should ``f``
+    recur among the facets of ``j``; a zero sum is dropped).  The rows are
+    shared by every caller and must not be written.
     """
+    rows = complex._rows.get(r)
+    if rows is not None:
+        return rows
     if not 1 <= r <= complex.dimension:
         raise ValueError(f"degree {r} out of range 1..{complex.dimension}")
-    rows = complex.count(r - 1)
-    cols = complex.count(r)
-    mat = [[0] * cols for _ in range(rows)]
-    for j in range(cols):
-        for i, f in enumerate(complex.facets[r - 1][j]):
-            mat[f][j] += (-1) ** i
-    return mat
+    rows = [{} for _ in range(complex.count(r - 1))]
+    recurs = False
+    for j, facets in enumerate(complex.facets[r - 1]):
+        sign = 1
+        for f in facets:
+            row = rows[f]
+            if j in row:
+                row[j] += sign
+                recurs = True
+            else:
+                row[j] = sign
+            sign = -sign
+    if recurs:
+        rows = [{j: x for j, x in row.items() if x} for row in rows]
+    rows = complex._rows[r] = tuple(rows)
+    return rows
+
+
+def boundary_matrix(complex: DeltaComplex, r: int):
+    """Integer boundary matrix B_r mapping r-chains to (r-1)-chains, as a
+    dense list of rows: the column of an r-simplex is the alternating sum of
+    its facets.  A view of ``boundary_rows``, for display."""
+    return linalg.dense(boundary_rows(complex, r), complex.count(r))
+
+
+def _factor(complex: DeltaComplex, r: int) -> list[int]:
+    """Invariant factors of B_r, computed from its rows (a cache miss)."""
+    return linalg.snf_diagonal(boundary_rows(complex, r))
+
+
+def invariant_factors(complex: DeltaComplex, r: int) -> list[int]:
+    """Invariant factors of B_r (none outside 1..dimension), computed at
+    most once per complex and degree."""
+    cache = complex._invariant_factors
+    if r not in cache:
+        cache[r] = _factor(complex, r) if 1 <= r <= complex.dimension else []
+    return cache[r]
+
+
+def homology_degree(complex: DeltaComplex, k: int) -> tuple[int, tuple[int, ...]]:
+    """``(betti, torsion)`` of ``H_k``, from the invariant factors of B_k
+    and B_(k+1) only."""
+    if not 0 <= k <= complex.dimension:
+        return 0, ()
+    below, above = invariant_factors(complex, k), invariant_factors(complex, k + 1)
+    return complex.count(k) - len(below) - len(above), tuple(d for d in above if d > 1)
 
 
 @dataclass(frozen=True)
@@ -194,14 +243,15 @@ class HomologyProfile:
 
 
 def homology(complex: DeltaComplex) -> HomologyProfile:
-    """Integral homology of the complex via Smith normal form, computed
-    once per complex."""
-    return complex._homology
+    """Integral homology of the complex in every degree; each boundary
+    matrix is factored at most once per complex."""
+    degrees = [homology_degree(complex, k) for k in range(complex.dimension + 1)]
+    return HomologyProfile(tuple(b for b, _ in degrees), tuple(t for _, t in degrees))
 
 
 def torus_rank(complex: DeltaComplex) -> int:
     """First Betti number: the torus rank of Pic^0 of the snc variety."""
-    return homology(complex).degree(1)[0]
+    return homology_degree(complex, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -147,14 +147,14 @@ class FiberLattice:
 
     @cached_property
     def _denominator_bound(self) -> int:
-        diag = linalg.snf_diagonal(self._gauge_reduced[1])
+        diag = linalg.snf_diagonal(linalg.sparse(self._gauge_reduced[1]))
         return diag[-1] if diag else 1
 
     @cached_property
     def _component_group(self) -> FiniteAbelianGroup:
         # M c = 0 puts im M inside c-perp, and Z^n / c-perp is free, so
         # Z^n / im M = c-perp / im M + Z: the torsion is that of coker M.
-        diag = linalg.snf_diagonal(self._integer_matrix[1])
+        diag = linalg.snf_diagonal(linalg.sparse(self._integer_matrix[1]))
         return FiniteAbelianGroup(tuple([d for d in diag if d > 1]))
 
 

@@ -11,12 +11,16 @@ is, with no per-entry arithmetic), one fraction-free (Bareiss)
 elimination brings the matrix to echelon form with exact integer divisions,
 and ``Fraction`` values are created only in the back-substitution.
 
-Invariant factors (``snf_diagonal``) come from a transform-free sparse
-elimination: unit pivots first, and whenever no +-1 entry is left the
-residue is divided by its content, so boundary matrices and the mapping-cone
-relations of cohomology (``n`` times an identity block beside ``+-1``
-incidences) never reach a dense Smith form.  ``lattice_quotient`` reads a
-quotient ``Z^n / span(rels)`` straight from them, with no lattice basis.
+Invariant factors (``snf_diagonal``) and quotients (``lattice_quotient``)
+take sparse rows only: one ``{column: nonzero int}`` dict per row, read and
+never written, so a caller may hand in rows it shares (the boundary rows a
+``DeltaComplex`` caches).  ``sparse`` and ``dense`` convert at the call
+sites that hold dense matrices.  The elimination is transform-free: unit
+pivots first, and whenever no +-1 entry is left the residue is divided by
+its content, so boundary matrices and the mapping-cone relations of
+cohomology (``n`` at one entry beside +-1 incidences) never reach a dense
+Smith form.  ``lattice_quotient`` reads a quotient ``Z^n / span(rels)``
+straight from them, with no lattice basis.
 
 ``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
 integer and modular solvers and ``kernel_basis``, which the package itself
@@ -42,6 +46,21 @@ def common_denominator(values) -> tuple[int, list[int]]:
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def sparse(mat) -> list[dict[int, int]]:
+    """The rows of a dense integer matrix as ``{column: entry}`` dicts of
+    their nonzero entries."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
+def dense(rows, ncols: int) -> list[list[int]]:
+    """The dense ``len(rows) x ncols`` matrix of sparse rows."""
+    mat = [[0] * ncols for _ in rows]
+    for out, row in zip(mat, rows):
+        for j, x in row.items():
+            out[j] = x
+    return mat
 
 
 def mat_vec(mat, vec):
@@ -155,24 +174,34 @@ def _fix_signs(s, u, v, m, n):
 
 
 def snf_diagonal(mat):
-    """Invariant factors of ``mat``: the nonzero Smith diagonal, ascending.
+    """Invariant factors of the matrix with the given sparse rows: the
+    nonzero Smith diagonal, ascending.
 
-    No transforms are built.  The matrix is held as sparse rows plus a
-    column -> rows index, and every +-1 entry is eliminated first: columns
-    are walked sparsest first, each pivoting on its shortest row with a unit
-    entry, and each pivot contributes the current scale to the diagonal.
-    When no unit is left, the residue is divided by its content ``g`` (as
-    ``SNF(g A) = g SNF(A)``) and the scale multiplied by ``g``.  Only a
-    residue of content 1 without units goes to ``smith_normal_form``.
-    Empty columns add nothing, so no column count is needed.
+    No transforms are built.  Each row is copied (the input is never
+    written) and indexed by a column -> rows map, and every +-1 entry is
+    eliminated first: columns are walked sparsest first, each pivoting on
+    its shortest row with a unit entry, and each pivot contributes the
+    current scale to the diagonal.  When no unit is left, the residue is
+    divided by its content ``g`` (as ``SNF(g A) = g SNF(A)``) and the scale
+    multiplied by ``g``.  Only a residue of content 1 without units goes to
+    ``smith_normal_form``.  Empty columns add nothing, so no column count is
+    needed.
+
+    Rows with one entry (the ``n e_e`` rows of a mapping cone) span
+    ``m_j e_j`` for each column ``j`` they sit in, ``m_j`` the gcd of their
+    values.  Such a row is touched only when its own column is eliminated,
+    and then becomes a multiple of the pivot row; when every entry of that
+    multiple is divisible by the ``m_j`` of its column, it lies in the span
+    of the others and is dropped instead of filled in.
     """
-    rows, cols = {}, {}
+    rows, cols, single = {}, {}, {}
     for i, row in enumerate(mat):
-        sparse = {j: int(x) for j, x in enumerate(row) if x}
-        if sparse:
-            rows[i] = sparse
-            for j in sparse:
+        if row:
+            rows[i] = dict(row)
+            for j, x in row.items():
                 cols.setdefault(j, set()).add(i)
+            if len(row) == 1 and x:
+                single[j] = gcd(single.get(j, 0), x)
     diag, scale = [], 1
     while rows:
         pivoted = True
@@ -184,7 +213,7 @@ def snf_diagonal(mat):
                     if rows[i][c] in (1, -1) and (best is None or len(rows[i]) < len(rows[best])):
                         best = i
                 if best is not None:
-                    _eliminate_unit(rows, cols, best, c)
+                    _eliminate_unit(rows, cols, single, best, c)
                     diag.append(scale)
                     pivoted = True
         if not rows:
@@ -199,6 +228,8 @@ def snf_diagonal(mat):
         for row in rows.values():
             for j in row:
                 row[j] //= g
+        for j in single:
+            single[j] //= g
     if rows:
         keep = sorted(cols)
         _, s, _ = smith_normal_form([[row.get(j, 0) for j in keep] for row in rows.values()], len(keep))
@@ -206,12 +237,16 @@ def snf_diagonal(mat):
     return diag
 
 
-def _eliminate_unit(rows, cols, p, c):
+def _eliminate_unit(rows, cols, single, p, c):
     """Clear column ``c`` with the unit pivot in row ``p``, then drop row
     ``p`` and column ``c``; column operations would clear the rest of row
-    ``p`` without touching any other row."""
+    ``p`` without touching any other row.  ``single`` maps a column to the
+    gcd ``m_j`` of its one-entry rows; a row with no entry but ``c`` becomes
+    ``-q`` times the rest of row ``p`` and is dropped when ``m_j`` divides
+    each of its entries."""
     prow = rows.pop(p)
     a = prow.pop(c)
+    single.pop(c, None)
     for j in prow:
         cols[j].discard(p)
     for i in cols.pop(c):
@@ -219,6 +254,9 @@ def _eliminate_unit(rows, cols, p, c):
             continue
         row = rows[i]
         q = row.pop(c) * a
+        if not row and all(j in single and q * x % single[j] == 0 for j, x in prow.items()):
+            del rows[i]
+            continue
         for j, x in prow.items():
             y = row.get(j, 0) - q * x
             if y:
@@ -283,10 +321,11 @@ def solve_mod(mat, rhs, mod, ncols=None):
 # ---------------------------------------------------------------------------
 
 def lattice_quotient(rels, n):
-    """Invariants of ``Z^n / span(rels)``: ``(free_rank, torsion)``, torsion
-    a divisibility chain of ints > 1.  In the identity basis of ``Z^n`` each
-    relation is its own coordinate vector, so its rows are factored as they
-    are (invariant factors do not change under transposition)."""
+    """Invariants of ``Z^n / span(rels)``, ``rels`` sparse rows:
+    ``(free_rank, torsion)``, torsion a divisibility chain of ints > 1.  In
+    the identity basis of ``Z^n`` each relation is its own coordinate
+    vector, so its rows are factored as they are (invariant factors do not
+    change under transposition)."""
     diag = snf_diagonal(rels)
     return n - len(diag), [d for d in diag if d > 1]
 

@@ -11,6 +11,7 @@ snc fibers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cochain import CoefficientGroup
 from .dual_complex import DeltaComplex, torus_rank
@@ -107,8 +108,12 @@ def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -
 
 def numerical_triviality_on_fiber(fiber: CurveFiber, degrees) -> bool:
     """A divisor is numerically trivial on a curve fiber iff its degree on
-    every irreducible component vanishes."""
-    degrees = [int(d) for d in degrees]
+    every irreducible component vanishes.  Degrees are exact rationals
+    (ints or ``Fraction``s); anything else is rejected, never truncated."""
+    degrees = list(degrees)
+    for d in degrees:
+        if type(d) not in (int, Fraction):
+            raise TypeError(f"degrees must be ints or Fractions, got {d!r}")
     if len(degrees) != fiber.components:
         raise ValueError("one degree per component is required")
     return all(d == 0 for d in degrees)

@@ -11,9 +11,11 @@ shared table of small values.  Flags (``connected``, ``nodal``, ``proper``)
 must be JSON booleans.  Integer fields (multiplicities, genera, curve
 edges, strata indices, cochain and obstruction values) take JSON integers
 only, and ids, facet references and labels strings; nothing behind this
-boundary coerces.  A wrong type or a missing required key raises an error
-naming its path, e.g. ``strata.levels[0][1].indices[0]`` or
-``lattice.matrix[1][0]``.  Paths are formatted only when a check fails.
+boundary coerces.  Each section, and each entry of ``curve_fibers``, must
+be a JSON object, and ``expect`` a list of them.  A wrong type or a missing
+required key raises an error naming its path, e.g. ``lattice``,
+``strata.levels[0][1].indices[0]`` or ``lattice.matrix[1][0]``.  Paths are
+formatted only when a check fails.
 
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
 snc checks) and ``cochain`` as a ``Cochain`` bound to it.
@@ -206,19 +208,25 @@ def parse_scenario(data) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError(f"a scenario must be a JSON object, not a {type(data).__name__}")
 
-    def section(key, parse, default=None):
+    def section(key, parse, kind=dict, default=None):
+        """``parse`` of ``data[key]``, which must be of JSON type ``kind``
+        unless that is None."""
         if key not in data:
             return default
+        value = data[key]
         try:
-            return parse(data[key])
+            return parse(value if kind is None else _one(value, kind, key))
         except (TypeError, AttributeError) as exc:
             raise ValueError(f"malformed {key!r} section: {exc}") from None
+
+    def curve_fiber_table(fibers):
+        return {label: parse_curve_fiber(_one(f, dict, "curve_fibers.{}", label), f"curve_fibers.{label}")
+                for label, f in fibers.items()}
 
     curve_fibers = {}
     if "curve_fiber" in data:
         curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
-    curve_fibers.update(section(
-        "curve_fibers", lambda d: {label: parse_curve_fiber(f, f"curve_fibers.{label}") for label, f in d.items()}, {}))
+    curve_fibers.update(section("curve_fibers", curve_fiber_table, dict, {}))
     strata = section("strata", parse_strata)
     return Scenario(
         name=_get(data, "name", str, ""),
@@ -226,11 +234,11 @@ def parse_scenario(data) -> Scenario:
         lattice=section("lattice", parse_lattice),
         trace=section("trace", parse_trace),
         strata=strata,
-        h1_structure=section("h1_structure", lambda x: x if x is None else _one(x, int, "h1_structure")),
+        h1_structure=section("h1_structure", lambda x: x if x is None else _one(x, int, "h1_structure"), None),
         curve_fibers=curve_fibers,
         cochain=section("cochain", lambda d: parse_cochain(d, strata)),
         obstruction=section("obstruction", parse_obstruction),
-        expect=section("expect", tuple, ()),
+        expect=section("expect", lambda x: _list(x, dict, "expect"), None, ()),
     )
 
 

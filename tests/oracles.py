@@ -95,6 +95,17 @@ def naive_invariant_factors(mat):
     return diag
 
 
+def boundary_matrix_reference(cx, r):
+    """Dense B_r built entry by entry from the facet maps, the way the
+    package built it before it cached sparse boundary rows: the column of
+    an r-simplex is the alternating sum of its facets."""
+    mat = [[0] * cx.count(r) for _ in range(cx.count(r - 1))]
+    for j, facets in enumerate(cx.facets[r - 1]):
+        for i, f in enumerate(facets):
+            mat[f][j] += (-1) ** i
+    return mat
+
+
 def brute_homology(counts, boundaries):
     """Betti and torsion per degree from ranks and naive diagonalization.
 
@@ -510,7 +521,7 @@ def lattice_quotient_reference(gens, rels, n):
         if coords is None:
             raise ValueError("relation outside the generated lattice")
         rows.append(coords)
-    diag = linalg.snf_diagonal(rows)
+    diag = linalg.snf_diagonal(linalg.sparse(rows))
     return len(basis) - len(diag), [d for d in diag if d > 1]
 
 
@@ -519,13 +530,12 @@ def cohomology_group_reference(complex, group):
     (im d0 + n Z^E)`` for each ``Z/n``, each cocycle lattice a kernel basis."""
     from fiberext import linalg
     from fiberext.cochain import GroupInvariants, invariant_factor_chain
-    from fiberext.dual_complex import boundary_matrix
 
     n_e = complex.count(1)
     if n_e == 0:
         return GroupInvariants(0, ())
-    d0_cols = [[-x for x in row] for row in boundary_matrix(complex, 1)]
-    d1 = _transpose(boundary_matrix(complex, 2)) if complex.dimension >= 2 else []
+    d0_cols = [[-x for x in row] for row in boundary_matrix_reference(complex, 1)]
+    d1 = _transpose(boundary_matrix_reference(complex, 2)) if complex.dimension >= 2 else []
     orders, rank = [], 0
     if group.rank:
         free, torsion = lattice_quotient_reference(linalg.kernel_basis(d1, n_e), d0_cols, n_e)
@@ -549,9 +559,7 @@ def cohomology_group_reference(complex, group):
 
 def vertex_coboundary(cx):
     """The edge-by-vertex coboundary ``d0 = -B_1^T`` (no rows without edges)."""
-    from fiberext.dual_complex import boundary_matrix
-
-    b1 = boundary_matrix(cx, 1) if cx.dimension >= 1 else []
+    b1 = boundary_matrix_reference(cx, 1) if cx.dimension >= 1 else []
     return [[-x for x in col] for col in _transpose(b1)]
 
 

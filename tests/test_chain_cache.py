@@ -2,24 +2,30 @@
 with it, checked against the reference paths kept in ``oracles``: the
 Smith routine with a full pivot scan, the transform-free invariant factors
 against two Smith diagonals, invariant factors of cyclic sums by trial
-division and the component group through ``c-perp`` coordinates."""
+division and the component group through ``c-perp`` coordinates; and the
+cached sparse boundary rows against the dense matrices built entry by
+entry."""
+
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_fiber_lattice, random_strata
-from fiberext import linalg
+from fiberext import dual_complex, linalg
 from fiberext.cochain import (
     Cochain,
     CoefficientGroup,
     NotExact,
     coboundary,
     cohomology_group,
+    hom_from_h1,
     invariant_factor_chain,
     is_exact,
 )
 from fiberext.dual_complex import (
     boundary_matrix,
+    boundary_rows,
     build_dual_complex,
     homology,
     simplex_strata,
@@ -27,6 +33,7 @@ from fiberext.dual_complex import (
 )
 from fiberext.lattice import component_group, validate_lattice
 from oracles import (
+    boundary_matrix_reference,
     component_group_reference,
     invariant_factor_chain_reference,
     naive_invariant_factors,
@@ -86,7 +93,7 @@ def assert_same_invariant_factors(mat, ncols):
     """``snf_diagonal`` against the reference Smith diagonal and plain Euclid."""
     _, s, _ = smith_normal_form_reference(mat, ncols)
     diagonal = [s[t][t] for t in range(min(len(mat), ncols)) if s[t][t]]
-    assert linalg.snf_diagonal(mat) == diagonal == naive_invariant_factors(mat)
+    assert linalg.snf_diagonal(linalg.sparse(mat)) == diagonal == naive_invariant_factors(mat)
 
 
 def relation_block(mat, ncols, n):
@@ -128,6 +135,21 @@ class TestTransformFreeInvariantFactors:
         for mat, n in random_matrices(rng, entries, 300):
             assert_same_invariant_factors([[factor * x for x in row] for row in mat], n)
 
+    @pytest.mark.parametrize("order", [2, 6, 10**11 + 3])
+    def test_one_entry_rows(self, rng, order):
+        """One-entry rows beside a matrix, as the ``n e_e`` rows of a
+        graph's mapping cone: a row dropped as a combination of them must
+        not change the factors, whether or not they divide its entries."""
+        tried = 0
+        for mat, n in random_matrices(rng, (-1, 0, 0, 1, 1, 2, order), 400):
+            if n:
+                extra = [[0] * n for _ in range(rng.randint(1, 2 * n))]
+                for row in extra:
+                    row[rng.randrange(n)] = order * rng.choice((1, -1, 2, 3)) // rng.choice((1, 1, order))
+                assert_same_invariant_factors(mat + extra, n)
+                tried += 1
+        assert tried > 300
+
     @pytest.mark.parametrize("order", [2, 6, 12, 10**11 + 3])
     def test_cohomology_relation_blocks(self, rng, order, quotients):
         """``[A | n I]`` blocks, and the mapping cones of ``n`` on complexes
@@ -142,7 +164,7 @@ class TestTransformFreeInvariantFactors:
             if cx.count(2):
                 cohomology_group(cx, CoefficientGroup(torsion=(order,)))
         for rels, n in quotients:
-            assert_same_invariant_factors(rels, n)
+            assert_same_invariant_factors(linalg.dense(rels, n), n)
 
 
 SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
@@ -161,18 +183,19 @@ def test_invariant_factors_property(case):
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Every matrix handed to either factorization entry point,
-    ``linalg.smith_normal_form`` or ``linalg.snf_diagonal``, in call order."""
+    """Every matrix handed to either factorization entry point, in call
+    order: dense rows for ``linalg.smith_normal_form``, copies of the sparse
+    rows for ``linalg.snf_diagonal``."""
     calls = []
 
-    def counting(original):
+    def counting(original, copy):
         def wrapper(mat, *ncols):
-            calls.append([list(row) for row in mat])
+            calls.append([copy(row) for row in mat])
             return original(mat, *ncols)
         return wrapper
 
-    for name in ("smith_normal_form", "snf_diagonal"):
-        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name)))
+    for name, copy in (("smith_normal_form", list), ("snf_diagonal", dict)):
+        monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), copy))
     return calls
 
 
@@ -182,7 +205,7 @@ class TestOneFactorizationPerComplex:
         profiles = [homology(cx) for _ in range(3)]
         assert profiles[0] == profiles[1] == profiles[2]
         assert profiles[0].betti == (1, 0, 0, 1)
-        assert factored == [boundary_matrix(cx, r) for r in range(1, cx.dimension + 1)]
+        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in range(1, cx.dimension + 1)]
 
     def test_is_exact_factors_the_incidence_matrix_once(self, factored):
         """At most once, and in fact never: the spanning-forest solve hands
@@ -200,6 +223,69 @@ class TestOneFactorizationPerComplex:
         b = build_dual_complex(simplex_strata((0, 1, 2)))
         homology(a)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+def rows_of(cx):
+    """Copies of every cached boundary row of ``cx``, by degree."""
+    return {r: [dict(row) for row in boundary_rows(cx, r)] for r in range(1, cx.dimension + 1)}
+
+
+class TestSparseBoundaryRows:
+    def test_rows_match_the_dense_matrices(self, rng, corpus_complexes):
+        """500 random complexes and the corpus: the cached rows, and the
+        dense view of them, equal B_r built entry by entry."""
+        complexes = [build_dual_complex(random_strata(rng)) for _ in range(500)]
+        complexes += [cx for _, cx in corpus_complexes]
+        for cx in complexes:
+            for r in range(1, cx.dimension + 1):
+                dense = boundary_matrix_reference(cx, r)
+                assert list(boundary_rows(cx, r)) == linalg.sparse(dense)
+                assert boundary_matrix(cx, r) == dense
+                assert boundary_rows(cx, r) is boundary_rows(cx, r)
+
+    def test_recurring_facets_sum_and_cancel(self):
+        """A Delta-complex may repeat a facet: a loop edge has a zero
+        column, a triangle on one edge twice keeps the sum of its signs."""
+        cx = dual_complex.DeltaComplex((("v",), ("a", "b"), ("t",)), (((0, 0), (0, 0)), ((1, 0, 1),)))
+        assert boundary_rows(cx, 1) == ({},)
+        assert boundary_rows(cx, 2) == ({0: -1}, {0: 2})
+        assert boundary_matrix(cx, 2) == boundary_matrix_reference(cx, 2) == [[-1], [2]]
+
+    def test_degree_out_of_range(self):
+        cx = build_dual_complex(simplex_strata((0, 1, 2)))
+        for r in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                boundary_rows(cx, r)
+
+    def test_chain_operations_never_build_dense_matrices(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("boundary_matrix called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fiberext") and getattr(module, "boundary_matrix", None) is boundary_matrix:
+                monkeypatch.setattr(module, "boundary_matrix", refuse)
+        group = CoefficientGroup(rank=1, torsion=(2, 4))
+        for _ in range(50):
+            cx = build_dual_complex(random_strata(rng))
+            homology(cx)
+            cohomology_group(cx, group)
+            hom_from_h1(cx, group)
+
+    def test_hom_from_h1_factors_degrees_one_and_two_only(self, factored):
+        cx = build_dual_complex(simplex_strata(tuple(range(7)), full=False))
+        assert cx.dimension == 5
+        assert hom_from_h1(cx, CoefficientGroup(rank=1, torsion=(6,))).is_trivial
+        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in (1, 2)]
+        assert sorted(cx._invariant_factors) == [1, 2]
+
+    def test_rows_are_unchanged_by_their_readers(self, rng, corpus_complexes):
+        complexes = [build_dual_complex(random_strata(rng)) for _ in range(100)]
+        complexes += [cx for _, cx in corpus_complexes]
+        for cx in complexes:
+            before = rows_of(cx)
+            cohomology_group(cx, CoefficientGroup(rank=1, torsion=(4,)))
+            homology(cx)
+            assert rows_of(cx) == before
 
 
 ORDERS = st.lists(

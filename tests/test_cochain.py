@@ -56,8 +56,43 @@ class TestCoefficientGroup:
         with pytest.raises(ValueError):
             CoefficientGroup(rank=2).reduce((1,))
 
+    @pytest.mark.parametrize("bad", [1.5, 6.7, True, "6", None])
+    def test_non_integers_rejected_not_truncated(self, bad):
+        with pytest.raises(TypeError):
+            CoefficientGroup(rank=bad)
+        with pytest.raises(TypeError):
+            CoefficientGroup(torsion=(bad,))
+        with pytest.raises(TypeError):
+            CoefficientGroup(rank=1, torsion=(6,)).reduce((0, bad))
+
+    def test_fractional_cochain_values_rejected(self):
+        """``(1.5,), (1.9,)`` was once read as ``(1,), (1,)`` and reported exact."""
+        cx = build_dual_complex(simplex_strata((0, 1)))
+        assert cx.count(0) == 2 and cx.count(1) == 1
+        with pytest.raises(TypeError):
+            Cochain(cx, CoefficientGroup(rank=1), 0, ((1.5,), (1.9,)))
+        assert CoefficientGroup(torsion=[6]).torsion == (6,)
+
 
 class TestClosedness:
+    def test_walked_once_per_cochain(self, monkeypatch):
+        """``is_closed``, ``is_exact`` and ``h1_class`` share one walk over
+        the triangles; the cached result is not a field."""
+        cx = build_dual_complex(simplex_strata(tuple(range(6)), full=False))
+        group = CoefficientGroup(rank=1, torsion=(4,))
+        phi = coboundary(Cochain(cx, group, 0, tuple((v, 3 * v) for v in range(cx.count(0)))))
+        twin = Cochain(cx, group, 1, phi.values)
+        checks = []
+        monkeypatch.setattr(CoefficientGroup, "is_zero",
+                            lambda self, a, original=CoefficientGroup.is_zero: checks.append(a) or original(self, a))
+        assert is_closed(phi) and is_closed(phi) is is_closed(phi)
+        assert not isinstance(is_exact(phi), NotExact)
+        assert h1_class(phi).is_trivial
+        assert len(checks) == cx.count(2)
+        assert phi == twin and hash(phi) == hash(twin) and repr(phi) == repr(twin)
+        with pytest.raises(PreconditionError):
+            is_closed(Cochain(cx, group, 0, ((0, 0),) * cx.count(0)))
+
     def test_triangle_closed_cochain(self):
         cx = triangle_complex()
         g = CoefficientGroup(rank=1)

@@ -198,7 +198,7 @@ def test_quotient_of_all_of_z_n_matches_the_identity_basis(rng):
         n = rng.randint(0, 7)
         rels = [[rng.choice((-3, -1, 0, 0, 0, 1, 1, 2, 6)) for _ in range(n)]
                 for _ in range(rng.randint(0, 8))]
-        assert linalg.lattice_quotient(rels, n) == lattice_quotient_reference(linalg.identity(n), rels, n)
+        assert linalg.lattice_quotient(linalg.sparse(rels), n) == lattice_quotient_reference(linalg.identity(n), rels, n)
 
 
 def test_precondition_error_is_defined_once():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fiberext.cochain import CoefficientGroup
@@ -107,6 +109,15 @@ class TestNumericalTriviality:
         fiber = CurveFiber(genera=(0,), edges=((0, 0),))
         with pytest.raises(ValueError):
             numerical_triviality_on_fiber(fiber, (0, 0))
+
+    def test_exact_rationals_only(self):
+        """Degrees are never truncated: ``[0.5, -0.5]`` once read as trivial."""
+        fiber = CurveFiber(genera=(0, 0), edges=((0, 1), (0, 1)))
+        assert not numerical_triviality_on_fiber(fiber, (Fraction(1, 2), Fraction(-1, 2)))
+        assert numerical_triviality_on_fiber(fiber, (Fraction(0), 0))
+        for bad in ((0.5, -0.5), (0.0, 0), (False, 0), ("0", 0)):
+            with pytest.raises(TypeError):
+                numerical_triviality_on_fiber(fiber, bad)
 
 
 class TestObstruction:

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberext import corpus, dual_complex
+from fiberext import corpus, dual_complex, linalg
 from fiberext.cli import EXIT_INPUT, main
 from fiberext.dual_complex import SncStrata, StrataError, Stratum, build_dual_complex
 from fiberext.scenario import parse_strata
 
 from conftest import random_strata
-from oracles import build_dual_complex_reference
+from oracles import boundary_matrix_reference, build_dual_complex_reference
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
 CORPUS = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
@@ -159,30 +159,35 @@ class TestStrataWalk:
 @pytest.fixture
 def builds(monkeypatch):
     """Every complex ``build_dual_complex`` returns, through any binding in
-    the package, and every ``(complex, degree)`` whose boundary matrix the
-    homology cache factors."""
+    the package, and ``(complex, degree, rows)`` for every boundary matrix
+    the homology cache factors, ``rows`` its sparse rows."""
     built, factored = [], []
 
     def counting_build(strata):
         built.append(build_dual_complex(strata))
         return built[-1]
 
-    def recording_boundary(cx, r, boundary=dual_complex.boundary_matrix):
-        factored.append((id(cx), r))
-        return boundary(cx, r)
+    def recording_factor(cx, r, factor=dual_complex._factor):
+        factored.append((cx, r, dual_complex.boundary_rows(cx, r)))
+        return factor(cx, r)
 
     for name, module in list(sys.modules.items()):
         if name == "fiberext" or name.startswith("fiberext."):
             for attr, value in list(vars(module).items()):
                 if value is build_dual_complex:
                     monkeypatch.setattr(module, attr, counting_build)
-    monkeypatch.setattr(dual_complex, "boundary_matrix", recording_boundary)
+    monkeypatch.setattr(dual_complex, "_factor", recording_factor)
     return built, factored
 
 
 def assert_factored_once(built, factored):
-    assert set(i for i, _ in factored) <= set(map(id, built))
-    assert max(collections.Counter(factored).values(), default=1) == 1
+    """Each boundary matrix of a built complex is factored at most once,
+    from sparse rows equal to B_r built entry by entry."""
+    keys = [(id(cx), r) for cx, r, _ in factored]
+    assert set(i for i, _ in keys) <= set(map(id, built))
+    assert max(collections.Counter(keys).values(), default=1) == 1
+    for cx, r, rows in factored:
+        assert list(rows) == linalg.sparse(boundary_matrix_reference(cx, r))
 
 
 def test_corpus_run_builds_one_complex_per_strata_file(builds):
@@ -343,23 +348,27 @@ def _containers(node, keys, path):
             yield from _containers(value, keys + (key,), sub)
 
 
-# (scenario, section, keys to a nested list or object, path as errors print it)
+# (scenario, section, keys to a section or a list or object inside one, path
+# as errors print it): each section itself, every curve_fibers entry and
+# every nested container, and the expect list.
 CONTAINER_MUTATIONS = [
     (name, section, keys, path)
     for name, data in CORPUS.items()
-    for section in COMMAND_OF if section in data and section != "curve_fibers"
-    for keys, path in _containers(data[section], (section,), section)
-]
+    for section in COMMAND_OF if section in data
+    for keys, path in [((section,), section), *_containers(data[section], (section,), section)]
+] + [(name, "expect", ("expect",), "expect") for name, data in CORPUS.items() if "expect" in data]
 
 
 def test_container_of_wrong_type_is_one_path_named_error(tmp_path):
     file = tmp_path / "bad.json"
-    assert len(CONTAINER_MUTATIONS) > 50
+    mutated = {path.split(".")[0].split("[")[0] for _, _, _, path in CONTAINER_MUTATIONS}
+    assert mutated == set(COMMAND_OF) | {"expect"} and len(CONTAINER_MUTATIONS) > 50
+    assert any(path.startswith("curve_fibers.") and path.count(".") == 1 for *_, path in CONTAINER_MUTATIONS)
     for name, section, keys, path in CONTAINER_MUTATIONS:
         data = json.loads(json.dumps(CORPUS[name]))
         node = data
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = 7
-        line = run_mutant(file, COMMAND_OF[section], data)
-        assert path in line, (name, path, line)
+        line = run_mutant(file, COMMAND_OF.get(section, "pic0"), data)
+        assert f"{path} must be " in line, (name, path, line)
