@@ -283,13 +283,15 @@ def invariant_factor_chain(orders) -> tuple[int, ...]:
 
     Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
     Z/gcd``, largest factor first, so nothing is factored.  Orders below 2
-    contribute nothing.  An order dividing the smallest factor passes
+    contribute nothing; an order that is not an ``int`` (a bool is none)
+    raises ``TypeError``.  An order dividing the smallest factor passes
     through every merge unchanged, so it is appended at once: equal orders
     cost linear time.
     """
     chain = []  # descending: each factor divides the one before it
-    for o in orders:
-        a = int(o)
+    for a in orders:
+        if type(a) is not int:
+            raise TypeError(f"orders must be integers, got {a!r}")
         if a < 2:
             continue
         if chain and chain[-1] % a == 0:

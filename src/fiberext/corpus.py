@@ -67,7 +67,7 @@ class ScenarioReport:
 
 def run_scenario(name: str) -> ScenarioReport:
     scenario = load_scenario(name)
-    checks = tuple(_run_check(scenario, entry) for entry in scenario.expect)
+    checks = tuple(_run_check(scenario, entry, i) for i, entry in enumerate(scenario.expect))
     return ScenarioReport(name=name, checks=checks)
 
 
@@ -75,13 +75,22 @@ def run_all() -> list[ScenarioReport]:
     return [run_scenario(name) for name in scenario_names()]
 
 
-def _run_check(sc: Scenario, entry) -> CheckResult:
+# Expected values compared with ints as they are: a JSON string or boolean
+# there fails the check instead of being coerced (``abelian_dim`` may be null).
+_INT_KEYS = ("denominator", "denominator_divides", "torus_rank", "abelian_dim", "value")
+
+
+def _run_check(sc: Scenario, entry, i: int) -> CheckResult:
     op = entry["op"]
     provenance = entry.get("provenance", "")
     handler = _HANDLERS.get(op)
     if handler is None:
         return CheckResult(op, False, "known operation", f"unknown op {op!r}", provenance)
     try:
+        for key in _INT_KEYS:
+            want = entry.get(key, 0)
+            if type(want) is not int and not (key == "abelian_dim" and want is None):
+                raise TypeError(f"expect[{i}].{key} must be an integer, got {want!r}")
         passed, expected, actual = handler(sc, entry)
     except Exception as exc:  # a crash is a failed check, not a failed run
         return CheckResult(op, False, "no exception", f"{type(exc).__name__}: {exc}", provenance)
@@ -117,10 +126,10 @@ def _check_extension(sc, entry):
         ok &= result.coefficients == want
         wants.append(f"coefficients={[str(x) for x in want]}")
     if "denominator" in entry:
-        ok &= result.denominator == int(entry["denominator"])
+        ok &= result.denominator == entry["denominator"]
         wants.append(f"denominator={entry['denominator']}")
     if "denominator_divides" in entry:
-        ok &= int(entry["denominator_divides"]) % result.denominator == 0
+        ok &= entry["denominator_divides"] % result.denominator == 0
         wants.append(f"denominator | {entry['denominator_divides']}")
     if "achieved" in entry:
         want = tuple(parse_rational(x) for x in entry["achieved"])
@@ -143,12 +152,11 @@ def _classification_matches(entry, kind):
     ok = True
     wants = []
     if "torus_rank" in entry:
-        ok &= kind.torus_rank == int(entry["torus_rank"])
+        ok &= kind.torus_rank == entry["torus_rank"]
         wants.append(f"t={entry['torus_rank']}")
     if "abelian_dim" in entry:
-        want = entry["abelian_dim"]
-        ok &= kind.abelian_dim == (None if want is None else int(want))
-        wants.append(f"a={want}")
+        ok &= kind.abelian_dim == entry["abelian_dim"]
+        wants.append(f"a={entry['abelian_dim']}")
     if "label" in entry:
         ok &= kind.label == entry["label"]
         wants.append(f"label={entry['label']}")
@@ -211,11 +219,11 @@ _HANDLERS = {
     "validate_lattice": _check_validate,
     "extend_trivial": _check_extension,
     "extend_nef": _check_extension,
-    "denominator_bound": lambda sc, e: _equal(int(e["value"]), lattice_mod.denominator_bound(sc.lattice)),
+    "denominator_bound": lambda sc, e: _equal(e["value"], lattice_mod.denominator_bound(sc.lattice)),
     "component_group": lambda sc, e: _equal(
         list(e["invariant_factors"]), list(lattice_mod.component_group(sc.lattice).invariant_factors)),
     "homology": _check_homology,
-    "torus_rank": lambda sc, e: _equal(int(e["value"]), torus_rank(sc.strata)),
+    "torus_rank": lambda sc, e: _equal(e["value"], torus_rank(sc.strata)),
     "classify_curve_fiber": _check_classify_curve,
     "classify_snc_fiber": lambda sc, e: _classification_matches(
         e, classify_snc_fiber(sc.strata, sc.h1_structure)),

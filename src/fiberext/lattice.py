@@ -5,6 +5,15 @@ matrix of pairwise intersection numbers of its irreducible components
 together with their multiplicities in the scheme fiber.  The solvers adjust
 a divisor by vertical components so that the result is numerically trivial
 (or nef) on the fiber, working in exact rational arithmetic throughout.
+
+Solutions are unique up to multiples of the multiplicity vector, which is
+positive everywhere, so they are normalized to 0 at the gauge index 0, the
+first component.  Each lattice is eliminated once
+(``linalg.echelon`` of ``-d * matrix``, the gauge index last): the pivots
+decide semidefiniteness and the kernel dimension, and every extension
+solves with the first n - 1 pivot rows.  ``denominator_bound`` and, at
+gauge multiplicity 1, ``component_group`` read one Smith diagonal of the
+gauge-reduced matrix.
 """
 
 from __future__ import annotations
@@ -102,12 +111,14 @@ class FiberLattice:
         return self._integer_matrix[0] == 1
 
     @cached_property
-    def _gauge_reduced(self) -> tuple[list[int], list[list[int]]]:
-        """The indices off the gauge index, and the integer matrix on them."""
-        i0 = _gauge_index(self)
-        idx = [i for i in range(self.size) if i != i0]
+    def _elimination(self) -> list:
+        """The ``linalg.echelon`` pivots of ``-A`` (``A = d * matrix``) with
+        the gauge index last: on a valid lattice the first n - 1 are the
+        diagonal pivots of the positive-definite gauge-reduced block."""
+        order = [*range(1, self.size), 0]
         a = self._integer_matrix[1]
-        return idx, [[a[i][j] for j in idx] for i in idx]
+        return linalg.echelon([{k: -a[i][j] for k, j in enumerate(order) if a[i][j]} for i in order],
+                              self.size)[0]
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -126,7 +137,11 @@ class FiberLattice:
             "" if trivial else f"matrix * multiplicities = {[Fraction(x, d) for x in mc]}",
         ))
 
-        nsd, rank = _semidefinite_rank([[-x for x in row] for row in a]) if symmetric else (False, 0)
+        # -A is semidefinite iff every pivot is positive and on the diagonal:
+        # diagonal pivots are principal minors, and where a semidefinite
+        # Schur complement has a zero diagonal entry its row and column are 0.
+        pivots = self._elimination
+        nsd = symmetric and all(i == c and row[c] > 0 for i, c, row in pivots)
         checks.append((
             "negative_semidefinite",
             nsd,
@@ -134,7 +149,7 @@ class FiberLattice:
         ))
 
         if self.connected:
-            kernel_dim = n - rank if nsd else len(linalg.rational_kernel(a, n))
+            kernel_dim = n - len(pivots)
             # M c = 0 with c != 0 puts c in the kernel, so c spans it iff it is a line.
             ok = trivial and kernel_dim == 1
             checks.append((
@@ -146,15 +161,23 @@ class FiberLattice:
         return ValidationReport(tuple(checks))
 
     @cached_property
-    def _denominator_bound(self) -> int:
-        diag = linalg.snf_diagonal(linalg.sparse(self._gauge_reduced[1]))
-        return diag[-1] if diag else 1
+    def _reduced_diagonal(self) -> list[int]:
+        """Smith diagonal of the integer matrix with the gauge row and column
+        deleted (``snf_diagonal`` needs no contiguous column labels)."""
+        rows = self._integer_matrix[1][1:]
+        return linalg.snf_diagonal([{j: x for j, x in enumerate(row) if j > 0 and x} for row in rows])
 
     @cached_property
     def _component_group(self) -> FiniteAbelianGroup:
         # M c = 0 puts im M inside c-perp, and Z^n / c-perp is free, so
         # Z^n / im M = c-perp / im M + Z: the torsion is that of coker M.
-        diag = linalg.snf_diagonal(linalg.sparse(self._integer_matrix[1]))
+        # If c is 1 at the gauge index 0, deleting that coordinate maps c-perp
+        # onto Z^(n-1), and im M onto im M' (M e_0 is a combination of the
+        # other columns), so the group is coker M' of the gauge-reduced M'.
+        if self.multiplicities[0] == 1:
+            diag = self._reduced_diagonal
+        else:
+            diag = linalg.snf_diagonal(linalg.sparse(self._integer_matrix[1]))
         return FiniteAbelianGroup(tuple([d for d in diag if d > 1]))
 
 
@@ -197,7 +220,10 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
+        for d in factors:
+            if type(d) is not int:
+                raise TypeError(f"invariant factors must be integers, got {d!r}")
         object.__setattr__(self, "invariant_factors", factors)
         if any(d <= 1 for d in factors):
             raise ValueError("invariant factors must be > 1")
@@ -233,26 +259,6 @@ class ValidationReport:
         return [name for name, ok, _ in self.checks if not ok]
 
 
-def _semidefinite_rank(a) -> tuple[bool, int]:
-    """Exact PSD test and rank of a symmetric integer matrix, in place.
-
-    A fraction-free symmetric sweep (Bareiss 1968) over the upper triangle,
-    with diagonal pivots in order.  Each pivot is a principal minor, so it
-    has the sign of the rational pivot while the earlier ones are positive.
-    """
-    prev, rank = 1, 0
-    for k, prow in enumerate(a):
-        p = prow[k]
-        if p < 0 or (p == 0 and any(prow[k + 1:])):
-            return False, rank
-        if p:
-            for i in range(k + 1, len(a)):
-                row, f = a[i], prow[i]
-                row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], prow[i:])]
-            prev, rank = p, rank + 1
-    return True, rank
-
-
 def validate_lattice(lattice: FiberLattice) -> ValidationReport:
     """Check the Zariski-lemma invariants of a fiber lattice."""
     return lattice._validation
@@ -266,31 +272,26 @@ def _require_valid_connected(lattice: FiberLattice, op: str) -> None:
         raise PreconditionError(f"{op} requires a valid lattice; failed: {report.failed()}")
 
 
-def _gauge_index(lattice: FiberLattice) -> int:
-    return next(i for i, c in enumerate(lattice.multiplicities) if c != 0)
-
-
 def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) -> ExtensionResult:
     """Solve matrix @ x = targets - trace with x fixed to 0 at the gauge index.
 
     ``targets`` is an ``_exact`` triple.  The reduced matrix (gauge row and
     column deleted) is negative definite, hence invertible; solvability of
     the full system is the caller's burden.  It runs in integers: with
-    ``A = d * matrix`` and ``targets - trace = w / m``, it solves ``A y = d w``
-    and returns ``x = y / m``.
+    ``A = d * matrix`` and ``targets - trace = w / m``, the lattice's cached
+    elimination of ``-A`` solves ``-A y = -d e w`` on the rows off the gauge
+    index (e the determinant of their block), and ``x = y / (e m)``.
     """
     d, a = lattice._integer_matrix
-    idx, reduced = lattice._gauge_reduced
-    i0 = _gauge_index(lattice)
     goal, mt, t = targets
     mv, v = trace._integer_values
     m = lcm(mt, mv)
     w = [x * (m // mt) - y * (m // mv) for x, y in zip(t, v)]
-    sub = linalg.solve_rational(reduced, [d * w[i] for i in idx])
+    sub = linalg.solve_eliminated(lattice._elimination, [-d * x for x in w[1:]])
     if sub is None:
         raise ArithmeticError("certificate failure: the gauge-reduced matrix is singular")
-    e, y = linalg.common_denominator(sub)
-    y = y[:i0] + [0] + y[i0:]
+    e, y = sub
+    y = [0] + y
     # x = y / (e m) meets the targets iff A y = d e w, on every row.
     ay = [sum(map(mul, row, y)) for row in a]
     if ay != [d * e * x for x in w]:
@@ -298,7 +299,7 @@ def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) ->
         raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(goal)}")
     den = e * m
     sol = tuple([Fraction(k, den) for k in y])
-    return ExtensionResult(sol, den // gcd(den, *y), f"{symbol}[{i0}] = 0", goal)
+    return ExtensionResult(sol, den // gcd(den, *y), f"{symbol}[0] = 0", goal)
 
 
 def extend_trivial(lattice: FiberLattice, trace: DivisorTrace):
@@ -323,12 +324,11 @@ def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
     """
     _require_valid_connected(lattice, "extend_nef")
     total = trace.total(lattice)
-    i0 = _gauge_index(lattice)
     if targets is None:
         if total < 0:
             return Obstructed("negative total: no nonnegative targets exist", total)
         d = [0] * lattice.size
-        d[i0] = total / lattice.multiplicities[i0]
+        d[0] = total / lattice.multiplicities[0]
         d = _exact(d)
     else:
         d = _exact(targets)
@@ -352,7 +352,8 @@ def denominator_bound(lattice: FiberLattice) -> int:
     _require_valid_connected(lattice, "denominator_bound")
     if not lattice.is_integral():
         raise ValueError("denominator_bound requires an integer intersection matrix")
-    return lattice._denominator_bound
+    diag = lattice._reduced_diagonal
+    return diag[-1] if diag else 1
 
 
 def component_group(lattice: FiberLattice) -> FiniteAbelianGroup:

@@ -5,11 +5,13 @@ values.  Nothing here ever touches floating point.  Matrices are lists of
 rows; an empty matrix must be accompanied by an explicit column count where
 the shape is ambiguous.
 
-Rational systems are solved without rational arithmetic: each row is scaled
-to integers by the lcm of its denominators (an all-int row is taken as it
-is, with no per-entry arithmetic), one fraction-free (Bareiss)
-elimination brings the matrix to echelon form with exact integer divisions,
-and ``Fraction`` values are created only in the back-substitution.
+Rational systems are solved in integers by ``echelon``, a sparse
+fraction-free (Bareiss) elimination of rows scaled to integers, with
+``Fraction`` values made only in the back-substitution.  A fiber lattice is
+eliminated once, and ``solve_eliminated`` reuses its pivot rows for every
+right-hand side.  ``solve_rational`` and ``rational_kernel`` wrap
+``echelon`` for general systems; the package no longer calls them, but the
+benchmark's tracer wraps both by name, so they stay.
 
 Invariant factors (``snf_diagonal``) and quotients (``lattice_quotient``)
 take sparse rows only: one ``{column: nonzero int}`` dict per row, read and
@@ -331,64 +333,87 @@ def lattice_quotient(rels, n):
 
 
 # ---------------------------------------------------------------------------
-# Rational elimination, fraction-free
+# Rational elimination, sparse and fraction-free
 # ---------------------------------------------------------------------------
 
-def _echelon(rows, ncols):
-    """Fraction-free row echelon form (Bareiss 1968) of an integer matrix.
+def echelon(rows, ncols):
+    """Fraction-free echelon form (Bareiss 1968) of the integer matrix with
+    the given sparse rows of nonzero entries, which are never written.
 
-    ``rows`` is a list the routine reorders and refills; the row lists in it
-    are read, never written.  Pivots are searched in the first ``ncols``
-    columns only, so augmented columns ride along.  Every division is exact:
-    after step k each entry is a (k+1)-minor of the row-permuted matrix, so
-    the last pivot is the determinant of the pivot block.  Returns
-    ``(rows, pivots)``.
+    In each of the first ``ncols`` columns the first row not yet pivoted on
+    with an entry there is pivoted on.  Returns ``(pivots, rest)``: per pivot
+    ``(i, col, row)``, row i as pivoted on (entries are minors, the last
+    pivot the determinant of the pivot block), and the other rows, exact in
+    their nonzero pattern only.  Rows without an entry in the pivot column
+    are not touched: one left after s pivots is brought to level t as
+    ``x * q[t] // q[s]`` (``q`` the pivots after a leading 1), exact since
+    each skipped step was ``x * q[k] // q[k - 1]``.
     """
-    pivots, prev = [], 1
+    rows, level, q, pivots = list(rows), [0] * len(rows), [1], []
+    live = list(range(len(rows)))
     for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
+        hits = [i for i in live if col in rows[i]]
+        if not hits:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow, p = rows[r], rows[r][col]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [0] * col + [(p * a - f * b) // prev for a, b in zip(rows[i][col:], prow[col:])]
-        pivots.append(col)
-        prev = p
-    return rows, pivots
+        r, i = len(pivots), hits[0]
+        prow = _at_level(rows[i], level[i], r, q)
+        p = prow[col]
+        for j in hits[1:]:
+            row = _at_level(rows[j], level[j], r, q)
+            f, new = row[col], {c: p * x for c, x in row.items()}
+            for c, y in prow.items():
+                new[c] = new.get(c, 0) - f * y
+            rows[j], level[j] = {c: x // q[r] for c, x in new.items() if x}, r + 1
+        live.remove(i)
+        pivots.append((i, col, prow))
+        q.append(p)
+    return pivots, [rows[i] for i in live]
 
 
-def _back_substitute(rows, pivots, col, n):
-    """``x`` in Q^n, 0 off the pivots, with ``rows[:, pivots] @ x == rows[:, col]``.
+def _at_level(row, s, t, q):
+    return row if s == t else {c: x * q[t] // q[s] for c, x in row.items()}
 
-    ``d * x`` is integral by Cramer's rule (d the last pivot), so the
-    substitution runs in integers and Fractions appear only at the end.
+
+def _back_substitute(pivots, b):
+    """``(d, d * x)``, d the last pivot, for x on the pivot columns (a dict)
+    with each pivot row times x equal to its entry of ``b``; every division
+    is exact, as ``d * x`` is integral by Cramer's rule."""
+    d, y = (pivots[-1][2][pivots[-1][1]] if pivots else 1), {}
+    for (_, c, row), bk in zip(reversed(pivots), reversed(b)):
+        y[c] = (d * bk - sum([x * y[j] for j, x in row.items() if j in y])) // row[c]
+    return d, y
+
+
+def solve_eliminated(pivots, rhs):
+    """``(det, det * x)`` with ``B x = rhs``, B the leading m x m block
+    (m = ``len(rhs)``) of a symmetric matrix whose first m ``echelon``
+    pivots are its first m diagonal entries, else ``None``.  Nothing is
+    factored: by symmetry the multiplier of row j at pivot k is entry j of
+    pivot row k, so ``rhs`` is eliminated with the pivot rows alone.
     """
-    r = len(pivots)
-    d = rows[r - 1][pivots[-1]] if r else 1
-    y = [0] * r
-    for k in range(r - 1, -1, -1):
-        row = rows[k]
-        acc = d * row[col] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
-        y[k] = acc // row[pivots[k]]
-    x = [Fraction(0)] * n
-    for pcol, v in zip(pivots, y):
-        x[pcol] = Fraction(v, d)
-    return x
+    m = len(rhs)
+    if [(i, c) for i, c, _ in pivots[:m]] != [(k, k) for k in range(m)]:
+        return None
+    q = [1] + [row[k] for _, k, row in pivots[:m]]
+    b, level = list(rhs), [0] * m
+    for k, (_, _, row) in enumerate(pivots[:m]):
+        bk = b[k] = b[k] * q[k] // q[level[k]]
+        for j, f in row.items():
+            if k < j < m:
+                b[j], level[j] = (q[k + 1] * (b[j] * q[k] // q[level[j]]) - f * bk) // q[k], k + 1
+    det, y = _back_substitute(pivots[:m], b)
+    return det, [y[k] for k in range(m)]
 
 
 def rational_kernel(mat, ncols=None):
     """Basis of the rational nullspace ``{x : mat @ x == 0}``: per non-pivot
     column j, the vector that is 1 at j and 0 at the other non-pivot columns."""
     n = len(mat[0]) if mat else (ncols or 0)
-    rows, pivots = _echelon([common_denominator(row)[1] for row in mat], n)
-    basis = []
-    for fcol in (j for j in range(n) if j not in pivots):
-        vec = [-x for x in _back_substitute(rows, pivots, fcol, n)]
-        vec[fcol] = Fraction(1)
-        basis.append(vec)
+    pivots, _ = echelon(sparse([common_denominator(row)[1] for row in mat]), n)
+    basis, pcols = [], {c for _, c, _ in pivots}
+    for fcol in (j for j in range(n) if j not in pcols):
+        d, y = _back_substitute(pivots, [row.get(fcol, 0) for _, _, row in pivots])
+        basis.append([Fraction(1) if j == fcol else Fraction(-y.get(j, 0), d) for j in range(n)])
     return basis
 
 
@@ -397,7 +422,8 @@ def solve_rational(mat, rhs):
     if not mat:
         return []
     n = len(mat[0])
-    rows, pivots = _echelon([common_denominator([*row, b])[1] for row, b in zip(mat, rhs)], n)
-    if any(row[n] for row in rows[len(pivots):]):
+    pivots, rest = echelon(sparse([common_denominator([*row, b])[1] for row, b in zip(mat, rhs)]), n)
+    if any(n in row for row in rest):
         return None
-    return _back_substitute(rows, pivots, n, n)
+    d, y = _back_substitute(pivots, [row.get(n, 0) for _, _, row in pivots])
+    return [Fraction(y.get(j, 0), d) for j in range(n)]

@@ -258,16 +258,18 @@ def integer_matrix_reference(lattice) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in lattice.matrix]
 
 
-def extend_reference(lattice, trace, targets):
+def extend_reference(lattice, trace, targets, solve=solve_rational_reference):
     """``(coefficients, denominator, achieved trace)`` of the solution of
     ``matrix @ x = targets - trace`` with x = 0 at the first component of
-    nonzero multiplicity, all in ``Fraction`` arithmetic."""
+    nonzero multiplicity, all in ``Fraction`` arithmetic.  ``solve`` solves
+    the gauge-reduced system; large lattices pass
+    ``solve_rational_dense_reference``, the path the extension took before."""
     n = lattice.size
     mat = lattice.matrix
     i0 = next(i for i, c in enumerate(lattice.multiplicities) if c)
     idx = [i for i in range(n) if i != i0]
     rhs = [Fraction(targets[i]) - trace.values[i] for i in idx]
-    sub = solve_rational_reference([[mat[i][j] for j in idx] for i in idx], rhs)
+    sub = solve([[mat[i][j] for j in idx] for i in idx], rhs)
     sol = sub[:i0] + [Fraction(0)] + sub[i0:]
     achieved = [v + sum(mat[i][j] * sol[j] for j in range(n)) for i, v in enumerate(trace.values)]
     return tuple(sol), lcm(*[x.denominator for x in sol]), tuple(achieved)
@@ -296,8 +298,34 @@ def positive_semidefinite_reference(mat) -> bool:
     return True
 
 
-def validation_checks_reference(lattice):
-    """``ValidationReport.checks`` of a fiber lattice, by the reference path."""
+def semidefinite_rank_reference(a) -> tuple[bool, int]:
+    """Exact PSD test and rank of a symmetric integer matrix, in place, as
+    the package computed them before its sparse elimination.
+
+    A dense fraction-free symmetric sweep (Bareiss 1968) over the upper
+    triangle, with diagonal pivots in order.  Each pivot is a principal
+    minor, so it has the sign of the rational pivot while the earlier ones
+    are positive.
+    """
+    prev, rank = 1, 0
+    for k, prow in enumerate(a):
+        p = prow[k]
+        if p < 0 or (p == 0 and any(prow[k + 1:])):
+            return False, rank
+        if p:
+            for i in range(k + 1, len(a)):
+                row, f = a[i], prow[i]
+                row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], prow[i:])]
+            prev, rank = p, rank + 1
+    return True, rank
+
+
+def validation_checks_reference(lattice, semidefinite=positive_semidefinite_reference,
+                                kernel=rational_kernel_reference):
+    """``ValidationReport.checks`` of a fiber lattice, by the reference path.
+
+    ``semidefinite`` tests the negated matrix and ``kernel`` gives a basis of
+    the rational nullspace; large lattices pass dense integer routines."""
     n = lattice.size
     mat = lattice.matrix
     checks = []
@@ -313,7 +341,7 @@ def validation_checks_reference(lattice):
         "" if trivial else f"matrix * multiplicities = {mc}",
     ))
 
-    nsd = symmetric and positive_semidefinite_reference([[-x for x in row] for row in mat])
+    nsd = symmetric and semidefinite([[-x for x in row] for row in mat])
     checks.append((
         "negative_semidefinite",
         nsd,
@@ -321,7 +349,7 @@ def validation_checks_reference(lattice):
     ))
 
     if lattice.connected:
-        kernel = rational_kernel_reference([list(r) for r in mat], n)
+        kernel = kernel([list(r) for r in mat], n)
         ok = len(kernel) == 1 and trivial
         if ok:
             vec = kernel[0]
@@ -641,3 +669,72 @@ def build_dual_complex_reference(strata):
         for r in range(1, len(strata.levels))
     )
     return DeltaComplex(ids, facets)
+
+
+# ---------------------------------------------------------------------------
+# Reference path for the sparse echelon: the dense fraction-free Bareiss
+# solvers the package ran before, kept verbatim apart from their names.
+# Lattices such as I_160 are too large for the Fraction Gauss-Jordan above.
+# ---------------------------------------------------------------------------
+
+def _scaled(row):
+    """``row`` times the lcm of its denominators, as ints."""
+    m = lcm(*[Fraction(x).denominator for x in row])
+    return [int(Fraction(x) * m) for x in row]
+
+
+def _dense_echelon(rows, ncols):
+    """Fraction-free row echelon form (Bareiss 1968) of an integer matrix,
+    dense; returns ``(rows, pivots)``."""
+    pivots, prev = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow, p = rows[r], rows[r][col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [0] * col + [(p * a - f * b) // prev for a, b in zip(rows[i][col:], prow[col:])]
+        pivots.append(col)
+        prev = p
+    return rows, pivots
+
+
+def _dense_back_substitute(rows, pivots, col, n):
+    """``x``, 0 off the pivots, with ``rows[:, pivots] @ x == rows[:, col]``."""
+    r = len(pivots)
+    d = rows[r - 1][pivots[-1]] if r else 1
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = rows[k]
+        acc = d * row[col] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+        y[k] = acc // row[pivots[k]]
+    x = [Fraction(0)] * n
+    for pcol, v in zip(pivots, y):
+        x[pcol] = Fraction(v, d)
+    return x
+
+
+def rational_kernel_dense_reference(mat, ncols=None):
+    """``rational_kernel_reference`` by the dense fraction-free path."""
+    n = len(mat[0]) if mat else (ncols or 0)
+    rows, pivots = _dense_echelon([_scaled(row) for row in mat], n)
+    basis = []
+    for fcol in (j for j in range(n) if j not in pivots):
+        vec = [-x for x in _dense_back_substitute(rows, pivots, fcol, n)]
+        vec[fcol] = Fraction(1)
+        basis.append(vec)
+    return basis
+
+
+def solve_rational_dense_reference(mat, rhs):
+    """``solve_rational_reference`` by the dense fraction-free path."""
+    if not mat:
+        return []
+    n = len(mat[0])
+    rows, pivots = _dense_echelon([_scaled([*row, b]) for row, b in zip(mat, rhs)], n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None
+    return _dense_back_substitute(rows, pivots, n, n)

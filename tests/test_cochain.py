@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -189,6 +191,11 @@ class TestH1:
         assert invariant_factor_chain([2, 2, 3]) == (2, 6)
         assert invariant_factor_chain([4, 6]) == (2, 12)
         assert invariant_factor_chain([]) == ()
+
+    @pytest.mark.parametrize("orders", [[6.7, True], [True], [6.0], ["6"], [2, Fraction(4)]])
+    def test_invariant_factor_chain_rejects_non_integers(self, orders):
+        with pytest.raises(TypeError, match="orders must be integers"):
+            invariant_factor_chain(orders)
 
     def test_universal_coefficients_on_corpus(self, corpus_complexes):
         for _, cx in corpus_complexes:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fiberext import corpus
@@ -54,3 +56,15 @@ def test_unknown_scenario_rejected():
         corpus.load_scenario("no-such-scenario")
     with pytest.raises(KeyError):
         corpus.run_scenario("no-such-scenario")
+
+
+@pytest.mark.parametrize("index, key, value", [(2, "value", "2"), (3, "denominator_divides", True),
+                                               (3, "denominator", "1"), (2, "value", None)])
+def test_non_integer_expectation_fails_naming_its_path(tmp_path, monkeypatch, index, key, value):
+    data = json.loads((corpus._scenario_dir() / "kodaira-I2-family.json").read_text())
+    data["expect"][index][key] = value
+    (tmp_path / "probe.json").write_text(json.dumps(data))
+    monkeypatch.setattr(corpus, "_scenario_dir", lambda: tmp_path)
+    checks = corpus.run_scenario("probe").checks
+    assert [c.passed for c in checks] == [k != index for k in range(4)]
+    assert checks[index].actual == f"TypeError: expect[{index}].{key} must be an integer, got {value!r}"

@@ -6,7 +6,6 @@ import io
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,10 +29,10 @@ def test_package_has_no_assert_statements():
 
 @pytest.fixture
 def wrong_solver(monkeypatch):
-    def solve(mat, rhs):
-        return [Fraction(1)] * len(mat[0])
+    def solve(pivots, rhs):
+        return 1, [1] * len(rhs)
 
-    monkeypatch.setattr(linalg, "solve_rational", solve)
+    monkeypatch.setattr(linalg, "solve_eliminated", solve)
 
 
 def test_extend_trivial_rejects_a_wrong_solution(wrong_solver):
@@ -47,7 +46,7 @@ def test_extend_nef_rejects_a_wrong_solution(wrong_solver):
 
 
 def test_singular_reduced_system_is_a_certificate_failure(monkeypatch):
-    monkeypatch.setattr(linalg, "solve_rational", lambda mat, rhs: None)
+    monkeypatch.setattr(linalg, "solve_eliminated", lambda pivots, rhs: None)
     with pytest.raises(ArithmeticError, match="certificate failure"):
         extend_trivial(kodaira_cycle(3), DivisorTrace((1, -1, 0)))
 

@@ -239,3 +239,6 @@ def test_finite_group_invariants():
     assert FiniteAbelianGroup(()).is_trivial
     with pytest.raises(ValueError):
         FiniteAbelianGroup((4, 6))  # not a divisibility chain
+    for factors in ((2.5, 4.9), (True, 2), (2, "4"), (Fraction(2), 4)):
+        with pytest.raises(TypeError, match="invariant factors must be integers"):
+            FiniteAbelianGroup(factors)
