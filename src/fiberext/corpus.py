@@ -22,7 +22,7 @@ from .pic0 import (
     numerical_triviality_on_fiber,
     ObstructionCertificate,
 )
-from .scenario import Scenario, load_scenario_file, parse_rational
+from .scenario import Scenario, _one, load_scenario_file, parse_rational
 
 
 def _scenario_dir():
@@ -75,22 +75,36 @@ def run_all() -> list[ScenarioReport]:
     return [run_scenario(name) for name in scenario_names()]
 
 
-# Expected values compared with ints as they are: a JSON string or boolean
-# there fails the check instead of being coerced (``abelian_dim`` may be null).
-_INT_KEYS = ("denominator", "denominator_divides", "torus_rank", "abelian_dim", "value")
+# The JSON type of each expected value; a value of another type fails the
+# check instead of being coerced (``abelian_dim`` may be null).
+_KINDS = {"op": str, "valid": bool, "obstructed": bool, "trivial": bool, "closed": bool, "exact": bool,
+          "denominator": int, "denominator_divides": int, "torus_rank": int, "abelian_dim": int, "value": int,
+          **dict.fromkeys(("coefficients", "achieved", "targets", "invariant_factors", "betti", "torsion",
+                           "degrees", "witnesses"), list)}
+
+
+class _Entry(dict):
+    """An ``expect`` entry; reading a key it lacks raises an error naming its path."""
+
+    def __init__(self, entry, i: int):
+        super().__init__(entry)
+        self.at = f"expect[{i}]."
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.at}{key} is missing")
 
 
 def _run_check(sc: Scenario, entry, i: int) -> CheckResult:
-    op = entry["op"]
+    entry = _Entry(entry, i)
+    op = str(entry.get("op", ""))
     provenance = entry.get("provenance", "")
-    handler = _HANDLERS.get(op)
-    if handler is None:
-        return CheckResult(op, False, "known operation", f"unknown op {op!r}", provenance)
     try:
-        for key in _INT_KEYS:
-            want = entry.get(key, 0)
-            if type(want) is not int and not (key == "abelian_dim" and want is None):
-                raise TypeError(f"expect[{i}].{key} must be an integer, got {want!r}")
+        for key, kind in _KINDS.items():
+            if key in entry and not (key == "abelian_dim" and entry[key] is None):
+                _one(entry[key], kind, entry.at + key)
+        handler = _HANDLERS.get(entry["op"])
+        if handler is None:
+            return CheckResult(op, False, "known operation", f"unknown op {op!r}", provenance)
         passed, expected, actual = handler(sc, entry)
     except Exception as exc:  # a crash is a failed check, not a failed run
         return CheckResult(op, False, "no exception", f"{type(exc).__name__}: {exc}", provenance)
@@ -104,7 +118,7 @@ def _equal(want, got, show=str):
 
 def _check_validate(sc, entry):
     report = lattice_mod.validate_lattice(sc.lattice)
-    want = bool(entry["valid"])
+    want = entry["valid"]
     return report.valid == want, f"valid={want}", f"valid={report.valid}, failed={report.failed()}"
 
 
@@ -178,12 +192,12 @@ def _check_classify_curve(sc, entry):
 def _check_numerical_triviality(sc, entry):
     fiber = sc.curve_fibers[entry.get("fiber", "default")]
     got = numerical_triviality_on_fiber(fiber, [parse_rational(d) for d in entry["degrees"]])
-    return _equal(bool(entry["trivial"]), got, "trivial={}".format)
+    return _equal(entry["trivial"], got, "trivial={}".format)
 
 
 def _check_is_closed(sc, entry):
     result = cochain_mod.is_closed(sc.cochain)
-    ok = result.closed == bool(entry["closed"])
+    ok = result.closed == entry["closed"]
     if "witness" in entry:
         ok &= result.witness == entry["witness"]
     return ok, f"closed={entry['closed']}", f"closed={result.closed}, witness={result.witness}"
@@ -191,12 +205,12 @@ def _check_is_closed(sc, entry):
 
 def _check_is_exact(sc, entry):
     got = not isinstance(cochain_mod.is_exact(sc.cochain), cochain_mod.NotExact)
-    return _equal(bool(entry["exact"]), got, "exact={}".format)
+    return _equal(entry["exact"], got, "exact={}".format)
 
 
 def _check_h1_class(sc, entry):
     cls = cochain_mod.h1_class(sc.cochain)
-    want = bool(entry["trivial"])
+    want = entry["trivial"]
     return cls.is_trivial == want, f"trivial={want}", (
         f"trivial={cls.is_trivial}, H1={cls.group_profile}"
     )
@@ -205,7 +219,7 @@ def _check_h1_class(sc, entry):
 def _check_obstruction(sc, entry):
     result = extension_obstruction(sc.obstruction)
     got = isinstance(result, ObstructionCertificate)
-    want = bool(entry["obstructed"])
+    want = entry["obstructed"]
     ok = got == want
     if ok and got and "witnesses" in entry:
         ok = set(result.witnesses) == set(entry["witnesses"])

@@ -8,12 +8,13 @@ a divisor by vertical components so that the result is numerically trivial
 
 Solutions are unique up to multiples of the multiplicity vector, which is
 positive everywhere, so they are normalized to 0 at the gauge index 0, the
-first component.  Each lattice is eliminated once
-(``linalg.echelon`` of ``-d * matrix``, the gauge index last): the pivots
-decide semidefiniteness and the kernel dimension, and every extension
-solves with the first n - 1 pivot rows.  ``denominator_bound`` and, at
-gauge multiplicity 1, ``component_group`` read one Smith diagonal of the
-gauge-reduced matrix.
+first component.  Every check, elimination, Smith diagonal and certificate
+reads one integer form, the sparse rows of ``d * matrix``.  It is
+eliminated once (``linalg.echelon`` of ``-d * matrix``, the gauge index
+last): the pivots decide semidefiniteness and the kernel dimension, and
+every extension solves with the first n - 1 pivot rows.
+``denominator_bound`` and, at gauge multiplicity 1, ``component_group``
+read one Smith diagonal of the gauge-reduced matrix.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ class FiberLattice:
 
     ``matrix[i][j]`` is the intersection number of components i and j;
     ``multiplicities`` are their coefficients in the scheme-theoretic fiber.
-    The integer form ``(d, d * matrix)`` is built with the Fraction tuples,
-    and invariants are computed at most once per instance and cached on it;
-    neither is a field, so equality, hashing and repr ignore them.
+    The integer form ``(d, rows)``, row i the ``{j: d * matrix[i][j]}`` dict
+    of nonzero entries, is built with the Fraction tuples, and invariants
+    are computed at most once per instance and cached on it; neither is a
+    field, so equality, hashing and repr ignore them.
     """
 
     labels: tuple[str, ...]
@@ -94,7 +96,7 @@ class FiberLattice:
         d = lcm(*[m for _, m, _ in rows])
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_integer_matrix",
-                           (d, [a if m == d else [x * (d // m) for x in a] for _, m, a in rows]))
+                           (d, [{j: x * (d // m) for j, x in enumerate(a) if x} for _, m, a in rows]))
         object.__setattr__(self, "multiplicities", tuple([_multiplicity(c) for c in self.multiplicities]))
         if len(mat) != n or any(len(row) != n for row in mat):
             raise ValueError("intersection matrix must be square and match the labels")
@@ -115,10 +117,8 @@ class FiberLattice:
         """The ``linalg.echelon`` pivots of ``-A`` (``A = d * matrix``) with
         the gauge index last: on a valid lattice the first n - 1 are the
         diagonal pivots of the positive-definite gauge-reduced block."""
-        order = [*range(1, self.size), 0]
-        a = self._integer_matrix[1]
-        return linalg.echelon([{k: -a[i][j] for k, j in enumerate(order) if a[i][j]} for i in order],
-                              self.size)[0]
+        n, a = self.size, self._integer_matrix[1]
+        return linalg.echelon([{(j - 1) % n: -x for j, x in row.items()} for row in a[1:] + a[:1]], n)[0]
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -126,10 +126,10 @@ class FiberLattice:
         checks = []
 
         d, a = self._integer_matrix
-        symmetric = all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
+        symmetric = all(a[j].get(i) == x for i, row in enumerate(a) for j, x in row.items())
         checks.append(("symmetric", symmetric, "" if symmetric else "matrix is not symmetric"))
 
-        mc = [sum(map(mul, row, self.multiplicities)) for row in a]
+        mc = [sum([x * self.multiplicities[j] for j, x in row.items()]) for row in a]
         trivial = not any(mc)
         checks.append((
             "fiber_class_trivial",
@@ -164,8 +164,7 @@ class FiberLattice:
     def _reduced_diagonal(self) -> list[int]:
         """Smith diagonal of the integer matrix with the gauge row and column
         deleted (``snf_diagonal`` needs no contiguous column labels)."""
-        rows = self._integer_matrix[1][1:]
-        return linalg.snf_diagonal([{j: x for j, x in enumerate(row) if j > 0 and x} for row in rows])
+        return linalg.snf_diagonal([{j: x for j, x in row.items() if j} for row in self._integer_matrix[1][1:]])
 
     @cached_property
     def _component_group(self) -> FiniteAbelianGroup:
@@ -177,7 +176,7 @@ class FiberLattice:
         if self.multiplicities[0] == 1:
             diag = self._reduced_diagonal
         else:
-            diag = linalg.snf_diagonal(linalg.sparse(self._integer_matrix[1]))
+            diag = linalg.snf_diagonal(self._integer_matrix[1])
         return FiniteAbelianGroup(tuple([d for d in diag if d > 1]))
 
 
@@ -293,7 +292,7 @@ def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) ->
     e, y = sub
     y = [0] + y
     # x = y / (e m) meets the targets iff A y = d e w, on every row.
-    ay = [sum(map(mul, row, y)) for row in a]
+    ay = [sum([x * y[j] for j, x in row.items()]) for row in a]
     if ay != [d * e * x for x in w]:
         achieved = [x + Fraction(r, d * e * m) for x, r in zip(trace.values, ay)]
         raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(goal)}")

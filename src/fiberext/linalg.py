@@ -16,8 +16,9 @@ benchmark's tracer wraps both by name, so they stay.
 Invariant factors (``snf_diagonal``) and quotients (``lattice_quotient``)
 take sparse rows only: one ``{column: nonzero int}`` dict per row, read and
 never written, so a caller may hand in rows it shares (the boundary rows a
-``DeltaComplex`` caches).  ``sparse`` and ``dense`` convert at the call
-sites that hold dense matrices.  The elimination is transform-free: unit
+``DeltaComplex`` caches, the integer rows of a ``FiberLattice``).
+``sparse`` and ``dense`` convert for the general rational solvers and the
+dense boundary matrices.  The elimination is transform-free: unit
 pivots first, and whenever no +-1 entry is left the residue is divided by
 its content, so boundary matrices and the mapping-cone relations of
 cohomology (``n`` at one entry beside +-1 incidences) never reach a dense

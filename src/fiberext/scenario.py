@@ -228,9 +228,11 @@ def parse_scenario(data) -> Scenario:
         curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
     curve_fibers.update(section("curve_fibers", curve_fiber_table, dict, {}))
     strata = section("strata", parse_strata)
+    if "name" not in data:
+        raise ValueError("name is missing")
     return Scenario(
-        name=_get(data, "name", str, ""),
-        citation=data.get("citation", ""),
+        name=section("name", str, str),
+        citation=section("citation", str, str, ""),
         lattice=section("lattice", parse_lattice),
         trace=section("trace", parse_trace),
         strata=strata,

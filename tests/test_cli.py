@@ -325,7 +325,7 @@ class TestMalformedScenario:
         data[section][key] = 7
         assert repr(section) in self.run(tmp_path, capsys, command, data)
 
-    @pytest.mark.parametrize("section", ["lattice", "strata", "curve_fibers", "expect"])
+    @pytest.mark.parametrize("section", ["lattice", "strata", "curve_fibers", "expect", "name", "citation"])
     def test_section_of_wrong_type(self, tmp_path, capsys, section):
         data = {"name": "x", section: 7}
         assert repr(section) in self.run(tmp_path, capsys, "pic0", data)

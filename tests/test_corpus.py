@@ -58,13 +58,47 @@ def test_unknown_scenario_rejected():
         corpus.run_scenario("no-such-scenario")
 
 
-@pytest.mark.parametrize("index, key, value", [(2, "value", "2"), (3, "denominator_divides", True),
-                                               (3, "denominator", "1"), (2, "value", None)])
-def test_non_integer_expectation_fails_naming_its_path(tmp_path, monkeypatch, index, key, value):
-    data = json.loads((corpus._scenario_dir() / "kodaira-I2-family.json").read_text())
-    data["expect"][index][key] = value
+MISSING = object()
+
+
+def probe_checks(tmp_path, monkeypatch, name, index, key, value):
+    """The checks of bundled scenario ``name`` with ``expect[index][key]``
+    set to ``value``, or deleted if it is ``MISSING``."""
+    data = json.loads((corpus._scenario_dir() / f"{name}.json").read_text())
+    if value is MISSING:
+        del data["expect"][index][key]
+    else:
+        data["expect"][index][key] = value
     (tmp_path / "probe.json").write_text(json.dumps(data))
     monkeypatch.setattr(corpus, "_scenario_dir", lambda: tmp_path)
     checks = corpus.run_scenario("probe").checks
-    assert [c.passed for c in checks] == [k != index for k in range(4)]
-    assert checks[index].actual == f"TypeError: expect[{index}].{key} must be an integer, got {value!r}"
+    assert [c.passed for c in checks] == [k != index for k in range(len(checks))]
+    return checks[index]
+
+
+@pytest.mark.parametrize("index, key, value", [(2, "value", "2"), (3, "denominator_divides", True),
+                                               (3, "denominator", "1"), (2, "value", None)])
+def test_non_integer_expectation_fails_naming_its_path(tmp_path, monkeypatch, index, key, value):
+    check = probe_checks(tmp_path, monkeypatch, "kodaira-I2-family", index, key, value)
+    assert check.actual == f"TypeError: expect[{index}].{key} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name, index, key, value, actual", [
+    # A string "false" was once read by bool() as true, and passed.
+    ("kodaira-I2-family", 0, "valid", "false", "TypeError: expect[0].valid must be true or false, got 'false'"),
+    ("kodaira-I2-family", 0, "valid", 1, "TypeError: expect[0].valid must be true or false, got 1"),
+    ("kodaira-I2-family", 3, "obstructed", "no", "TypeError: expect[3].obstructed must be true or false, got 'no'"),
+    ("cochain-triangle-closed", 0, "closed", 1, "TypeError: expect[0].closed must be true or false, got 1"),
+    ("kodaira-I2-family", 1, "op", ["component_group"],
+     "TypeError: expect[1].op must be a string, got ['component_group']"),
+    ("kodaira-I2-family", 1, "op", MISSING, "ValueError: expect[1].op is missing"),
+    ("kodaira-I2-family", 2, "value", MISSING, "ValueError: expect[2].value is missing"),
+    ("kodaira-I2-family", 1, "invariant_factors", MISSING, "ValueError: expect[1].invariant_factors is missing"),
+    ("example-3.7-cubic-curves", 0, "fiber", "no-such-fiber", "KeyError: 'no-such-fiber'"),
+    # A string was once compared as the set of its characters.
+    ("example-5.1-obstruction", 0, "witnesses", "type-II-point",
+     "TypeError: expect[0].witnesses must be a list, got 'type-II-point'"),
+])
+def test_malformed_expectation_is_a_failed_check_naming_its_path(tmp_path, monkeypatch, name, index, key, value,
+                                                                 actual):
+    assert probe_checks(tmp_path, monkeypatch, name, index, key, value).actual == actual

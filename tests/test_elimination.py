@@ -35,8 +35,9 @@ def with_matrix(lat, mat, mult=None):
 
 
 def mutants(rng, lat, other):
-    """Invalid variants: a flipped diagonal sign, an asymmetric entry, and
-    two blocks marked connected."""
+    """Invalid variants: a flipped diagonal sign, an asymmetric entry, a
+    nonzero off-diagonal entry zeroed on one side only, and two blocks
+    marked connected."""
     n = lat.size
     mat = [list(row) for row in lat.matrix]
     k = rng.randrange(n)
@@ -48,6 +49,12 @@ def mutants(rng, lat, other):
         asym = [row[:] for row in mat]
         asym[i][j] += rng.choice((-1, 1))
         out.append(with_matrix(lat, asym))
+    nonzero = [(i, j) for i in range(n) for j in range(n) if i != j and mat[i][j]]
+    if nonzero:
+        i, j = rng.choice(nonzero)
+        one_sided = [row[:] for row in mat]
+        one_sided[i][j] = 0
+        out.append(with_matrix(lat, one_sided))
     m = other.size
     block = [row + [0] * m for row in mat] + [[0] * n + list(row) for row in other.matrix]
     out.append(with_matrix(lat, block, lat.multiplicities + other.multiplicities))
