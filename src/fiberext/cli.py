@@ -35,7 +35,7 @@ from .pic0 import (
     classify_snc_fiber,
     extension_obstruction,
 )
-from .scenario import load_scenario_file, parse_rational
+from .scenario import load_scenario_file
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,7 +51,7 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
     if args.mode == "trivial":
         result, symbol = extend_trivial(lattice, trace), "a"
     else:
-        targets = [parse_rational(t) for t in args.targets.split(",")] if args.targets else None
+        targets = args.targets.split(",") if args.targets else None
         result, symbol = extend_nef(lattice, trace, targets), "b"
     if isinstance(result, Obstructed):
         value = None if result.value is None else str(result.value)

@@ -11,10 +11,10 @@ Coboundaries are the transposed boundary maps of the complex (``d0 =
 needs no matrix at all: a potential is propagated along a spanning forest
 of the 1-skeleton in the coefficient group and then checked on every edge.
 Closedness is walked at most once per cochain and cached on it.  ``H^1``
-needs no lattice basis: each coefficient factor gives one sparse integer
-relation matrix (``d0`` for ``Z``, the mapping cone of ``n`` for ``Z/n``),
-built straight from the boundary rows the complex caches, and the group is
-read from its invariant factors (see ``cohomology_group``).
+needs no lattice basis: the ``Z`` part reads the invariant factors of B_1
+and B_2 the complex caches, and each ``Z/n`` gives one sparse integer
+relation matrix, the mapping cone of ``n``, built straight from the cached
+boundary rows (see ``cohomology_group``).
 
 Group elements are tuples of Python ints; ``CoefficientGroup`` rejects
 bools, floats and strings instead of truncating them.
@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .dual_complex import DeltaComplex, boundary_rows, homology_degree
+from .dual_complex import DeltaComplex, boundary_rows, homology_degree, invariant_factors
 from .errors import PreconditionError
 
 
@@ -78,9 +78,6 @@ class CoefficientGroup:
 
     def sub(self, a, b):
         return self.reduce(tuple(x - y for x, y in zip(a, b)))
-
-    def neg(self, a):
-        return self.reduce(tuple(-x for x in a))
 
     def scale(self, m, a):
         return self.reduce(tuple(m * x for x in a))
@@ -311,10 +308,12 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     from the cochain complex (not via universal coefficients).
 
     ``ker d1`` is saturated in ``Z^E``, so ``H^1(Z)`` has free rank
-    ``E - rk d0 - rk d1`` and the torsion of ``Z^E / im d0``.  For ``Z/n``,
-    ``C (x) Z/n`` of the free complex C is quasi-isomorphic to the mapping
-    cone of multiplication by n on C (Weibel, *An Introduction to
-    Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
+    ``E - rk d0 - rk d1`` and the torsion of ``Z^E / im d0``, both read
+    from the invariant factors of B_1 and B_2 that the complex caches (the
+    ones ``hom_from_h1`` reads), so no boundary matrix is factored twice.
+    For ``Z/n``, ``C (x) Z/n`` of the free complex C is quasi-isomorphic to
+    the mapping cone of multiplication by n on C (Weibel, *An Introduction
+    to Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
     ``(Z^T + Z^E) / span{(0, d0 e_v), (-d1 e_e, n e_e)}``.  The cone is
     acyclic over Q, so that quotient has free rank exactly T.
     """
@@ -330,9 +329,9 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
 
     orders, rank = [], 0
     if group.rank:
-        free, torsion = linalg.lattice_quotient(b1, n_e)
-        rank = group.rank * (free - len(linalg.snf_diagonal(b2)))
-        orders = torsion * group.rank
+        f1, f2 = invariant_factors(complex, 1), invariant_factors(complex, 2)
+        rank = group.rank * (n_e - len(f1) - len(f2))
+        orders = [d for d in f1 if d > 1] * group.rank
 
     for n in group.torsion:
         # (0, d0 e_v), then (-d1 e_e, n e_e): Z^T first, Z^E shifted by T.
@@ -374,9 +373,7 @@ def h1_class(phi: Cochain) -> H1Class:
     profile = cohomology_group(phi.complex, phi.group)
     expected = hom_from_h1(phi.complex, phi.group)
     if profile != expected:
-        raise ArithmeticError(
-            f"H^1 computation disagrees with Hom(H_1, A): {profile} vs {expected}"
-        )
+        raise ArithmeticError(f"H^1 computation disagrees with Hom(H_1, A): {profile} vs {expected}")
     return H1Class(phi, profile)
 
 

@@ -22,7 +22,7 @@ from .pic0 import (
     numerical_triviality_on_fiber,
     ObstructionCertificate,
 )
-from .scenario import Scenario, _one, load_scenario_file, parse_rational
+from .scenario import Scenario, _one, load_scenario_file
 
 
 def _scenario_dir():
@@ -126,8 +126,7 @@ def _check_extension(sc, entry):
     if entry["op"] == "extend_trivial":
         result = lattice_mod.extend_trivial(sc.lattice, sc.trace)
     else:
-        targets = [parse_rational(x) for x in entry["targets"]] if "targets" in entry else None
-        result = lattice_mod.extend_nef(sc.lattice, sc.trace, targets)
+        result = lattice_mod.extend_nef(sc.lattice, sc.trace, entry.get("targets"))
     if entry.get("obstructed"):
         ok = isinstance(result, lattice_mod.Obstructed)
         return ok, "obstructed", type(result).__name__
@@ -136,7 +135,7 @@ def _check_extension(sc, entry):
     ok = True
     wants = []
     if "coefficients" in entry:
-        want = tuple(parse_rational(x) for x in entry["coefficients"])
+        want = tuple(lattice_mod.parse_rational(x) for x in entry["coefficients"])
         ok &= result.coefficients == want
         wants.append(f"coefficients={[str(x) for x in want]}")
     if "denominator" in entry:
@@ -146,7 +145,7 @@ def _check_extension(sc, entry):
         ok &= entry["denominator_divides"] % result.denominator == 0
         wants.append(f"denominator | {entry['denominator_divides']}")
     if "achieved" in entry:
-        want = tuple(parse_rational(x) for x in entry["achieved"])
+        want = tuple(lattice_mod.parse_rational(x) for x in entry["achieved"])
         ok &= result.achieved_trace == want
         wants.append(f"achieved={[str(x) for x in want]}")
     actual = (f"coefficients={[str(x) for x in result.coefficients]}, "
@@ -191,7 +190,7 @@ def _check_classify_curve(sc, entry):
 
 def _check_numerical_triviality(sc, entry):
     fiber = sc.curve_fibers[entry.get("fiber", "default")]
-    got = numerical_triviality_on_fiber(fiber, [parse_rational(d) for d in entry["degrees"]])
+    got = numerical_triviality_on_fiber(fiber, [lattice_mod.parse_rational(d) for d in entry["degrees"]])
     return _equal(entry["trivial"], got, "trivial={}".format)
 
 

@@ -5,6 +5,7 @@ matrix of pairwise intersection numbers of its irreducible components
 together with their multiplicities in the scheme fiber.  The solvers adjust
 a divisor by vertical components so that the result is numerically trivial
 (or nef) on the fiber, working in exact rational arithmetic throughout.
+``parse_rational``, the package's one parser, reads every entry and target.
 
 Solutions are unique up to multiples of the multiplicity vector, which is
 positive everywhere, so they are normalized to 0 at the gauge index 0, the
@@ -19,6 +20,7 @@ read one Smith diagonal of the gauge-reduced matrix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -41,14 +43,22 @@ class _IntFractions(dict):
 _FRACTION = _IntFractions({k: Fraction(k) for k in range(-64, 65)})
 
 
-def _to_fraction(x) -> Fraction:
+def parse_rational(x) -> Fraction:
+    """The package's one reader of exact rationals: an int (not a bool), a
+    ``Fraction``, or a string ``p`` or ``p/q`` in ASCII digits, whose digits
+    go to ``int`` (no decimals, exponents, spaces or underscores)."""
     if type(x) is int:
         return _FRACTION[x]
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floating point input is not accepted; use Fraction, int, or 'p/q'")
-    return Fraction(x)
+    match = type(x) is str and re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", x)
+    if not match:
+        raise ValueError(f"not an exact rational: {x!r}")
+    if match[2] and not int(match[2]):
+        raise ValueError(f"zero denominator in rational {x!r}")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:
@@ -61,7 +71,7 @@ def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:
     values = list(values)
     if set(map(type, values)) <= {int}:
         return tuple(list(map(_FRACTION.__getitem__, values))), 1, values
-    fracs = tuple([_to_fraction(x) for x in values])
+    fracs = tuple([parse_rational(x) for x in values])
     return (fracs, *linalg.common_denominator(fracs))
 
 
@@ -318,8 +328,8 @@ def extend_trivial(lattice: FiberLattice, trace: DivisorTrace):
 def extend_nef(lattice: FiberLattice, trace: DivisorTrace, targets=None):
     """Coefficients b with (L + sum b_i C_i) . C_j equal to nonnegative targets.
 
-    When targets are omitted, the whole total is placed on the first
-    component with nonzero multiplicity.
+    Targets are read by ``parse_rational``.  When they are omitted, the
+    whole total is placed on the first component with nonzero multiplicity.
     """
     _require_valid_connected(lattice, "extend_nef")
     total = trace.total(lattice)

@@ -1,7 +1,8 @@
 """Parsing of JSON scenario files.
 
-Rationals are written as integers or strings "p/q"; floating point values
-are rejected outright so no inexact number can leak into a computation.
+Rationals are integers or ``[+-]?[0-9]+(/[0-9]+)?`` strings, read by the
+one parser the library constructors share, ``lattice.parse_rational``;
+float literals are refused, so no inexact number leaks into a computation.
 
 JSON integers in lattice matrices and traces stay Python ints, passed
 through after one ``type(x) is int`` test; only other values go through
@@ -25,26 +26,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .cochain import Cochain, CoefficientGroup
 from .dual_complex import DeltaComplex, SncStrata, Stratum, build_dual_complex
-from .lattice import DivisorTrace, FiberLattice
+from .lattice import DivisorTrace, FiberLattice, parse_rational
 from .pic0 import (
     CurveFiber,
     ObstructionScenario,
     SamplePoint,
     _semi_abelian_type,
 )
-
-
-def parse_rational(x) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"not an exact rational: {x!r}")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational {x!r}") from None
 
 
 def _rationals(values, path: str, *args) -> list:
@@ -246,7 +237,10 @@ def parse_scenario(data) -> Scenario:
 
 def load_scenario_file(path) -> Scenario:
     with open(path) as fh:
-        data = json.load(fh, parse_float=_reject_float)
+        try:
+            data = json.load(fh, parse_float=_reject_float)
+        except RecursionError:
+            raise ValueError("JSON is nested too deeply") from None
     return parse_scenario(data)
 
 

@@ -19,6 +19,7 @@ from fiberext.cochain import (
     NotExact,
     coboundary,
     cohomology_group,
+    h1_class,
     hom_from_h1,
     invariant_factor_chain,
     is_exact,
@@ -217,6 +218,17 @@ class TestOneFactorizationPerComplex:
         assert not isinstance(beta, NotExact)
         assert coboundary(beta) == phi
         assert factored == []
+
+    def test_h1_class_factors_each_boundary_matrix_once(self, factored):
+        """The free part of ``H^1`` and the ``Hom(H_1, A)`` cross-check read
+        the same cached invariant factors of B_1 and B_2; the one other
+        factorization is the mapping cone of 6."""
+        cx = build_dual_complex(simplex_strata(tuple(range(5)), full=False))
+        group = CoefficientGroup(rank=1, torsion=(6,))
+        cls = h1_class(Cochain(cx, group, 1, (group.zero(),) * cx.count(1)))
+        assert cls.group_profile.rank == 0 and cls.group_profile.torsion == ()
+        assert [len(m) for m in factored] == [5, 10, 15]
+        assert factored[:2] == [[dict(row) for row in boundary_rows(cx, r)] for r in (1, 2)]
 
     def test_cache_is_not_a_field(self):
         a = build_dual_complex(simplex_strata((0, 1, 2)))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,10 +300,11 @@ MALFORMED_SOURCES = {
 class TestMalformedScenario:
     """Every malformed file exits 1 with exactly one ``error:`` line."""
 
-    def run(self, tmp_path, capsys, command, data):
+    def run(self, tmp_path, capsys, command, data, *options):
+        """``data`` is written as JSON, or as it is if it is a string."""
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
-        assert main([command, str(path)]) == EXIT_INPUT
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
+        assert main([command, str(path), *options]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
@@ -310,6 +315,11 @@ class TestMalformedScenario:
     def test_top_level_list(self, tmp_path, capsys, command):
         data, _ = MALFORMED_SOURCES[command]
         assert "JSON object" in self.run(tmp_path, capsys, command, [data])
+
+    @pytest.mark.parametrize("command", sorted(MALFORMED_SOURCES))
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        # The decoder's RecursionError once escaped as a 28-line traceback.
+        assert "nested too deeply" in self.run(tmp_path, capsys, command, "[" * 1000 + "]" * 1000)
 
     @pytest.mark.parametrize("command", sorted(MALFORMED_SOURCES))
     def test_null_field(self, tmp_path, capsys, command):
@@ -410,3 +420,43 @@ class TestMalformedScenario:
             key = int(part) if part.isdigit() else part
         node[key] = value
         assert path in self.run(tmp_path, capsys, command, data)
+
+    @pytest.mark.parametrize("command, edit, options, message", [
+        ("extend", lambda d: d["lattice"]["matrix"][1].pop(), (),
+         "intersection matrix must be square and match the labels"),
+        ("extend", lambda d: d["lattice"]["multiplicities"].pop(), (),
+         "multiplicity vector length must match the matrix"),
+        ("extend", lambda d: d["trace"]["values"].pop(), (), "trace length does not match the lattice"),
+        ("extend", lambda d: d["trace"].update(values=[0, 0]), ("--mode", "nef", "--targets", "0"),
+         "target vector length does not match the lattice"),
+        ("cochain", lambda d: d["cochain"]["edge_values"].pop(), (), "cochain of degree 1 needs 2 values, got 1"),
+        ("cochain", lambda d: d.pop("strata"), (), "scenario file lacks a 'strata' section"),
+        ("pic0", lambda d: [d.pop("strata"), d.pop("cochain")], (), "scenario file has no fiber to classify"),
+        ("pic0", lambda d: d.update(curve_fiber={"genera": [-1]}), (), "genera must be nonnegative"),
+    ], ids=["non-square matrix", "multiplicities", "trace length", "target length", "cochain length",
+            "cochain without strata", "no fiber", "negative genus"])
+    def test_inconsistent_input(self, tmp_path, capsys, lattice_file, circle_file, command, edit, options,
+                                message):
+        """Well-typed files whose parts do not fit together."""
+        data = json.loads(open(lattice_file if command == "extend" else circle_file).read())
+        edit(data)
+        assert self.run(tmp_path, capsys, command, data, *options) == f"error: {message}"
+
+
+@pytest.mark.parametrize("source, options", [("file", ()),
+                                             ("targets", ("--mode", "nef", "--targets", "1e100000000,0"))])
+def test_exponent_is_refused_before_any_arithmetic(tmp_path, lattice_file, source, options):
+    """``Fraction("1e100000000")`` builds a 10^8-digit integer; the "p/q"
+    grammar refuses the string first.  The run is a subprocess with a
+    timeout, so a regression fails here instead of hanging the suite."""
+    path = lattice_file
+    if source == "file":
+        data = json.loads(open(lattice_file).read())
+        data["lattice"]["matrix"][1][1] = "1e100000000"
+        path = write(tmp_path, "exponent.json", data)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-m", "fiberext.cli", "extend", path, *options],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout) == (EXIT_INPUT, "")
+    where = "lattice.matrix[1][1]: " if source == "file" else ""
+    assert run.stderr.splitlines() == [f"error: {where}not an exact rational: '1e100000000'"]

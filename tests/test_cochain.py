@@ -117,6 +117,23 @@ class TestClosedness:
             is_closed(beta)
         with pytest.raises(PreconditionError):
             coboundary(Cochain(cx, g, 1, ((0,), (0,), (0,))))
+        with pytest.raises(PreconditionError, match="is_exact expects a 1-cochain"):
+            is_exact(beta)
+
+    def test_arithmetic_needs_one_complex_group_and_degree(self):
+        cx, g = triangle_complex(), CoefficientGroup(rank=1)
+        phi = Cochain(cx, g, 1, ((1,), (2,), (1,)))
+        assert phi + phi - phi == phi
+        others = [Cochain(build_dual_complex(simplex_strata((0, 1))), g, 1, ((1,),)),
+                  Cochain(cx, CoefficientGroup(rank=1, torsion=(2,)), 1, ((1, 0), (2, 1), (1, 1))),
+                  Cochain(cx, g, 0, ((1,), (2,), (1,)))]
+        for other in others:
+            with pytest.raises(ValueError, match="different complexes or groups"):
+                phi + other
+            with pytest.raises(ValueError, match="different complexes or groups"):
+                phi - other
+        with pytest.raises(ValueError, match="cochain of degree 1 needs 3 values, got 2"):
+            Cochain(cx, g, 1, ((1,), (2,)))
 
     def test_exact_implies_closed_random(self, rng, corpus_complexes):
         for _ in range(300):
@@ -183,6 +200,8 @@ class TestExactness:
         phi = Cochain(cx, g, 1, ((1,), (1,), (1,)))
         with pytest.raises(PreconditionError):
             is_exact(phi)
+        with pytest.raises(PreconditionError, match="h1_class expects a closed 1-cochain"):
+            h1_class(phi)
 
 
 class TestH1:

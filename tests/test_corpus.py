@@ -102,3 +102,21 @@ def test_non_integer_expectation_fails_naming_its_path(tmp_path, monkeypatch, in
 def test_malformed_expectation_is_a_failed_check_naming_its_path(tmp_path, monkeypatch, name, index, key, value,
                                                                  actual):
     assert probe_checks(tmp_path, monkeypatch, name, index, key, value).actual == actual
+
+
+@pytest.mark.parametrize("name, index, key, value, expected, actual", [
+    ("kodaira-I2-family", 1, "op", "no_such_op", "known operation", "unknown op 'no_such_op'"),
+    ("kodaira-I2-family", 3, "obstructed", True, "obstructed", "ExtensionResult"),
+    ("nef-extension-two-component", 0, "targets", [1, 0], "an extension",
+     "obstructed: target sum mismatch: sum c_i d_i must equal the total"),
+    ("example-3.7-cubic-curves", 0, "error", "NotSemistable", "NotSemistable", "classified abelian variety"),
+])
+def test_wrong_expectation_is_a_failed_check(tmp_path, monkeypatch, name, index, key, value, expected, actual):
+    check = probe_checks(tmp_path, monkeypatch, name, index, key, value)
+    assert (check.expected, check.actual) == (expected, actual)
+
+
+def test_expected_obstruction_passes():
+    sc = corpus.load_scenario("nef-extension-two-component")
+    check = corpus._run_check(sc, {"op": "extend_nef", "targets": ["1", 0], "obstructed": True}, 0)
+    assert (check.passed, check.expected, check.actual) == (True, "obstructed", "Obstructed")

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from fiberext import linalg
+from fiberext import cochain, linalg
 from fiberext.cli import main
-from fiberext.cochain import CoefficientGroup, cohomology_group
+from fiberext.cochain import Cochain, CoefficientGroup, GroupInvariants, cohomology_group
 from fiberext.dual_complex import build_dual_complex, simplex_strata, strata_from_multigraph
 from fiberext.lattice import DivisorTrace, extend_nef, extend_trivial, kodaira_cycle
 
@@ -24,6 +24,22 @@ def test_package_has_no_assert_statements():
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_has_no_unused_imports():
+    """Every module-level import is read somewhere in its module.
+    ``__init__`` is skipped: its imports are the package's public names."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                found += [f"{path.name}:{node.lineno} {alias.asname or alias.name}" for alias in node.names
+                          if (alias.asname or alias.name).split(".")[0] not in used]
     assert found == []
 
 
@@ -60,6 +76,14 @@ def test_cohomology_group_rejects_a_wrong_quotient(monkeypatch, strata):
     cx = build_dual_complex(strata)
     with pytest.raises(ArithmeticError, match="certificate failure"):
         cohomology_group(cx, CoefficientGroup(rank=1, torsion=(6,)))
+
+
+def test_h1_class_rejects_a_disagreeing_hom_profile(monkeypatch):
+    """``H^1`` is cross-checked against ``Hom(H_1, A)``; a mismatch is refused."""
+    monkeypatch.setattr(cochain, "hom_from_h1", lambda complex, group: GroupInvariants(7, ()))
+    cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
+    with pytest.raises(ArithmeticError, match="disagrees with Hom"):
+        cochain.h1_class(Cochain(cx, CoefficientGroup(rank=1), 1, ((1,), (0,))))
 
 
 def test_corpus_passes_under_python_dash_o():

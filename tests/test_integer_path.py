@@ -8,6 +8,7 @@ extension must match the ``Fraction`` reference path in ``oracles``.
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from fiberext.lattice import (
     extend_nef,
     extend_trivial,
     kodaira_cycle,
+    parse_rational,
     validate_lattice,
 )
 from fiberext.scenario import load_scenario_file
@@ -126,7 +128,10 @@ def test_loaded_lattices_match_fraction_built_and_reference(tmp_path):
             assert component_group(loaded.lattice).invariant_factors == component_group_reference(lat)
 
 
-@pytest.mark.parametrize("bad", [True, None])
+# Strings go through the "p/q" grammar before any arithmetic: Fraction()
+# reads most of the strings below, and builds a 10^8-digit integer from
+# "1e100000000".
+@pytest.mark.parametrize("bad", [True, None, "1e100000000", "2.5", " 1/2", "1_0", "\u0663", "1/-2"])
 @pytest.mark.parametrize("section", ["matrix", "values"])
 def test_non_rational_entries_are_rejected(tmp_path, bad, section):
     data = {"name": "bad",
@@ -140,6 +145,28 @@ def test_non_rational_entries_are_rejected(tmp_path, bad, section):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match=f"not an exact rational: {bad!r}"):
         load_scenario_file(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DivisorTrace([True, 0]),
+    lambda: DivisorTrace([Decimal(1), 0]),
+    lambda: FiberLattice(("A", "B"), ((-2, 2), (2, "2.5")), (1, 1)),
+    lambda: extend_nef(kodaira_cycle(2), DivisorTrace((1, -1)), targets=[True, False]),
+], ids=["bool trace", "Decimal trace", "decimal string entry", "bool targets"])
+def test_library_constructors_share_the_parser(build):
+    """The library reads rationals with the scenario files' parser: bools,
+    ``Decimal``s and strings outside "p/q" are refused, not coerced."""
+    with pytest.raises(ValueError, match="not an exact rational"):
+        build()
+
+
+def test_parser_keeps_exact_values():
+    assert [parse_rational(x) for x in (3, Fraction(1, 3), "-4/6", "+7", "0/5")] \
+        == [3, Fraction(1, 3), Fraction(-2, 3), 7, 0]
+    with pytest.raises(TypeError, match="floating point"):
+        parse_rational(0.5)
+    with pytest.raises(ValueError, match="zero denominator in rational '3/00'"):
+        parse_rational("3/00")
 
 
 def count_fractions(monkeypatch, run) -> int:

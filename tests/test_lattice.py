@@ -242,3 +242,6 @@ def test_finite_group_invariants():
     for factors in ((2.5, 4.9), (True, 2), (2, "4"), (Fraction(2), 4)):
         with pytest.raises(TypeError, match="invariant factors must be integers"):
             FiniteAbelianGroup(factors)
+    for factors in ((1,), (0, 2), (-2,)):
+        with pytest.raises(ValueError, match="invariant factors must be > 1"):
+            FiniteAbelianGroup(factors)
