@@ -233,40 +233,26 @@ def is_exact(phi: Cochain):
     """Solve coboundary(beta) = phi over the coefficient group.
 
     Returns the 0-cochain beta or NotExact.  beta is 0 at the largest
-    vertex index of each connected component and spreads from there along a
-    spanning forest, using ``beta(l) - beta(j) = phi(e)`` for the edge e
-    between components l < j; every edge is then checked.  Two solutions
-    differ by a constant on each component, so a failed check means no
-    solution exists, over any coefficient group.
+    vertex index of each connected component and spreads from there along
+    the complex's cached spanning forest, using ``beta(l) - beta(j) =
+    phi(e)`` for the edge e between components l < j; every edge is then
+    checked.  Two solutions differ by a constant on each component, so a
+    failed check means no solution exists, over any coefficient group.
     """
     if phi.degree != 1:
         raise PreconditionError("is_exact expects a 1-cochain")
     if not is_closed(phi):
         raise PreconditionError("is_exact expects a closed 1-cochain")
-    cx, group = phi.complex, phi.group
+    cx, group, values = phi.complex, phi.group, phi.values
     edges = cx.facets[0] if cx.dimension >= 1 else ()
-    adjacent = [[] for _ in range(cx.count(0))]
+    beta = [group.zero()] * cx.count(0)
+    for e, known, new in cx.spanning_forest:
+        if new == edges[e][1]:
+            beta[new] = group.add(beta[known], values[e])
+        else:
+            beta[new] = group.sub(beta[known], values[e])
     for e, (larger, smaller) in enumerate(edges):
-        adjacent[larger].append(e)
-        adjacent[smaller].append(e)
-    beta = [None] * cx.count(0)
-    for root in reversed(range(cx.count(0))):
-        if beta[root] is not None:
-            continue
-        beta[root] = group.zero()
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for e in adjacent[v]:
-                larger, smaller = edges[e]
-                if v == larger and beta[smaller] is None:
-                    beta[smaller] = group.add(beta[larger], phi.values[e])
-                    stack.append(smaller)
-                elif v == smaller and beta[larger] is None:
-                    beta[larger] = group.sub(beta[smaller], phi.values[e])
-                    stack.append(larger)
-    for e, (larger, smaller) in enumerate(edges):
-        if group.sub(beta[smaller], beta[larger]) != phi.values[e]:
+        if group.sub(beta[smaller], beta[larger]) != values[e]:
             return NotExact()
     return Cochain(cx, group, 0, tuple(beta))
 
@@ -308,9 +294,10 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     from the cochain complex (not via universal coefficients).
 
     ``ker d1`` is saturated in ``Z^E``, so ``H^1(Z)`` has free rank
-    ``E - rk d0 - rk d1`` and the torsion of ``Z^E / im d0``, both read
-    from the invariant factors of B_1 and B_2 that the complex caches (the
-    ones ``hom_from_h1`` reads), so no boundary matrix is factored twice.
+    ``E - rk d0 - rk d1``, read from the invariant factors of B_1 and B_2
+    that the complex caches (the ones ``hom_from_h1`` reads), so no
+    boundary matrix is factored twice.  Its torsion is that of ``Z^E / im
+    d0``, none: B_1 is totally unimodular (see ``invariant_factors``).
     For ``Z/n``, ``C (x) Z/n`` of the free complex C is quasi-isomorphic to
     the mapping cone of multiplication by n on C (Weibel, *An Introduction
     to Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
@@ -320,19 +307,18 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e, n_t = complex.count(1), complex.count(2)
     if n_e == 0:
         return GroupInvariants(0, ())
+    rank, orders = 0, []
+    if group.rank:
+        rank = group.rank * (n_e - len(invariant_factors(complex, 1)) - len(invariant_factors(complex, 2)))
+    if not group.torsion:
+        return GroupInvariants(rank, ())
+
     # The relations are read off the cached boundary rows, never written:
     # column v of d0 = -B_1^T is row v of B_1 negated, column e of d1 =
     # B_2^T is row e of B_2.  Signs of whole rows do not change a span, so
     # the rows of B_1 span im d0 as they are.
     b1 = boundary_rows(complex, 1)
     b2 = boundary_rows(complex, 2) if n_t else ({},) * n_e
-
-    orders, rank = [], 0
-    if group.rank:
-        f1, f2 = invariant_factors(complex, 1), invariant_factors(complex, 2)
-        rank = group.rank * (n_e - len(f1) - len(f2))
-        orders = [d for d in f1 if d > 1] * group.rank
-
     for n in group.torsion:
         # (0, d0 e_v), then (-d1 e_e, n e_e): Z^T first, Z^E shifted by T.
         rels = [{n_t + e: -x for e, x in row.items()} for row in b1]
@@ -366,14 +352,19 @@ def h1_class(phi: Cochain) -> H1Class:
     """Class of a closed 1-cochain in H^1, with the computed group profile.
 
     The profile is cross-checked against Hom(H_1, A); since H_0 is free
-    there is no Ext correction and the two must coincide.
+    there is no Ext correction and the two must coincide.  The check
+    certifies the ``Z/n`` parts, which ``cohomology_group`` reads off the
+    mapping cones of ``n`` and ``hom_from_h1`` off ``H_1``.  Both read the
+    free rank from the same cached invariant factors of B_1 and B_2, so
+    that part is not checked independently.
     """
     if not is_closed(phi):
         raise PreconditionError("h1_class expects a closed 1-cochain")
     profile = cohomology_group(phi.complex, phi.group)
     expected = hom_from_h1(phi.complex, phi.group)
     if profile != expected:
-        raise ArithmeticError(f"H^1 computation disagrees with Hom(H_1, A): {profile} vs {expected}")
+        raise ArithmeticError(f"H^1 from the mapping cones of the torsion orders disagrees with "
+                              f"Hom(H_1, A): {profile} vs {expected}")
     return H1Class(phi, profile)
 
 

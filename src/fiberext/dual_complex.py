@@ -15,16 +15,21 @@ first time degree r is asked for (``boundary_rows``).  Homology and the
 ``H^1`` relations of ``cochain`` read these rows and never write them.
 The invariant factors of each ``B_r`` are computed at most once, when a
 degree that needs them is first asked for (``homology_degree``), so
-``H_1`` factors ``B_1`` and ``B_2`` only.  ``boundary_matrix`` is a dense
-view of the rows, for display.  The caches are not fields and are never
-shared between complexes.  Exactness of cochains needs no factorization
-(see ``cochain.is_exact``).
+``H_1`` needs ``B_1`` and ``B_2`` only.  ``B_1`` is never factored: it is
+the incidence matrix of a directed graph, so its invariant factors are a 1
+per edge of a spanning forest of the 1-skeleton, which each complex also
+caches (``DeltaComplex.spanning_forest``) and ``cochain.is_exact``
+propagates potentials along.  ``boundary_matrix`` is a dense view of the
+rows, for display.  The caches are not fields and are never shared between
+complexes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ge
+from typing import NamedTuple
 
 from . import linalg
 
@@ -33,8 +38,7 @@ class StrataError(ValueError):
     """The stratum description violates an snc invariant."""
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     ident: str
     indices: tuple[int, ...]
     facets: tuple[str, ...] = ()
@@ -54,9 +58,9 @@ class DeltaComplex:
     ``facets[r][i]`` (r >= 1) lists, for the i-th r-simplex, the indices of
     its r+1 facets in dimension r-1; position k corresponds to dropping the
     k-th vertex in the global component order.  Boundary rows and their
-    invariant factors are computed at most once per instance and degree and
-    cached on it; the caches are not fields, so equality, hashing and repr
-    ignore them.
+    invariant factors are computed at most once per instance and degree,
+    and the spanning forest once per instance, and cached on it; the caches
+    are not fields, so equality, hashing and repr ignore them.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
@@ -89,6 +93,36 @@ class DeltaComplex:
     def _invariant_factors(self) -> dict:
         """Degree r -> the invariant factors of B_r."""
         return {}
+
+    @cached_property
+    def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
+        """A spanning forest of the 1-skeleton, as ``(edge, known, new)``
+        steps.  Each connected component is rooted at its largest vertex;
+        a step reaches vertex ``new`` along ``edge`` from ``known``, which
+        is a root or was reached by an earlier step.  A loop edge is never
+        a step, so there are ``count(0)`` minus the number of components."""
+        edges = self.facets[0] if self.dimension >= 1 else ()
+        adjacent = [[] for _ in range(self.count(0))]
+        for e, (a, b) in enumerate(edges):
+            adjacent[a].append(e)
+            adjacent[b].append(e)
+        reached = [False] * len(adjacent)
+        steps = []
+        for root in reversed(range(len(adjacent))):
+            if reached[root]:
+                continue
+            reached[root] = True
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for e in adjacent[v]:
+                    a, b = edges[e]
+                    w = b if a == v else a
+                    if not reached[w]:
+                        reached[w] = True
+                        steps.append((e, v, w))
+                        stack.append(w)
+        return tuple(steps)
 
     def closure(self, r: int, index: int):
         """Subcomplex generated by one simplex, with index maps back.
@@ -125,41 +159,40 @@ def build_dual_complex(strata: SncStrata) -> DeltaComplex:
     below, below_indices, below_facets = {}, [], []  # the level under the current one
     for r, level in enumerate(strata.levels):
         position, indices, rows = {}, [], []
-        for s in level:
-            ident, idx = s.ident, s.indices
+        n_facets = r + 1 if r else 0
+        for ident, idx, fids in level:
             if ident in seen:
                 raise StrataError(f"duplicate stratum id {ident!r}")
             seen.add(ident)
             if len(idx) != r + 1:
                 raise StrataError(f"stratum {ident!r} at level {r} must have {r + 1} indices")
-            if r and any(a >= b for a, b in zip(idx, idx[1:])):
+            if r and any(map(ge, idx, idx[1:])):
                 raise StrataError(f"index set of {ident!r} must be strictly increasing")
-            if len(s.facets) != (r + 1 if r > 0 else 0):
+            if len(fids) != n_facets:
                 raise StrataError(f"stratum {ident!r} must list {r + 1} facets")
             position[ident] = len(indices)
             indices.append(idx)
-            row = []
-            for i, fid in enumerate(s.facets):
-                p = below.get(fid)
+            row = tuple(map(below.get, fids))
+            for i, p in enumerate(row):
                 if p is None:
-                    raise StrataError(f"facet {fid!r} of {ident!r} is not a level-{r - 1} stratum")
+                    raise StrataError(f"facet {fids[i]!r} of {ident!r} is not a level-{r - 1} stratum")
                 expected = idx[:i] + idx[i + 1:]
                 if below_indices[p] != expected:
                     raise StrataError(
-                        f"facet {fid!r} of {ident!r} has index set "
+                        f"facet {fids[i]!r} of {ident!r} has index set "
                         f"{below_indices[p]}, expected {expected}"
                     )
-                row.append(p)
-            for i in range(r + 1 if r >= 2 else 0):
-                fi = below_facets[row[i]]
-                for j in range(i + 1, r + 1):
-                    if fi[j - 1] != below_facets[row[j]][i]:
-                        raise StrataError(
-                            f"inconsistent facets of {ident!r}: dropping indices "
-                            f"{idx[i]} and {idx[j]} in either order must "
-                            "reach the same stratum"
-                        )
-            rows.append(tuple(row))
+            if r >= 2:
+                for i in range(r + 1):
+                    fi = below_facets[row[i]]
+                    for j in range(i + 1, r + 1):
+                        if fi[j - 1] != below_facets[row[j]][i]:
+                            raise StrataError(
+                                f"inconsistent facets of {ident!r}: dropping indices "
+                                f"{idx[i]} and {idx[j]} in either order must "
+                                "reach the same stratum"
+                            )
+            rows.append(row)
         if not r and len({idx[0] for idx in indices}) != len(indices):
             raise StrataError("component indices at level 0 must be distinct")
         ids.append(tuple(position))
@@ -207,16 +240,27 @@ def boundary_matrix(complex: DeltaComplex, r: int):
 
 
 def _factor(complex: DeltaComplex, r: int) -> list[int]:
-    """Invariant factors of B_r, computed from its rows (a cache miss)."""
+    """Invariant factors of B_r, r >= 2, computed from its rows (a cache miss)."""
     return linalg.snf_diagonal(boundary_rows(complex, r))
 
 
 def invariant_factors(complex: DeltaComplex, r: int) -> list[int]:
     """Invariant factors of B_r (none outside 1..dimension), computed at
-    most once per complex and degree."""
+    most once per complex and degree.
+
+    B_1 is never factored.  Its column of an edge is the difference of the
+    edge's two vertices, zero for a loop, so B_1 is the incidence matrix of
+    a directed graph and totally unimodular (Schrijver, *Theory of Linear
+    and Integer Programming*, 19.3): its invariant factors are a 1 per step
+    of the spanning forest."""
     cache = complex._invariant_factors
     if r not in cache:
-        cache[r] = _factor(complex, r) if 1 <= r <= complex.dimension else []
+        if not 1 <= r <= complex.dimension:
+            cache[r] = []
+        elif r == 1:
+            cache[r] = [1] * len(complex.spanning_forest)
+        else:
+            cache[r] = _factor(complex, r)
     return cache[r]
 
 

@@ -21,6 +21,7 @@ read one Smith diagonal of the gauge-reduced matrix.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -56,9 +57,16 @@ def parse_rational(x) -> Fraction:
     match = type(x) is str and re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", x)
     if not match:
         raise ValueError(f"not an exact rational: {x!r}")
-    if match[2] and not int(match[2]):
+    try:
+        p, q = int(match[1]), int(match[2] or 1)
+    except ValueError:
+        # Only a part longer than sys.get_int_max_str_digits() fails here.
+        digits = max(len(match[1].lstrip("+-")), len(match[2] or ""))
+        raise ValueError(f"integer of {digits} digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    if not q:
         raise ValueError(f"zero denominator in rational {x!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return Fraction(p, q)
 
 
 def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:

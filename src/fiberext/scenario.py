@@ -19,16 +19,27 @@ required key raises an error naming its path, e.g. ``lattice``,
 formatted only when a check fails.
 
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
-snc checks) and ``cochain`` as a ``Cochain`` bound to it.
+snc checks) and ``cochain`` as a ``Cochain`` bound to it.  These two
+sections are the bulk of a large file, so their leaves are checked by
+inline ``type(x) is ...`` tests in one pass, with no helper call per leaf;
+the strata go to ``build_dual_complex`` as plain ``(id, indices, facets)``
+tuples.  Only when that pass meets a fault is the section walked again with
+the path-naming helpers, which raise the same error, in the same order, as
+a walk with them alone: every type check before any snc check.
+
+A JSON integer literal longer than ``sys.get_int_max_str_digits()`` is
+reported with its digit count and the limit, found by decoding the file
+again only after the first decode has failed.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .cochain import Cochain, CoefficientGroup
-from .dual_complex import DeltaComplex, SncStrata, Stratum, build_dual_complex
+from .dual_complex import DeltaComplex, SncStrata, build_dual_complex
 from .lattice import DivisorTrace, FiberLattice, parse_rational
 from .pic0 import (
     CurveFiber,
@@ -108,22 +119,57 @@ def parse_trace(data) -> DivisorTrace:
     return DivisorTrace(values=_rationals(_get(data, "values", list, "trace."), "trace.values"))
 
 
+def _strata_levels(data):
+    """The levels of a ``strata`` section as lists of ``(id, indices,
+    facets)`` tuples, every leaf checked inline; None if any value has the
+    wrong JSON type or a required key is missing."""
+    levels = data.get("levels")
+    if type(levels) is not list:
+        return None
+    out = []
+    for level in levels:
+        if type(level) is not list:
+            return None
+        strata = []
+        for s in level:
+            if type(s) is not dict:
+                return None
+            ident, idx, facets = s.get("id"), s.get("indices"), s.get("facets", ())
+            if type(ident) is not str or type(idx) is not list or (type(facets) is not list and facets != ()):
+                return None
+            for i in idx:
+                if type(i) is not int:
+                    return None
+            for f in facets:
+                if type(f) is not str:
+                    return None
+            strata.append((ident, tuple(idx), facets))
+        out.append(strata)
+    return out
+
+
+def _checked_strata_levels(data) -> list:
+    """``_strata_levels`` by the path-naming helpers: the same levels, or
+    the error of the first fault met, every type check before any other."""
+    at = "strata.levels[{}][{}]."
+    levels = []
+    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
+        levels.append([(_get(s, "id", str, at, r, k),
+                        _get(s, "indices", [int], at, r, k),
+                        _list(s.get("facets", []), str, at + "facets", r, k))
+                       for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r))])
+    return levels
+
+
 def parse_strata(data) -> DeltaComplex:
     """The dual complex of a ``strata`` section.
 
     Ids and facet references must be strings and index sets lists of JSON
-    integers; ``build_dual_complex`` then makes every snc check."""
-    at = "strata.levels[{}][{}]."
-    levels = []
-    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
-        strata = []
-        for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r)):
-            strata.append(Stratum(
-                _get(s, "id", str, at, r, k),
-                _get(s, "indices", [int], at, r, k),
-                _list(s.get("facets", []), str, at + "facets", r, k),
-            ))
-        levels.append(tuple(strata))
+    integers; ``build_dual_complex`` then makes every snc check.  Only when
+    the inline pass finds a fault are the levels walked again to name it."""
+    levels = _strata_levels(data)
+    if levels is None:
+        levels = _checked_strata_levels(data)
     return build_dual_complex(SncStrata(tuple(levels)))
 
 
@@ -167,9 +213,25 @@ def parse_cochain(data, complex: DeltaComplex | None) -> Cochain:
     if complex is None:
         raise _lacks("strata")
     group = parse_group(_get(data, "group", dict, "cochain."), "cochain.group")
-    values = tuple(_list(v, int, "cochain.edge_values[{}]", e)
-                   for e, v in enumerate(_get(data, "edge_values", [list], "cochain.")))
+    values = data.get("edge_values")
+    if not _is_int_lists(values):
+        # Walk the values again with the helpers, which name the fault.
+        values = [_list(v, int, "cochain.edge_values[{}]", e)
+                  for e, v in enumerate(_get(data, "edge_values", [list], "cochain."))]
     return Cochain(complex, group, 1, values)
+
+
+def _is_int_lists(x) -> bool:
+    """Whether ``x`` is a JSON list of lists of integers, checked inline."""
+    if type(x) is not list:
+        return False
+    for v in x:
+        if type(v) is not list:
+            return False
+        for i in v:
+            if type(i) is not int:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -237,12 +299,31 @@ def parse_scenario(data) -> Scenario:
 
 def load_scenario_file(path) -> Scenario:
     with open(path) as fh:
-        try:
-            data = json.load(fh, parse_float=_reject_float)
-        except RecursionError:
-            raise ValueError("JSON is nested too deeply") from None
+        text = fh.read()
+    try:
+        data = json.loads(text, parse_float=_reject_float)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a JSONDecodeError names its position
+            raise
+        # A float literal, or an integer literal longer than
+        # sys.get_int_max_str_digits(): decoding again with a checking
+        # parse_int meets the same first fault and names it without echoing
+        # the digits.  Valid files never come here.
+        json.loads(text, parse_float=_reject_float, parse_int=_int_literal)
+        raise
     return parse_scenario(data)
 
 
 def _reject_float(s):
     raise ValueError(f"floating point literal {s!r} is not allowed in scenario files")
+
+
+def _int_literal(s):
+    """``int(s)`` of a JSON integer literal; one over the digit limit is
+    named by its length, not echoed."""
+    digits, limit = len(s.lstrip("-")), sys.get_int_max_str_digits()
+    if digits > limit > 0:
+        raise ValueError(f"JSON integer literal of {digits} digits exceeds the limit of {limit} digits")
+    return int(s)

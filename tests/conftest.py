@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from fiberext import corpus
-from fiberext.dual_complex import SncStrata, Stratum
+from fiberext.dual_complex import SncStrata, Stratum, build_dual_complex, strata_from_multigraph
 from fiberext.lattice import DivisorTrace, FiberLattice, kodaira_cycle
 
 
@@ -131,6 +131,28 @@ def random_strata(rng: random.Random, max_total: int = 30) -> SncStrata:
                 level.append(Stratum(f"{_base_ident(s)}x{extra}", s, facs))
         levels.append(tuple(level))
     return SncStrata(tuple(levels))
+
+
+def random_multigraph(rng):
+    """Several components on shuffled vertex labels, isolated vertices,
+    spanning trees plus extra and parallel edges."""
+    sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(rng.randint(1, 4))]
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    edges = []
+    start = 0
+    for size in sizes:
+        comp = labels[start:start + size]
+        start += size
+        for k in range(1, size):
+            edges.append((comp[rng.randrange(k)], comp[k]))
+        for _ in range(rng.randint(0, 2 * size) if size > 1 else 0):
+            edges.append(tuple(rng.sample(comp, 2)))
+    for _ in range(rng.randint(0, 3)):
+        if edges:
+            edges.append(rng.choice(edges)[::-1])
+    rng.shuffle(edges)
+    return build_dual_complex(strata_from_multigraph(len(labels), edges))
 
 
 # ---------------------------------------------------------------------------

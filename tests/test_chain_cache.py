@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_fiber_lattice, random_strata
+from conftest import random_fiber_lattice, random_multigraph, random_strata
 from fiberext import dual_complex, linalg
 from fiberext.cochain import (
     Cochain,
@@ -29,6 +29,7 @@ from fiberext.dual_complex import (
     boundary_rows,
     build_dual_complex,
     homology,
+    invariant_factors,
     simplex_strata,
     strata_from_multigraph,
 )
@@ -168,6 +169,47 @@ class TestTransformFreeInvariantFactors:
             assert_same_invariant_factors(linalg.dense(rels, n), n)
 
 
+def assert_forest_factors(cx):
+    """B_1's invariant factors, read off the spanning forest, against both
+    Smith diagonals of its rows; and each forest step reaches a new vertex
+    along one of its edges from a root or an earlier step."""
+    steps = cx.spanning_forest
+    new = [v for _, _, v in steps]
+    reached = set(range(cx.count(0))) - set(new)
+    assert len(new) == len(set(new))
+    for e, known, v in steps:
+        assert known in reached and sorted(cx.facets[0][e]) == sorted((known, v))
+        reached.add(v)
+    if cx.dimension < 1:
+        assert invariant_factors(cx, 1) == [] and steps == ()
+        return
+    rows = boundary_rows(cx, 1)
+    assert invariant_factors(cx, 1) == [1] * len(steps) == linalg.snf_diagonal(rows) \
+        == naive_invariant_factors(boundary_matrix_reference(cx, 1))
+
+
+class TestSpanningForestFactors:
+    def test_random_strata_and_corpus(self, rng, corpus_complexes):
+        for _ in range(500):
+            assert_forest_factors(build_dual_complex(random_strata(rng)))
+        for _, cx in corpus_complexes:
+            assert_forest_factors(cx)
+
+    def test_disconnected_multigraphs(self, rng):
+        assert_forest_factors(build_dual_complex(strata_from_multigraph(7, [(0, 3), (3, 1), (0, 1), (2, 4), (4, 2)])))
+        for _ in range(300):
+            assert_forest_factors(random_multigraph(rng))
+
+    def test_loop_edges_and_no_edges(self):
+        loops = dual_complex.DeltaComplex((("v",), ("a", "b"), ("t",)), (((0, 0), (0, 0)), ((1, 0, 1),)))
+        assert_forest_factors(loops)
+        assert loops.spanning_forest == ()
+        points = build_dual_complex(strata_from_multigraph(3, []))
+        assert points.dimension == 0
+        assert_forest_factors(points)
+        assert homology(points).betti == (3,)
+
+
 SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-30, 30)),
                       min_size=n, max_size=n), max_size=5),
@@ -202,11 +244,12 @@ def factored(monkeypatch):
 
 class TestOneFactorizationPerComplex:
     def test_homology_factors_each_boundary_matrix_once(self, factored):
+        """Once each, and B_1 never: its factors come from the spanning forest."""
         cx = build_dual_complex(simplex_strata(tuple(range(5)), full=False))
         profiles = [homology(cx) for _ in range(3)]
         assert profiles[0] == profiles[1] == profiles[2]
         assert profiles[0].betti == (1, 0, 0, 1)
-        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in range(1, cx.dimension + 1)]
+        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in range(2, cx.dimension + 1)]
 
     def test_is_exact_factors_the_incidence_matrix_once(self, factored):
         """At most once, and in fact never: the spanning-forest solve hands
@@ -221,14 +264,14 @@ class TestOneFactorizationPerComplex:
 
     def test_h1_class_factors_each_boundary_matrix_once(self, factored):
         """The free part of ``H^1`` and the ``Hom(H_1, A)`` cross-check read
-        the same cached invariant factors of B_1 and B_2; the one other
-        factorization is the mapping cone of 6."""
+        the same cached invariant factors of B_1 and B_2, B_1's from the
+        spanning forest; the one other factorization is the mapping cone of 6."""
         cx = build_dual_complex(simplex_strata(tuple(range(5)), full=False))
         group = CoefficientGroup(rank=1, torsion=(6,))
         cls = h1_class(Cochain(cx, group, 1, (group.zero(),) * cx.count(1)))
         assert cls.group_profile.rank == 0 and cls.group_profile.torsion == ()
-        assert [len(m) for m in factored] == [5, 10, 15]
-        assert factored[:2] == [[dict(row) for row in boundary_rows(cx, r)] for r in (1, 2)]
+        assert [len(m) for m in factored] == [10, 15]
+        assert factored[:1] == [[dict(row) for row in boundary_rows(cx, 2)]]
 
     def test_cache_is_not_a_field(self):
         a = build_dual_complex(simplex_strata((0, 1, 2)))
@@ -287,7 +330,7 @@ class TestSparseBoundaryRows:
         cx = build_dual_complex(simplex_strata(tuple(range(7)), full=False))
         assert cx.dimension == 5
         assert hom_from_h1(cx, CoefficientGroup(rank=1, torsion=(6,))).is_trivial
-        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in (1, 2)]
+        assert factored == [linalg.sparse(boundary_matrix_reference(cx, 2))]
         assert sorted(cx._invariant_factors) == [1, 2]
 
     def test_rows_are_unchanged_by_their_readers(self, rng, corpus_complexes):

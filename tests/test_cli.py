@@ -443,6 +443,21 @@ class TestMalformedScenario:
         assert self.run(tmp_path, capsys, command, data, *options) == f"error: {message}"
 
 
+    @pytest.mark.parametrize("value, message", [
+        ('"@"', "trace.values[0]: integer of 5000 digits exceeds the limit of {} digits"),
+        ("@", "JSON integer literal of 5000 digits exceeds the limit of {} digits"),
+        ("-@, 1.5", "JSON integer literal of 5000 digits exceeds the limit of {} digits"),
+        ("1.5, @", "floating point literal '1.5' is not allowed in scenario files"),
+    ], ids=["string", "literal", "literal before a float", "float before a literal"])
+    def test_over_long_integer_states_the_digit_limit(self, tmp_path, capsys, value, message):
+        """5000 digits once reached the user as Python's advice to call
+        ``sys.set_int_max_str_digits()``; of two faults the first is named."""
+        data = json.loads(json.dumps(MALFORMED_SOURCES["extend"][0]))
+        text = json.dumps(data).replace("[-1, 1]", "[" + value.replace("@", "7" * 5000) + "]")
+        line = self.run(tmp_path, capsys, "extend", text)
+        assert line == "error: " + message.format(sys.get_int_max_str_digits())
+
+
 @pytest.mark.parametrize("source, options", [("file", ()),
                                              ("targets", ("--mode", "nef", "--targets", "1e100000000,0"))])
 def test_exponent_is_refused_before_any_arithmetic(tmp_path, lattice_file, source, options):

@@ -6,7 +6,7 @@ kernel-basis path and as ``Hom(H_1, A)``."""
 
 import pytest
 
-from conftest import random_strata
+from conftest import random_multigraph, random_strata
 from fiberext import cochain, lattice, linalg
 from fiberext.cochain import Cochain, CoefficientGroup, NotExact, coboundary, is_closed, is_exact
 from fiberext.dual_complex import DeltaComplex, build_dual_complex, homology, simplex_strata, strata_from_multigraph
@@ -67,6 +67,9 @@ def check_verdict(phi):
     assert coboundary(beta) == phi
     for comp in components(phi.complex):
         assert phi.group.is_zero(beta.values[max(comp)])
+        # The oracle's potential, moved to 0 at the same root, is beta.
+        root = ref.values[max(comp)]
+        assert [beta.values[v] for v in comp] == [phi.group.sub(ref.values[v], root) for v in comp]
     return True
 
 
@@ -87,28 +90,6 @@ def check_complex(rng, cx):
             assert is_closed(bumped)
             verdicts.append(check_verdict(bumped))
     return verdicts
-
-
-def random_multigraph(rng):
-    """Several components on shuffled vertex labels, isolated vertices,
-    spanning trees plus extra and parallel edges."""
-    sizes = [rng.choice((1, 1, 2, 3, 4, 5)) for _ in range(rng.randint(1, 4))]
-    labels = list(range(sum(sizes)))
-    rng.shuffle(labels)
-    edges = []
-    start = 0
-    for size in sizes:
-        comp = labels[start:start + size]
-        start += size
-        for k in range(1, size):
-            edges.append((comp[rng.randrange(k)], comp[k]))
-        for _ in range(rng.randint(0, 2 * size) if size > 1 else 0):
-            edges.append(tuple(rng.sample(comp, 2)))
-    for _ in range(rng.randint(0, 3)):
-        if edges:
-            edges.append(rng.choice(edges)[::-1])
-    rng.shuffle(edges)
-    return build_dual_complex(strata_from_multigraph(len(labels), edges))
 
 
 class TestSpanningForestExactness:

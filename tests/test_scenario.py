@@ -8,7 +8,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -82,10 +81,10 @@ def _inconsistent(rng, strata):
     ids = {s.ident: s for level in strata.levels for s in level}
     f = ids[top.facets[0]]
     g = ids[f.facets[0]]
-    g2 = replace(g, ident=g.ident + "'")
-    f2 = replace(f, ident=f.ident + "'", facets=(g2.ident,) + f.facets[1:])
+    g2 = g._replace(ident=g.ident + "'")
+    f2 = f._replace(ident=f.ident + "'", facets=(g2.ident,) + f.facets[1:])
     mutant = _append_at(_append_at(strata, r - 2, g2), r - 1, f2)
-    return _replace_at(mutant, r, k, replace(top, facets=(f2.ident,) + top.facets[1:]))
+    return _replace_at(mutant, r, k, top._replace(facets=(f2.ident,) + top.facets[1:]))
 
 
 def _mutant(kind, rng, strata):
@@ -94,19 +93,19 @@ def _mutant(kind, rng, strata):
         return _append_at(strata, r, s)
     if kind == "index count":
         r, k, s = _pick(rng, strata)
-        return _replace_at(strata, r, k, replace(s, indices=s.indices + (s.indices[-1] + 100,)))
+        return _replace_at(strata, r, k, s._replace(indices=s.indices + (s.indices[-1] + 100,)))
     if kind == "distinct vertices":
-        return _replace_at(strata, 0, 1, replace(strata.levels[0][1], indices=strata.levels[0][0].indices))
+        return _replace_at(strata, 0, 1, strata.levels[0][1]._replace(indices=strata.levels[0][0].indices))
     r, k, s = _pick(rng, strata, 1)
     if kind == "non-increasing":
-        return _replace_at(strata, r, k, replace(s, indices=(s.indices[1], s.indices[0]) + s.indices[2:]))
+        return _replace_at(strata, r, k, s._replace(indices=(s.indices[1], s.indices[0]) + s.indices[2:]))
     if kind == "facet count":
-        return _replace_at(strata, r, k, replace(s, facets=s.facets[:-1]))
+        return _replace_at(strata, r, k, s._replace(facets=s.facets[:-1]))
     if kind == "unknown facet":
         i = rng.randrange(len(s.facets))
-        return _replace_at(strata, r, k, replace(s, facets=s.facets[:i] + ("nowhere",) + s.facets[i + 1:]))
+        return _replace_at(strata, r, k, s._replace(facets=s.facets[:i] + ("nowhere",) + s.facets[i + 1:]))
     if kind == "facet index set":
-        return _replace_at(strata, r, k, replace(s, facets=(s.facets[1], s.facets[0]) + s.facets[2:]))
+        return _replace_at(strata, r, k, s._replace(facets=(s.facets[1], s.facets[0]) + s.facets[2:]))
     return _inconsistent(rng, strata)
 
 
@@ -284,6 +283,23 @@ def test_wrong_json_type_is_one_path_named_error(tmp_path):
 
     check()
     assert len(seen) == len(TYPE_MUTATIONS)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda s: s.update(indices=[0, "1", 2]), "strata.levels[2][1].indices[1] must be an integer"),
+    (lambda s: s.update(facets="Z13"), "strata.levels[2][1].facets must be a list of strings"),
+    (lambda s: s.update(id=7), "strata.levels[2][1].id must be a string"),
+    (lambda s: s.pop("indices"), "strata.levels[2][1].indices is missing"),
+], ids=["index", "facets", "id", "missing key"])
+def test_type_fault_is_reported_before_an_earlier_snc_fault(tmp_path, edit, path):
+    """Every type check runs before any snc check: a type fault in level 2
+    wins over a duplicate id in level 0."""
+    data = json.loads(json.dumps(CORPUS["dual-complex-tetrahedron"]))
+    levels = data["strata"]["levels"]
+    levels[0][1]["id"] = levels[0][0]["id"]
+    assert "duplicate stratum id 'Z0'" in run_mutant(tmp_path / "bad.json", "dual-complex", data)
+    edit(levels[2][1])
+    assert path in run_mutant(tmp_path / "bad.json", "dual-complex", data)
 
 
 # Keys the loader requires, wherever they occur in a parsed section.
