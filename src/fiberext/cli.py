@@ -19,15 +19,7 @@ import sys
 from . import cochain as cochain_mod
 from . import corpus
 from .dual_complex import boundary_matrix, homology, torus_rank
-from .lattice import (
-    Obstructed,
-    PreconditionError,
-    component_group,
-    denominator_bound,
-    extend_nef,
-    extend_trivial,
-    validate_lattice,
-)
+from .lattice import Obstructed, component_group, denominator_bound, extend_nef, extend_trivial
 from .pic0 import (
     NotSemistable,
     ObstructionCertificate,
@@ -45,9 +37,6 @@ EXIT_OBSTRUCTED = 2
 def cmd_extend(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
     lattice, trace = scenario.need("lattice"), scenario.need("trace")
-    report = validate_lattice(lattice)
-    if not report.valid:
-        raise PreconditionError(f"invalid lattice: failed {report.failed()}")
     if args.mode == "trivial":
         result, symbol = extend_trivial(lattice, trace), "a"
     else:
@@ -210,7 +199,9 @@ def main(argv=None) -> int:
             for line in lines:
                 print(line)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the text.
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_INPUT
     return code
 

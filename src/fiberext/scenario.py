@@ -20,12 +20,14 @@ formatted only when a check fails.
 
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
 snc checks) and ``cochain`` as a ``Cochain`` bound to it.  These two
-sections are the bulk of a large file, so their leaves are checked by
-inline ``type(x) is ...`` tests in one pass, with no helper call per leaf;
-the strata go to ``build_dual_complex`` as plain ``(id, indices, facets)``
-tuples.  Only when that pass meets a fault is the section walked again with
-the path-naming helpers, which raise the same error, in the same order, as
-a walk with them alone: every type check before any snc check.
+sections are the bulk of a large file, so each is walked once with no
+helper call per leaf.  The helpers check the containers (the level list and
+each level, the list of cochain values); a stratum's leaves are tested
+inline and the strata go to ``build_dual_complex`` as plain ``(id, indices,
+facets)`` tuples, every type check before any snc check; the cochain values
+go to ``Cochain`` unchecked, since ``CoefficientGroup.reduce`` already
+checks every coordinate and width.  The helpers walk a stratum, or the
+cochain values, only once a fault is found there, to name it.
 
 A JSON integer literal longer than ``sys.get_int_max_str_digits()`` is
 reported with its digit count and the limit, found by decoding the file
@@ -119,57 +121,34 @@ def parse_trace(data) -> DivisorTrace:
     return DivisorTrace(values=_rationals(_get(data, "values", list, "trace."), "trace.values"))
 
 
-def _strata_levels(data):
-    """The levels of a ``strata`` section as lists of ``(id, indices,
-    facets)`` tuples, every leaf checked inline; None if any value has the
-    wrong JSON type or a required key is missing."""
-    levels = data.get("levels")
-    if type(levels) is not list:
-        return None
-    out = []
-    for level in levels:
-        if type(level) is not list:
-            return None
-        strata = []
-        for s in level:
-            if type(s) is not dict:
-                return None
-            ident, idx, facets = s.get("id"), s.get("indices"), s.get("facets", ())
-            if type(ident) is not str or type(idx) is not list or (type(facets) is not list and facets != ()):
-                return None
-            for i in idx:
-                if type(i) is not int:
-                    return None
-            for f in facets:
-                if type(f) is not str:
-                    return None
-            strata.append((ident, tuple(idx), facets))
-        out.append(strata)
-    return out
-
-
-def _checked_strata_levels(data) -> list:
-    """``_strata_levels`` by the path-naming helpers: the same levels, or
-    the error of the first fault met, every type check before any other."""
-    at = "strata.levels[{}][{}]."
-    levels = []
-    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
-        levels.append([(_get(s, "id", str, at, r, k),
-                        _get(s, "indices", [int], at, r, k),
-                        _list(s.get("facets", []), str, at + "facets", r, k))
-                       for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r))])
-    return levels
-
-
 def parse_strata(data) -> DeltaComplex:
     """The dual complex of a ``strata`` section.
 
     Ids and facet references must be strings and index sets lists of JSON
-    integers; ``build_dual_complex`` then makes every snc check.  Only when
-    the inline pass finds a fault are the levels walked again to name it."""
-    levels = _strata_levels(data)
-    if levels is None:
-        levels = _checked_strata_levels(data)
+    integers; ``build_dual_complex`` then makes every snc check.  The level
+    list and each level go through the helpers once; a stratum's leaves are
+    tested inline, and only a stratum that fails goes through the helpers,
+    which name its first fault."""
+    at = "strata.levels[{}][{}]."
+    levels = []
+    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
+        strata = []
+        for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r)):
+            ident, idx, facets = s.get("id"), s.get("indices"), s.get("facets", ())
+            ok = type(ident) is str and type(idx) is list and (type(facets) is list or facets == ())
+            if ok:
+                for i in idx:
+                    if type(i) is not int:
+                        ok = False
+                for f in facets:
+                    if type(f) is not str:
+                        ok = False
+            if not ok:
+                # The helpers name this stratum's first fault.
+                ident, idx = _get(s, "id", str, at, r, k), _get(s, "indices", [int], at, r, k)
+                facets = _list(s.get("facets", []), str, at + "facets", r, k)
+            strata.append((ident, tuple(idx), facets))
+        levels.append(strata)
     return build_dual_complex(SncStrata(tuple(levels)))
 
 
@@ -204,8 +183,15 @@ def parse_obstruction(data) -> ObstructionScenario:
         label = _get(p, "label", str, at, j)
         t, a = _get(p, "torus_rank", int, at, j), _get(p, "abelian_dim", int, at, j)
         points.append(SamplePoint(label, _semi_abelian_type(t, a), _get(p, "value", [int], at, j)))
-    return ObstructionScenario(proper_base=_get(data, "proper", bool, "obstruction."), group=group,
-                               points=tuple(points))
+    proper = _get(data, "proper", bool, "obstruction.")
+    try:
+        return ObstructionScenario(proper_base=proper, group=group, points=tuple(points))
+    except ValueError as exc:
+        if str(exc) != f"element must have {group.width} coordinates":
+            raise
+        # The first value of the wrong width is the one group.reduce refused.
+        j = next(j for j, p in enumerate(points) if len(p.value) != group.width)
+        raise ValueError(f"{at.format(j)}value: {exc}") from None
 
 
 def parse_cochain(data, complex: DeltaComplex | None) -> Cochain:
@@ -213,25 +199,21 @@ def parse_cochain(data, complex: DeltaComplex | None) -> Cochain:
     if complex is None:
         raise _lacks("strata")
     group = parse_group(_get(data, "group", dict, "cochain."), "cochain.group")
-    values = data.get("edge_values")
-    if not _is_int_lists(values):
-        # Walk the values again with the helpers, which name the fault.
-        values = [_list(v, int, "cochain.edge_values[{}]", e)
-                  for e, v in enumerate(_get(data, "edge_values", [list], "cochain."))]
-    return Cochain(complex, group, 1, values)
-
-
-def _is_int_lists(x) -> bool:
-    """Whether ``x`` is a JSON list of lists of integers, checked inline."""
-    if type(x) is not list:
-        return False
-    for v in x:
-        if type(v) is not list:
-            return False
-        for i in v:
-            if type(i) is not int:
-                return False
-    return True
+    # The containers are checked here, since group.reduce alone would take
+    # {} or "" as an element of a width-0 group; Cochain checks every
+    # coordinate and every width.
+    values = _get(data, "edge_values", [list], "cochain.")
+    try:
+        return Cochain(complex, group, 1, values)
+    except (TypeError, ValueError) as exc:
+        # Name the value Cochain refused: the first non-integer, else the
+        # first value of the wrong width; a wrong count Cochain names itself.
+        for e, v in enumerate(values):
+            _list(v, int, "cochain.edge_values[{}]", e)
+        for e, v in enumerate(values):
+            if len(v) != group.width:
+                raise ValueError(f"cochain.edge_values[{e}]: {exc}") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -269,7 +251,7 @@ def parse_scenario(data) -> Scenario:
         value = data[key]
         try:
             return parse(value if kind is None else _one(value, kind, key))
-        except (TypeError, AttributeError) as exc:
+        except TypeError as exc:
             raise ValueError(f"malformed {key!r} section: {exc}") from None
 
     def curve_fiber_table(fibers):

@@ -672,6 +672,45 @@ def build_dual_complex_reference(strata):
 
 
 # ---------------------------------------------------------------------------
+# The loader's walk of ``strata`` and ``cochain`` by the path-naming helpers
+# alone: every leaf through ``_get``/``_list``, in the order faults must be
+# reported.  The loader tests leaves inline and calls the helpers only to
+# name a fault, so its messages must equal these.
+# ---------------------------------------------------------------------------
+
+def parse_strata_reference(data):
+    """``scenario.parse_strata`` with every stratum read by the helpers."""
+    from fiberext.dual_complex import SncStrata, build_dual_complex
+    from fiberext.scenario import _get, _list
+
+    at = "strata.levels[{}][{}]."
+    levels = []
+    for r, level in enumerate(_get(data, "levels", [list], "strata.")):
+        levels.append([(_get(s, "id", str, at, r, k),
+                        _get(s, "indices", [int], at, r, k),
+                        _list(s.get("facets", []), str, at + "facets", r, k))
+                       for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r))])
+    return build_dual_complex(SncStrata(tuple(levels)))
+
+
+def parse_cochain_reference(data, complex):
+    """``scenario.parse_cochain`` with every value read by ``_list`` and its
+    width checked before ``Cochain`` sees it."""
+    from fiberext.cochain import Cochain
+    from fiberext.scenario import _get, _lacks, _list, parse_group
+
+    if complex is None:
+        raise _lacks("strata")
+    group = parse_group(_get(data, "group", dict, "cochain."), "cochain.group")
+    values = [_list(v, int, "cochain.edge_values[{}]", e)
+              for e, v in enumerate(_get(data, "edge_values", [list], "cochain."))]
+    for e, v in enumerate(values):
+        if len(v) != group.width:
+            raise ValueError(f"cochain.edge_values[{e}]: element must have {group.width} coordinates")
+    return Cochain(complex, group, 1, values)
+
+
+# ---------------------------------------------------------------------------
 # Reference path for the sparse echelon: the dense fraction-free Bareiss
 # solvers the package ran before, kept verbatim apart from their names.
 # Lattices such as I_160 are too large for the Fraction Gauss-Jordan above.

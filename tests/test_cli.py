@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 from fiberext import cochain as cochain_mod
+from fiberext import lattice as lattice_mod
 from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
+
+
+SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
 
 
 def write(tmp_path, name, data):
@@ -91,6 +95,28 @@ class TestExtend:
         })
         assert main(["extend", path]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["trivial", "nef"])
+    def test_invalid_lattice_is_named_by_the_extension(self, tmp_path, capsys, monkeypatch, mode):
+        """The lattice is validated once, by the extension's own precondition."""
+        path = write(tmp_path, "asym.json", {
+            "name": "asym",
+            "lattice": {"labels": ["C1", "C2"],
+                        "matrix": [[-2, 2], [1, -2]],
+                        "multiplicities": [1, 1]},
+            "trace": {"values": [0, 0]},
+        })
+        calls, validate = [], lattice_mod.validate_lattice
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fiberext"):
+                for attr, value in list(vars(module).items()):
+                    if value is validate:
+                        monkeypatch.setattr(module, attr, lambda lat: calls.append(lat) or validate(lat))
+        assert main(["extend", path, "--mode", mode]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        failed = "['symmetric', 'fiber_class_trivial', 'negative_semidefinite', 'kernel_is_multiplicity_span']"
+        assert (captured.out, captured.err) == ("", f"error: extend_{mode} requires a valid lattice; failed: {failed}\n")
+        assert len(calls) == 1
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["extend", "/nonexistent/file.json"]) == EXIT_INPUT
@@ -251,6 +277,10 @@ class TestCorpusCommand:
 
     def test_run_unknown_exits_one(self, capsys):
         assert main(["corpus", "run", "nope"]) == EXIT_INPUT
+
+    def test_run_unknown_names_it_without_stray_quotes(self, capsys):
+        assert main(["corpus", "run", "nosuch"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: unknown scenario 'nosuch'\n")
 
 
 class TestParserReuse:
@@ -442,6 +472,20 @@ class TestMalformedScenario:
         edit(data)
         assert self.run(tmp_path, capsys, command, data, *options) == f"error: {message}"
 
+
+    @pytest.mark.parametrize("name, command, keys, path", [
+        ("cochain-triangle-closed", "cochain", ("cochain", "edge_values", 1), "cochain.edge_values[1]"),
+        ("example-5.1-obstruction", "obstruction", ("obstruction", "points", 1, "value"),
+         "obstruction.points[1].value"),
+    ], ids=["cochain", "obstruction"])
+    def test_value_of_the_wrong_width_is_named_by_its_path(self, tmp_path, capsys, name, command, keys, path):
+        data = json.loads((SCENARIOS / f"{name}.json").read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = [1, 2]
+        line = self.run(tmp_path, capsys, command, data)
+        assert line == f"error: {path}: element must have 1 coordinates"
 
     @pytest.mark.parametrize("value, message", [
         ('"@"', "trace.values[0]: integer of 5000 digits exceeds the limit of {} digits"),

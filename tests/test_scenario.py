@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fiberext import corpus, dual_complex, linalg
+from fiberext import corpus, dual_complex, linalg, scenario
 from fiberext.cli import EXIT_INPUT, main
 from fiberext.dual_complex import SncStrata, StrataError, Stratum, build_dual_complex
-from fiberext.scenario import parse_strata
+from fiberext.scenario import load_scenario_file, parse_strata
 
 from conftest import random_strata
-from oracles import boundary_matrix_reference, build_dual_complex_reference
+from oracles import (boundary_matrix_reference, build_dual_complex_reference, parse_cochain_reference,
+                     parse_strata_reference)
 
 SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
 CORPUS = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
@@ -388,3 +389,98 @@ def test_container_of_wrong_type_is_one_path_named_error(tmp_path):
         node[keys[-1]] = 7
         line = run_mutant(file, COMMAND_OF.get(section, "pic0"), data)
         assert f"{path} must be " in line, (name, path, line)
+
+
+# ---------------------------------------------------------------------------
+# Several faults per file: the loader against the helpers-only walk
+# ---------------------------------------------------------------------------
+
+# Values a mutation writes over a leaf or a container: wrong JSON types,
+# integers that are valid but misplaced, and a 31-digit integer.
+MISFITS = (None, True, False, "1", "Z0", 7, -1, 0, 10 ** 30, [], [1], [True], ["Z0"], {}, {"id": "x"})
+GROUPS = ({}, {"rank": 1}, {"torsion": [6]}, {"rank": 1, "torsion": [4]}, {"rank": 2})
+
+
+def _random_scenario(rng):
+    """A well-formed file with a random complex and a cochain on it."""
+    strata = to_json(random_strata(rng))
+    for s in strata["levels"][0]:
+        if rng.random() < 0.5:
+            del s["facets"]
+    group = rng.choice(GROUPS)
+    width = group.get("rank", 0) + len(group.get("torsion", []))
+    edges = len(strata["levels"][1]) if len(strata["levels"]) > 1 else 0
+    values = [[rng.randint(-9, 9) for _ in range(width)] for _ in range(edges)]
+    return {"name": "mutant", "strata": strata, "cochain": {"group": group, "edge_values": values}}
+
+
+def _nodes(node, parent, key):
+    """(parent, key) of ``node`` and of every value inside it."""
+    yield parent, key
+    items = node.items() if type(node) is dict else enumerate(node) if type(node) is list else ()
+    for k, value in items:
+        yield from _nodes(value, node, k)
+
+
+def _mutate(rng, data):
+    """One fault in ``strata`` or ``cochain``: a value replaced by a misfit,
+    a key or entry deleted, or an entry duplicated or added to a list, so
+    that leaf types, missing keys, containers, widths and counts all vary."""
+    sections = [section for section in ("strata", "cochain") if section in data]
+    if not sections:
+        return
+    section = rng.choice(sections)
+    parent, key = rng.choice(list(_nodes(data[section], data, section)))
+    node, action = parent[key], rng.random()
+    if action < 0.5:
+        parent[key] = json.loads(json.dumps(rng.choice(MISFITS)))
+    elif action < 0.75:
+        parent.pop(key)
+    elif type(node) is list:
+        node.append(json.loads(json.dumps(rng.choice(node) if node and rng.random() < 0.7
+                                          else rng.choice(MISFITS))))
+    elif type(parent) is list:
+        parent.insert(key, json.loads(json.dumps(node)))
+
+
+def _load_outcome(file):
+    """The complex and cochain ``load_scenario_file`` reads, or its error."""
+    try:
+        sc = load_scenario_file(file)
+    except ValueError as exc:
+        return f"error: {exc}"
+    return sc.strata, sc.cochain
+
+
+def test_multi_fault_messages_match_the_helpers_only_walk(tmp_path, monkeypatch):
+    """1-4 faults per file across ``strata`` and ``cochain``: the loader
+    names the same first fault as the reference walk that reads every leaf
+    with the path-naming helpers, and raises nothing but ValueError."""
+    rng = random.Random(15)
+    bases = [CORPUS[n] for n in ("cochain-circle-classes", "cochain-triangle-closed",
+                                 "cochain-triangle-not-closed")]
+    texts = []
+    for i in range(1500):
+        data = json.loads(json.dumps(bases[i % 3] if i % 5 == 0 else _random_scenario(rng)))
+        for _ in range(rng.randint(1, 4)):
+            _mutate(rng, data)
+        texts.append(json.dumps(data))
+    file = tmp_path / "mutant.json"
+
+    def outcomes():
+        for text in texts:
+            file.write_text(text)
+            yield _load_outcome(file)
+
+    got = list(outcomes())
+    monkeypatch.setattr(scenario, "parse_strata", parse_strata_reference)
+    monkeypatch.setattr(scenario, "parse_cochain", parse_cochain_reference)
+    want = list(outcomes())
+    for text, g, w in zip(texts, got, want):
+        assert g == w, text
+    errors = [g for g in got if type(g) is str]
+    assert 0.6 * len(got) < len(errors) < len(got)
+    for part in ("malformed 'strata' section: strata.levels[", "malformed 'cochain' section: cochain.",
+                 "strata.levels", "is missing", "cochain.edge_values[", "coordinates",
+                 "cochain of degree 1 needs", "must be a JSON object", "duplicate stratum id"):
+        assert any(part in e for e in errors), part
