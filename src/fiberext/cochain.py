@@ -27,7 +27,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .dual_complex import DeltaComplex, boundary_rows, homology_degree, invariant_factors
+from .dual_complex import DeltaComplex, boundary_rows, homology_degree
 from .errors import PreconditionError
 
 
@@ -294,10 +294,10 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     from the cochain complex (not via universal coefficients).
 
     ``ker d1`` is saturated in ``Z^E``, so ``H^1(Z)`` has free rank
-    ``E - rk d0 - rk d1``, read from the invariant factors of B_1 and B_2
-    that the complex caches (the ones ``hom_from_h1`` reads), so no
-    boundary matrix is factored twice.  Its torsion is that of ``Z^E / im
-    d0``, none: B_1 is totally unimodular (see ``invariant_factors``).
+    ``E - rk d0 - rk d1``, the first Betti number ``homology_degree`` reads
+    off the invariant factors the complex caches, as ``hom_from_h1`` does.
+    Its torsion is that of ``Z^E / im d0``, none: B_1 is totally unimodular
+    (see ``invariant_factors``).
     For ``Z/n``, ``C (x) Z/n`` of the free complex C is quasi-isomorphic to
     the mapping cone of multiplication by n on C (Weibel, *An Introduction
     to Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
@@ -307,9 +307,7 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     n_e, n_t = complex.count(1), complex.count(2)
     if n_e == 0:
         return GroupInvariants(0, ())
-    rank, orders = 0, []
-    if group.rank:
-        rank = group.rank * (n_e - len(invariant_factors(complex, 1)) - len(invariant_factors(complex, 2)))
+    rank = group.rank * homology_degree(complex, 1)[0] if group.rank else 0
     if not group.torsion:
         return GroupInvariants(rank, ())
 
@@ -319,6 +317,7 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     # the rows of B_1 span im d0 as they are.
     b1 = boundary_rows(complex, 1)
     b2 = boundary_rows(complex, 2) if n_t else ({},) * n_e
+    orders = []
     for n in group.torsion:
         # (0, d0 e_v), then (-d1 e_e, n e_e): Z^T first, Z^E shifted by T.
         rels = [{n_t + e: -x for e, x in row.items()} for row in b1]

@@ -1,11 +1,12 @@
 """Semi-abelian classification of Pic^0 of degenerate fibers.
 
 Curve fibers are handled through their dual multigraphs (loops record
-nodal self-intersections); higher-dimensional snc fibers through their
+nodal self-intersections), which ``classify_curve_fiber`` builds as a
+one-dimensional dual complex; higher-dimensional snc fibers through their
 dual complex, which ``classify_snc_fiber`` takes as built.  The torus rank
-is the first Betti number in either case; the abelian part is the sum of
-component genera for curves and must be supplied as h^1(O) for general
-snc fibers.
+is ``torus_rank`` of the dual complex, its first Betti number, for both
+kinds; the abelian part is the sum of component genera for curves and must
+be supplied as h^1(O) for general snc fibers.
 """
 
 from __future__ import annotations
@@ -33,10 +34,17 @@ class CurveFiber:
     nodal: bool = True
 
     def __post_init__(self):
-        if any(g < 0 for g in self.genera):
+        genera, edges = tuple(self.genera), tuple(map(tuple, self.edges))
+        for x in (*genera, *(x for e in edges for x in e)):
+            if type(x) is not int:
+                raise TypeError(f"genera and edge endpoints must be integers, got {x!r}")
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "edges", edges)
+        if any(g < 0 for g in genera):
             raise ValueError("genera must be nonnegative")
-        n = len(self.genera)
-        if any(not (0 <= a < n and 0 <= b < n) for a, b in self.edges):
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("an edge must have two endpoints")
+        if any(not 0 <= x < len(genera) for e in edges for x in e):
             raise ValueError("edge endpoints must reference components")
 
     @property
@@ -64,21 +72,12 @@ def _semi_abelian_type(t: int, a: int | None) -> SemiAbelianType:
     return SemiAbelianType(torus_rank=t, abelian_dim=a, proper=(t == 0), label=label)
 
 
-def _connected(n: int, edges) -> bool:
-    if n == 0:
-        return False
-    adj = [set() for _ in range(n)]
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+def _dual_complex(fiber: CurveFiber) -> DeltaComplex:
+    """The dual graph as a Delta-complex with empty ids: an edge per node,
+    facets ``(larger, smaller)``; a loop has boundary 0 and is never a
+    step of the spanning forest."""
+    edges = tuple((a, b) if a > b else (b, a) for a, b in fiber.edges)
+    return DeltaComplex((("",) * fiber.components, ("",) * len(edges)), (edges,))
 
 
 def classify_curve_fiber(fiber: CurveFiber) -> SemiAbelianType:
@@ -86,11 +85,10 @@ def classify_curve_fiber(fiber: CurveFiber) -> SemiAbelianType:
     number of the dual graph, abelian dimension the sum of genera."""
     if not fiber.nodal:
         raise NotSemistable("fiber has non-nodal singularities; Pic^0 may have additive parts")
-    if not _connected(fiber.components, fiber.edges):
+    complex = _dual_complex(fiber)
+    if len(complex.spanning_forest) != fiber.components - 1:
         raise ValueError("fiber graph must be connected and nonempty")
-    t = len(fiber.edges) - fiber.components + 1
-    a = sum(fiber.genera)
-    return _semi_abelian_type(t, a)
+    return _semi_abelian_type(torus_rank(complex), sum(fiber.genera))
 
 
 def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -> SemiAbelianType:
@@ -100,6 +98,8 @@ def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -
     t = torus_rank(complex)
     if h1_structure is None:
         return _semi_abelian_type(t, None)
+    if type(h1_structure) is not int:
+        raise TypeError(f"h^1(O) must be an integer, got {h1_structure!r}")
     a = h1_structure - t
     if a < 0:
         raise ValueError(f"h^1(O) = {h1_structure} is smaller than the torus rank {t}")

@@ -1,10 +1,13 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's linear-algebra routines: ranks come
-from a plain rational Gaussian elimination, invariant factors from a naive
-Euclidean diagonalization with first-nonzero pivoting, and cokernel orders
-from direct scanning.  They exist so that the fast paths in the package are
-checked against something that cannot share their bugs.
+These deliberately avoid the library's linear-algebra routines, and never
+import ``fiberext.linalg`` (``test_guards.py`` checks): ranks come from a
+plain rational Gaussian elimination, invariant factors from a naive
+Euclidean diagonalization with first-nonzero pivoting or from the Smith
+form with transforms below, kernels and solutions from that Smith form,
+and cokernel orders from direct scanning.  They exist so that the fast
+paths in the package are checked against something that cannot share
+their bugs.
 """
 
 from fractions import Fraction
@@ -483,14 +486,53 @@ def invariant_factor_chain_reference(orders) -> tuple[int, ...]:
     return tuple(sorted(chain))
 
 
+def smith_diagonal_reference(mat, ncols=None) -> list[int]:
+    """The nonzero invariant factors of ``mat``, off its Smith form."""
+    n = len(mat[0]) if mat else (ncols or 0)
+    _, s, _ = smith_normal_form_reference(mat, n)
+    return [s[t][t] for t in range(min(len(s), n)) if s[t][t]]
+
+
+def kernel_basis_reference(mat, ncols=None):
+    """A basis of the integer kernel lattice ``{x : mat @ x == 0}``: the
+    columns of ``v`` past the rank, where ``u @ mat @ v`` is the Smith form."""
+    n = len(mat[0]) if mat else (ncols or 0)
+    _, s, v = smith_normal_form_reference(mat, n)
+    rank = sum(1 for t in range(min(len(s), n)) if s[t][t])
+    return [[row[j] for row in v] for j in range(rank, n)]
+
+
+def solve_reference(mat, rhs, ncols=None, mod=None):
+    """One solution of ``mat @ x == rhs`` over Z, or over Z/mod when ``mod``
+    is given, or ``None``: with ``u @ mat @ v = s`` in Smith form, solve the
+    diagonal system ``s @ y == u @ rhs`` entry by entry and take ``v @ y``."""
+    n = len(mat[0]) if mat else (ncols or 0)
+    u, s, v = smith_normal_form_reference(mat, n)
+    y = [0] * n
+    for i, urow in enumerate(u):
+        c = sum(a * b for a, b in zip(urow, rhs))
+        d = s[i][i] if i < n else 0
+        if mod is None:
+            if c % d if d else c:
+                return None
+            if d:
+                y[i] = c // d
+        else:
+            g = gcd(d, mod)
+            if c % g:
+                return None
+            if d and mod > g:
+                y[i] = (c // g) * pow(d // g, -1, mod // g) % (mod // g)
+    x = [sum(a * b for a, b in zip(vrow, y)) for vrow in v]
+    return x if mod is None else [e % mod for e in x]
+
+
 def component_group_reference(lattice) -> tuple[int, ...]:
     """Torsion of ``c-perp / im M``: an echelon basis of ``c-perp`` and the
     coordinates of the columns of the (integer) matrix in it."""
-    from fiberext import linalg
-
     n = lattice.size
     mat = [[int(x) for x in row] for row in lattice.matrix]
-    gens = linalg.kernel_basis([list(lattice.multiplicities)], n)
+    gens = kernel_basis_reference([list(lattice.multiplicities)], n)
     _, torsion = lattice_quotient_reference(gens, _transpose(mat), n)
     return tuple(torsion)
 
@@ -540,8 +582,6 @@ def _coordinates_in_basis(vec, basis):
 def lattice_quotient_reference(gens, rels, n):
     """``(free_rank, torsion)`` of ``span(gens) / span(rels)`` inside Z^n;
     ``rels`` must lie in the lattice spanned by ``gens``."""
-    from fiberext import linalg
-
     basis = _row_lattice_basis(gens, n)
     rows = []
     for rel in rels:
@@ -549,14 +589,13 @@ def lattice_quotient_reference(gens, rels, n):
         if coords is None:
             raise ValueError("relation outside the generated lattice")
         rows.append(coords)
-    diag = linalg.snf_diagonal(linalg.sparse(rows))
+    diag = smith_diagonal_reference(rows, len(basis))
     return len(basis) - len(diag), [d for d in diag if d > 1]
 
 
 def cohomology_group_reference(complex, group):
     """H^1 as ``ker d1 / im d0`` over Z and ``{x : d1 x = 0 mod n} /
     (im d0 + n Z^E)`` for each ``Z/n``, each cocycle lattice a kernel basis."""
-    from fiberext import linalg
     from fiberext.cochain import GroupInvariants, invariant_factor_chain
 
     n_e = complex.count(1)
@@ -566,11 +605,11 @@ def cohomology_group_reference(complex, group):
     d1 = _transpose(boundary_matrix_reference(complex, 2)) if complex.dimension >= 2 else []
     orders, rank = [], 0
     if group.rank:
-        free, torsion = lattice_quotient_reference(linalg.kernel_basis(d1, n_e), d0_cols, n_e)
+        free, torsion = lattice_quotient_reference(kernel_basis_reference(d1, n_e), d0_cols, n_e)
         orders, rank = list(torsion) * group.rank, free * group.rank
     for n in group.torsion:
         block = [row + [-n if col == t else 0 for col in range(len(d1))] for t, row in enumerate(d1)]
-        cocycles = [vec[:n_e] for vec in linalg.kernel_basis(block, n_e + len(d1))]
+        cocycles = [vec[:n_e] for vec in kernel_basis_reference(block, n_e + len(d1))]
         rels = d0_cols + [[n if j == i else 0 for j in range(n_e)] for i in range(n_e)]
         free, torsion = lattice_quotient_reference(cocycles, rels, n_e)
         if free:
@@ -595,7 +634,6 @@ def is_exact_reference(phi):
     """``coboundary(beta) = phi`` solved against ``d0 = -B_1^T``: an integer
     solve per free coordinate and a modular solve per cyclic factor of the
     coefficient group.  Returns the 0-cochain or ``NotExact``."""
-    from fiberext import linalg
     from fiberext.cochain import Cochain, NotExact
 
     cx, group = phi.complex, phi.group
@@ -604,10 +642,8 @@ def is_exact_reference(phi):
     per_vertex = [[0] * group.width for _ in range(n_v)]
     for p in range(group.width):
         rhs = [value[p] for value in phi.values]
-        if p < group.rank:
-            sol = linalg.solve_integer(mat, rhs, n_v)
-        else:
-            sol = linalg.solve_mod(mat, rhs, group.torsion[p - group.rank], n_v)
+        mod = group.torsion[p - group.rank] if p >= group.rank else None
+        sol = solve_reference(mat, rhs, n_v, mod)
         if sol is None:
             return NotExact()
         for v in range(n_v):
@@ -777,3 +813,36 @@ def solve_rational_dense_reference(mat, rhs):
     if any(row[n] for row in rows[len(pivots):]):
         return None
     return _dense_back_substitute(rows, pivots, n, n)
+
+
+# ---------------------------------------------------------------------------
+# Reference path for curve fibers: the graph walk ``pic0`` ran before it
+# classified a curve fiber on its dual complex, kept so differential tests
+# can compare against it.
+# ---------------------------------------------------------------------------
+
+def curve_fiber_type_reference(fiber):
+    """``(torus_rank, abelian_dim, proper, label)`` of ``Pic^0`` of a curve
+    fiber: connectivity by a search from component 0 and the torus rank as
+    ``E - V + 1``.  Raises what ``classify_curve_fiber`` must raise."""
+    from fiberext.pic0 import NotSemistable
+
+    if not fiber.nodal:
+        raise NotSemistable("fiber has non-nodal singularities; Pic^0 may have additive parts")
+    n = fiber.components
+    adj = [set() for _ in range(n)]
+    for a, b in fiber.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0} if n else set()
+    stack = list(seen)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if not n or len(seen) != n:
+        raise ValueError("fiber graph must be connected and nonempty")
+    t, a = len(fiber.edges) - n + 1, sum(fiber.genera)
+    label = "abelian variety" if t == 0 else "torus" if a == 0 else "semi-abelian"
+    return t, a, t == 0, label

@@ -43,6 +43,27 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
+def linalg_references(path) -> list[str]:
+    """Where a module imports ``fiberext.linalg`` or reads a ``linalg`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.startswith("fiberext.linalg")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("fiberext.linalg"):
+                found.append(f"{node.lineno} {node.module}")
+            elif node.module == "fiberext":
+                found += [f"{node.lineno} fiberext.linalg" for a in node.names if a.name == "linalg"]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append(f"{node.lineno} .linalg")
+    return found
+
+
+def test_oracles_share_no_code_with_linalg():
+    """The oracles check ``fiberext.linalg``, so they must not run it."""
+    assert linalg_references(Path(__file__).parent / "oracles.py") == []
+
+
 @pytest.fixture
 def wrong_solver(monkeypatch):
     def solve(pivots, rhs):

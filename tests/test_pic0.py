@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fiberext import corpus
 from fiberext.cochain import CoefficientGroup
 from fiberext.dual_complex import build_dual_complex, strata_from_multigraph, torus_rank
 from fiberext.pic0 import (
@@ -16,6 +17,7 @@ from fiberext.pic0 import (
     extension_obstruction,
     numerical_triviality_on_fiber,
 )
+from oracles import curve_fiber_type_reference
 
 
 def torus_type():
@@ -53,6 +55,32 @@ class TestCurveClassification:
     def test_bad_edges_rejected(self):
         with pytest.raises(ValueError):
             CurveFiber(genera=(0,), edges=((0, 1),))
+
+    def test_fractional_genus_rejected(self):
+        """``genera=(0.5,)`` once classified as ``abelian_dim=0.5``."""
+        for genera in ((0.5,), (1.0,), (True,), ("1",)):
+            with pytest.raises(TypeError, match="must be integers"):
+                CurveFiber(genera=genera)
+
+    def test_fractional_endpoint_rejected(self):
+        """``(0, 1.0)`` once failed deep in the graph walk with an index error."""
+        for edge in ((0, 1.0), (0.0, 1), (False, 1), (0, "1")):
+            with pytest.raises(TypeError, match="must be integers"):
+                CurveFiber(genera=(0, 0), edges=(edge,))
+
+    def test_edge_needs_two_endpoints(self):
+        """A three-endpoint edge once failed with an unpacking error."""
+        for edge in ((0, 1, 1), (0,), ()):
+            with pytest.raises(ValueError, match="two endpoints"):
+                CurveFiber(genera=(0, 0), edges=(edge,))
+
+    def test_list_input_is_stored_as_tuples(self):
+        """List-valued genera and edges once made the frozen dataclass unhashable."""
+        fiber = CurveFiber(genera=[1, 0], edges=[[0, 1], [1, 0]])
+        same = CurveFiber(genera=(1, 0), edges=((0, 1), (1, 0)))
+        assert fiber == same and hash(fiber) == hash(same)
+        assert fiber.genera == (1, 0) and fiber.edges == ((0, 1), (1, 0))
+        assert classify_curve_fiber(fiber) == classify_curve_fiber(same)
 
     def test_proper_iff_no_torus_part(self):
         cases = [
@@ -94,9 +122,71 @@ class TestSncClassification:
         with pytest.raises(ValueError):
             classify_snc_fiber(build_dual_complex(strata), h1_structure=0)
 
+    def test_h1_structure_must_be_an_integer(self):
+        """``h1_structure=True`` once computed ``True - t``."""
+        cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
+        for bad in (True, 1.0, "1", Fraction(1)):
+            with pytest.raises(TypeError, match="must be an integer"):
+                classify_snc_fiber(cx, h1_structure=bad)
+        assert classify_snc_fiber(cx, h1_structure=1).abelian_dim == 0
+
     def test_torus_rank_is_first_betti(self):
         strata = strata_from_multigraph(3, [(0, 1), (1, 2), (0, 2), (0, 2)])
         assert torus_rank(build_dual_complex(strata)) == 2
+
+
+def curve_outcome(classify, fiber):
+    """``(torus_rank, abelian_dim, proper, label)``, or the error raised."""
+    try:
+        t = classify(fiber)
+    except ValueError as exc:  # NotSemistable is a ValueError
+        return type(exc), str(exc)
+    return t if isinstance(t, tuple) else (t.torus_rank, t.abelian_dim, t.proper, t.label)
+
+
+def random_curve_fiber(rng):
+    """Zero to six components, sometimes on a spanning tree, with loops,
+    parallel edges, isolated components and now and then a cusp."""
+    n = rng.choice((0, 1, 1, 2, 3, 4, 5, 6))
+    edges = []
+    if n and rng.random() < 0.7:
+        edges += [(rng.randrange(k), k) for k in range(1, n)]
+    for _ in range(rng.randint(0, 4) if n else 0):
+        a = rng.randrange(n)
+        edges.append((a, a) if rng.random() < 0.3 else (a, rng.randrange(n)))
+    if edges and rng.random() < 0.3:
+        edges.append(rng.choice(edges)[::-1])
+    rng.shuffle(edges)
+    genera = tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+    return CurveFiber(genera=genera, edges=tuple(edges), nodal=rng.random() < 0.95)
+
+
+class TestDualComplexClassification:
+    """``classify_curve_fiber`` reads the torus rank off the fiber's dual
+    complex; the graph walk it replaced must give the same answers."""
+
+    def test_random_multigraphs_match_the_graph_walk(self, rng):
+        seen = {"ok": 0, "disconnected": 0, "not nodal": 0, "loop": 0, "empty": 0}
+        for _ in range(3000):
+            fiber = random_curve_fiber(rng)
+            got = curve_outcome(classify_curve_fiber, fiber)
+            assert got == curve_outcome(curve_fiber_type_reference, fiber), fiber
+            if got[0] is NotSemistable:
+                seen["not nodal"] += 1
+            elif got[0] is ValueError:
+                seen["disconnected"] += 1
+            else:
+                seen["ok"] += 1
+            seen["loop"] += any(a == b for a, b in fiber.edges)
+            seen["empty"] += not fiber.components
+        assert min(seen.values()) >= 50, seen
+
+    def test_corpus_curve_fibers_match_the_graph_walk(self):
+        fibers = [f for name in corpus.scenario_names()
+                  for f in corpus.load_scenario(name).curve_fibers.values()]
+        assert len(fibers) >= 5
+        for fiber in fibers:
+            assert curve_outcome(classify_curve_fiber, fiber) == curve_outcome(curve_fiber_type_reference, fiber)
 
 
 class TestNumericalTriviality:
