@@ -7,6 +7,12 @@ result, as the lines or (``--format machine``) as the payload in JSON with
 the exit code added, and turns input errors into exit code 1 and one
 ``error:`` line.  Exit codes: 0 success, 1 input or validation error, 2
 mathematical obstruction.
+
+Options, defaults and choices are defined once, in ``_COMMANDS``.
+``read_argv`` reads the plain shape of argv straight from that table in
+one walk; any other argv, including ``--help`` and every usage error, goes
+to the argparse parser that ``build_parser`` builds from the same table,
+so help text, usage errors and exit status 2 are argparse's own.
 """
 
 from __future__ import annotations
@@ -155,7 +161,9 @@ def cmd_corpus(args) -> tuple[int, dict, list[str]]:
 
 
 _FILE = ("file", {})
-# name -> (handler, help, extra arguments); every subcommand also takes --format.
+# Every subcommand takes --format too; build_parser and read_argv add it last.
+_FORMAT = ("--format", {"choices": ("human", "machine"), "default": "human"})
+# name -> (handler, help, arguments)
 _COMMANDS = {
     "extend": (cmd_extend, "solve the divisor-extension system of a fiber lattice", [
         _FILE,
@@ -182,15 +190,70 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        for arg, options in arguments:
+        for arg, options in (*arguments, _FORMAT):
             p.add_argument(arg, **options)
-        p.add_argument("--format", choices=("human", "machine"), default="human")
         p.set_defaults(func=handler)
     return parser
 
 
+def _reading(handler, arguments):
+    """``(defaults, positionals, options)`` of one subcommand for
+    ``read_argv``: each argument as ``(dest, is_flag, choices, optional)``,
+    the positionals in order and the options by their exact names."""
+    defaults, positionals, options = {"func": handler}, [], {}
+    for arg, kw in (*arguments, _FORMAT):
+        dest, flag = arg.lstrip("-"), kw.get("action") == "store_true"
+        defaults[dest] = False if flag else kw.get("default")
+        entry = (dest, flag, kw.get("choices"), kw.get("nargs") == "?")
+        if arg.startswith("-"):
+            options[arg] = entry
+        else:
+            positionals.append(entry)
+    return defaults, positionals, options
+
+
+_READING = {name: _reading(handler, arguments) for name, (handler, _, arguments) in _COMMANDS.items()}
+
+
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read in one
+    walk when ``argv`` has the plain shape: a subcommand, its positionals,
+    then distinct options by their exact names, each a flag or followed by
+    its value.  Every token must be a nonempty string, no positional or
+    value may start with '-', and every choice must be valid.  Any other
+    argv gives None and is left to argparse, which alone prints help and
+    usage errors."""
+    if not argv or not all(type(t) is str and t for t in argv) or argv[0] not in _READING:
+        return None
+    defaults, positionals, options = _READING[argv[0]]
+    values, i, n = dict(defaults, command=argv[0]), 1, len(argv)
+    for dest, _, choices, optional in positionals:
+        if i < n and argv[i][0] != "-":
+            if choices and argv[i] not in choices:
+                return None
+            values[dest], i = argv[i], i + 1
+        elif not optional:
+            return None
+    unseen = dict(options)
+    while i < n:
+        entry = unseen.pop(argv[i], None)
+        if entry is None:
+            return None
+        dest, flag, choices, _ = entry
+        if flag:
+            values[dest], i = True, i + 1
+        elif i + 1 < n and argv[i + 1][0] != "-" and (not choices or argv[i + 1] in choices):
+            values[dest], i = argv[i + 1], i + 2
+        else:
+            return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         code, payload, lines = args.func(args)
         if args.format == "machine":

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's linear-algebra routines, and never
-import ``fiberext.linalg`` (``test_guards.py`` checks): ranks come from a
+import ``fiberext.linalg`` or ``cochain.invariant_factor_chain``
+(``test_guards.py`` checks): ranks come from a
 plain rational Gaussian elimination, invariant factors from a naive
 Euclidean diagonalization with first-nonzero pivoting or from the Smith
 form with transforms below, kernels and solutions from that Smith form,
@@ -486,6 +487,14 @@ def invariant_factor_chain_reference(orders) -> tuple[int, ...]:
     return tuple(sorted(chain))
 
 
+def invariant_factors_of_orders_reference(orders) -> tuple[int, ...]:
+    """Invariant factors of a direct sum of cyclic groups: the entries
+    above 1 of the Smith diagonal of ``diag(orders)``.  The Smith form is
+    gcd-based, so large prime orders cost no factoring."""
+    diag = [[o if i == j else 0 for j in range(len(orders))] for i, o in enumerate(orders)]
+    return tuple(d for d in smith_diagonal_reference(diag, len(orders)) if d > 1)
+
+
 def smith_diagonal_reference(mat, ncols=None) -> list[int]:
     """The nonzero invariant factors of ``mat``, off its Smith form."""
     n = len(mat[0]) if mat else (ncols or 0)
@@ -596,7 +605,7 @@ def lattice_quotient_reference(gens, rels, n):
 def cohomology_group_reference(complex, group):
     """H^1 as ``ker d1 / im d0`` over Z and ``{x : d1 x = 0 mod n} /
     (im d0 + n Z^E)`` for each ``Z/n``, each cocycle lattice a kernel basis."""
-    from fiberext.cochain import GroupInvariants, invariant_factor_chain
+    from fiberext.cochain import GroupInvariants
 
     n_e = complex.count(1)
     if n_e == 0:
@@ -615,7 +624,7 @@ def cohomology_group_reference(complex, group):
         if free:
             raise ArithmeticError(f"H^1 with Z/{n} coefficients has free rank {free}")
         orders.extend(torsion)
-    return GroupInvariants(rank, invariant_factor_chain(orders))
+    return GroupInvariants(rank, invariant_factors_of_orders_reference(orders))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import argv_cases
 from fiberext import cochain as cochain_mod
 from fiberext import lattice as lattice_mod
 from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
+from test_golden import golden_cases
 
 
-SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
+ROOT = Path(__file__).parent.parent
+SCENARIOS = ROOT / "src" / "fiberext" / "scenarios"
 
 
 def write(tmp_path, name, data):
@@ -307,6 +312,80 @@ class TestParserReuse:
         assert shared == fresh
         assert "B_1" in shared[0][1].out and "B_1" not in shared[1][1].out
         assert build_parser() is build_parser()
+
+
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(argv_cases.ALPHABET), max_size=8),
+    st.builds(lambda name, rest: [name, *rest], st.sampled_from(argv_cases.SUBCOMMANDS),
+              st.lists(st.sampled_from(argv_cases.ALPHABET), max_size=7)),
+    st.randoms(use_true_random=False).map(argv_cases.random_argv),
+)
+
+README_ARGVS = [
+    ["extend", "scenario.json"],
+    ["extend", "scenario.json", "--mode", "trivial"],
+    ["extend", "scenario.json", "--mode", "nef", "--targets", "2,0"],
+    ["dual-complex", "scenario.json"],
+    ["dual-complex", "scenario.json", "--matrices"],
+    ["cochain", "scenario.json"],
+    ["pic0", "scenario.json"],
+    ["obstruction", "scenario.json"],
+    ["corpus", "list"],
+    ["corpus", "run"],
+    ["corpus", "run", "example-4.2-stable-genus-one"],
+]
+
+
+class TestArgvReader:
+    """``read_argv`` against ``build_parser().parse_args`` (see ``argv_cases``)."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(ARGVS)
+    def test_reader_agrees_with_argparse(self, argv):
+        argv_cases.check(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["extend", "f.json", "-h"], ["extend", "f.json", "--mod", "nef"], ["extend", "f.json", "--format=machine"],
+        ["extend", "--", "f.json"], ["extend", "-"], ["extend", "f.json", "--targets", "-1,2"], ["extend", ""],
+        ["extend", "f.json", "--mode", "nef", "--mode", "trivial"], ["extend", "f.json", "g.json"], ["extend"],
+        ["extend", "f.json", "--mode", "Trivial"], ["extend", "f.json", "--targets", "--format=machine"],
+        ["extend", "f.json", "--targets"], ["extend", "--mode", "nef", "f.json"], ["corpus", "show"],
+        ["corpus", "run", "--format", "machine", "name"], ["dual-complex", "f.json", "--matrices", "--matrices"],
+    ])
+    def test_other_shapes_are_left_to_argparse(self, argv):
+        assert argv_cases.check(argv)[0] is None
+
+    def test_callers_take_the_reader(self, tmp_path, monkeypatch):
+        """Every argv shape of the benchmark workloads, the golden cases and
+        the README examples is read without argparse."""
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import workloads
+
+        argvs = [op["argv"] for name in workloads.WORKLOADS
+                 for op in workloads.build(name, 1, str(tmp_path / name), str(ROOT))]
+        argvs += [argv + ["--format", fmt] for _, argv in golden_cases() for fmt in ("machine", "human")]
+        argvs += README_ARGVS + [argv + ["--format", "machine"] for argv in README_ARGVS]
+        assert [argv for argv in argvs if argv_cases.check(argv)[0] is None] == []
+
+    @pytest.mark.parametrize("case", sorted(argv_cases.USAGE_CASES))
+    def test_help_and_usage_errors_are_argparse_output(self, case):
+        """Byte for byte the output of the parser-only ``main``."""
+        golden = json.loads(argv_cases.USAGE_GOLDEN.read_text())
+        assert argv_cases.usage_output(argv_cases.USAGE_CASES[case]) == golden[case]
+
+    @pytest.mark.parametrize("argv", [["corpus", "run", "example-4.2-stable-genus-one", "--format", "machine"],
+                                      ["corpus", "--help"], ["extend"]])
+    def test_main_reads_sys_argv(self, monkeypatch, capsys, argv):
+        def run(*args):
+            try:
+                code = main(*args)
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        expected = run(argv)
+        monkeypatch.setattr(sys, "argv", ["fiberext", *argv])
+        assert run() == expected
 
 
 MALFORMED_SOURCES = {

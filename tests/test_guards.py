@@ -43,25 +43,46 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
-def linalg_references(path) -> list[str]:
-    """Where a module imports ``fiberext.linalg`` or reads a ``linalg`` attribute."""
+# Package code that the oracles check, so they must not run it: the module
+# ``fiberext.linalg`` and the order merge ``cochain.invariant_factor_chain``.
+CHECKED_MODULE = "fiberext.linalg"
+CHECKED_NAMES = ("linalg", "invariant_factor_chain")
+
+
+def checked_code_references(path) -> list[str]:
+    """Where a module imports the checked module or a checked name, or
+    reads a checked name as an attribute."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
-            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.startswith("fiberext.linalg")]
+            found += [f"{node.lineno} {a.name}" for a in node.names if a.name.startswith(CHECKED_MODULE)]
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("fiberext.linalg"):
+            if node.module.startswith(CHECKED_MODULE):
                 found.append(f"{node.lineno} {node.module}")
-            elif node.module == "fiberext":
-                found += [f"{node.lineno} fiberext.linalg" for a in node.names if a.name == "linalg"]
-        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
-            found.append(f"{node.lineno} .linalg")
+            elif node.module.startswith("fiberext"):
+                found += [f"{node.lineno} {node.module}.{a.name}" for a in node.names if a.name in CHECKED_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in CHECKED_NAMES:
+            found.append(f"{node.lineno} .{node.attr}")
     return found
 
 
 def test_oracles_share_no_code_with_linalg():
-    """The oracles check ``fiberext.linalg``, so they must not run it."""
-    assert linalg_references(Path(__file__).parent / "oracles.py") == []
+    """The oracles check ``fiberext.linalg`` and the invariant-factor merge,
+    so they must not run them."""
+    assert checked_code_references(Path(__file__).parent / "oracles.py") == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from fiberext.cochain import GroupInvariants, invariant_factor_chain", ["1 fiberext.cochain.invariant_factor_chain"]),
+    ("from fiberext import cochain\ncochain.invariant_factor_chain([2])", ["2 .invariant_factor_chain"]),
+    ("import fiberext.linalg", ["1 fiberext.linalg"]),
+    ("from fiberext import linalg", ["1 fiberext.linalg"]),
+    ("from fiberext.cochain import GroupInvariants", []),
+])
+def test_the_guard_finds_checked_code(tmp_path, source, found):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert checked_code_references(path) == found
 
 
 @pytest.fixture
