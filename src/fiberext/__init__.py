@@ -11,6 +11,7 @@ Subpackages:
   obstruction certificates.
 - ``corpus``: bundled worked-example scenarios.
 - ``cli``: the ``fiberext`` command-line entry point.
+- ``errors``: the package's exception classes and the CLI's exit codes.
 """
 
 from .cochain import (
@@ -38,6 +39,7 @@ from .dual_complex import (
     homology_degree,
     torus_rank,
 )
+from .errors import NotSemistable
 from .lattice import (
     DivisorTrace,
     ExtensionResult,
@@ -54,7 +56,6 @@ from .lattice import (
 )
 from .pic0 import (
     CurveFiber,
-    NotSemistable,
     ObstructionCertificate,
     ObstructionScenario,
     SamplePoint,

@@ -5,8 +5,7 @@ dispatch to the library.  Each handler computes every value once and
 returns ``(exit code, payload, human lines)``; ``main`` alone renders the
 result, as the lines or (``--format machine``) as the payload in JSON with
 the exit code added, and turns input errors into exit code 1 and one
-``error:`` line.  Exit codes: 0 success, 1 input or validation error, 2
-mathematical obstruction.
+``error:`` line.  The exit codes are defined in ``errors``.
 
 Options, defaults and choices are defined once, in ``_COMMANDS``.
 ``read_argv`` reads the plain shape of argv straight from that table in
@@ -25,19 +24,10 @@ import sys
 from . import cochain as cochain_mod
 from . import corpus
 from .dual_complex import boundary_matrix, homology, torus_rank
+from .errors import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, NotSemistable
 from .lattice import Obstructed, component_group, denominator_bound, extend_nef, extend_trivial
-from .pic0 import (
-    NotSemistable,
-    ObstructionCertificate,
-    classify_curve_fiber,
-    classify_snc_fiber,
-    extension_obstruction,
-)
+from .pic0 import ObstructionCertificate, classify_curve_fiber, classify_snc_fiber, extension_obstruction
 from .scenario import load_scenario_file
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_OBSTRUCTED = 2
 
 
 def cmd_extend(args) -> tuple[int, dict, list[str]]:

@@ -112,17 +112,16 @@ class Cochain:
             )
         object.__setattr__(self, "values", vals)
 
-    def __sub__(self, other: "Cochain") -> "Cochain":
+    def _combine(self, other: "Cochain", op) -> "Cochain":
         if (self.complex, self.group, self.degree) != (other.complex, other.group, other.degree):
             raise ValueError("cochains live on different complexes or groups")
-        vals = tuple(self.group.sub(a, b) for a, b in zip(self.values, other.values))
-        return Cochain(self.complex, self.group, self.degree, vals)
+        return Cochain(self.complex, self.group, self.degree, tuple(map(op, self.values, other.values)))
+
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        return self._combine(other, self.group.sub)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.complex, self.group, self.degree) != (other.complex, other.group, other.degree):
-            raise ValueError("cochains live on different complexes or groups")
-        vals = tuple(self.group.add(a, b) for a, b in zip(self.values, other.values))
-        return Cochain(self.complex, self.group, self.degree, vals)
+        return self._combine(other, self.group.add)
 
     def is_zero(self) -> bool:
         return all(self.group.is_zero(v) for v in self.values)

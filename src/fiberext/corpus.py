@@ -14,13 +14,13 @@ from importlib import resources
 from . import cochain as cochain_mod
 from . import lattice as lattice_mod
 from .dual_complex import homology, torus_rank
+from .errors import NotSemistable
 from .pic0 import (
-    NotSemistable,
+    ObstructionCertificate,
     classify_curve_fiber,
     classify_snc_fiber,
     extension_obstruction,
     numerical_triviality_on_fiber,
-    ObstructionCertificate,
 )
 from .scenario import Scenario, _one, load_scenario_file
 
@@ -117,16 +117,15 @@ def _equal(want, got, show=str):
 
 
 def _check_validate(sc, entry):
-    report = lattice_mod.validate_lattice(sc.lattice)
+    report = lattice_mod.validate_lattice(sc.need("lattice"))
     want = entry["valid"]
     return report.valid == want, f"valid={want}", f"valid={report.valid}, failed={report.failed()}"
 
 
 def _check_extension(sc, entry):
-    if entry["op"] == "extend_trivial":
-        result = lattice_mod.extend_trivial(sc.lattice, sc.trace)
-    else:
-        result = lattice_mod.extend_nef(sc.lattice, sc.trace, entry.get("targets"))
+    lattice, trace = sc.need("lattice"), sc.need("trace")
+    result = (lattice_mod.extend_trivial(lattice, trace) if entry["op"] == "extend_trivial"
+              else lattice_mod.extend_nef(lattice, trace, entry.get("targets")))
     if entry.get("obstructed"):
         ok = isinstance(result, lattice_mod.Obstructed)
         return ok, "obstructed", type(result).__name__
@@ -154,7 +153,7 @@ def _check_extension(sc, entry):
 
 
 def _check_homology(sc, entry):
-    profile = homology(sc.strata)
+    profile = homology(sc.need("strata"))
     want_betti = tuple(entry["betti"])
     want_torsion = tuple(tuple(t) for t in entry.get("torsion", [[]] * len(want_betti)))
     ok = profile.betti == want_betti and profile.torsion == want_torsion
@@ -195,7 +194,7 @@ def _check_numerical_triviality(sc, entry):
 
 
 def _check_is_closed(sc, entry):
-    result = cochain_mod.is_closed(sc.cochain)
+    result = cochain_mod.is_closed(sc.need("cochain"))
     ok = result.closed == entry["closed"]
     if "witness" in entry:
         ok &= result.witness == entry["witness"]
@@ -203,20 +202,18 @@ def _check_is_closed(sc, entry):
 
 
 def _check_is_exact(sc, entry):
-    got = not isinstance(cochain_mod.is_exact(sc.cochain), cochain_mod.NotExact)
+    got = not isinstance(cochain_mod.is_exact(sc.need("cochain")), cochain_mod.NotExact)
     return _equal(entry["exact"], got, "exact={}".format)
 
 
 def _check_h1_class(sc, entry):
-    cls = cochain_mod.h1_class(sc.cochain)
+    cls = cochain_mod.h1_class(sc.need("cochain"))
     want = entry["trivial"]
-    return cls.is_trivial == want, f"trivial={want}", (
-        f"trivial={cls.is_trivial}, H1={cls.group_profile}"
-    )
+    return cls.is_trivial == want, f"trivial={want}", f"trivial={cls.is_trivial}, H1={cls.group_profile}"
 
 
 def _check_obstruction(sc, entry):
-    result = extension_obstruction(sc.obstruction)
+    result = extension_obstruction(sc.need("obstruction"))
     got = isinstance(result, ObstructionCertificate)
     want = entry["obstructed"]
     ok = got == want
@@ -232,14 +229,14 @@ _HANDLERS = {
     "validate_lattice": _check_validate,
     "extend_trivial": _check_extension,
     "extend_nef": _check_extension,
-    "denominator_bound": lambda sc, e: _equal(e["value"], lattice_mod.denominator_bound(sc.lattice)),
+    "denominator_bound": lambda sc, e: _equal(e["value"], lattice_mod.denominator_bound(sc.need("lattice"))),
     "component_group": lambda sc, e: _equal(
-        list(e["invariant_factors"]), list(lattice_mod.component_group(sc.lattice).invariant_factors)),
+        list(e["invariant_factors"]), list(lattice_mod.component_group(sc.need("lattice")).invariant_factors)),
     "homology": _check_homology,
-    "torus_rank": lambda sc, e: _equal(e["value"], torus_rank(sc.strata)),
+    "torus_rank": lambda sc, e: _equal(e["value"], torus_rank(sc.need("strata"))),
     "classify_curve_fiber": _check_classify_curve,
     "classify_snc_fiber": lambda sc, e: _classification_matches(
-        e, classify_snc_fiber(sc.strata, sc.h1_structure)),
+        e, classify_snc_fiber(sc.need("strata"), sc.h1_structure)),
     "numerical_triviality": _check_numerical_triviality,
     "is_closed": _check_is_closed,
     "is_exact": _check_is_exact,

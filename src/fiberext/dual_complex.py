@@ -32,10 +32,7 @@ from operator import ge
 from typing import NamedTuple
 
 from . import linalg
-
-
-class StrataError(ValueError):
-    """The stratum description violates an snc invariant."""
+from .errors import StrataError
 
 
 class Stratum(NamedTuple):

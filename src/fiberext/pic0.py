@@ -16,11 +16,7 @@ from fractions import Fraction
 
 from .cochain import CoefficientGroup
 from .dual_complex import DeltaComplex, torus_rank
-
-
-class NotSemistable(ValueError):
-    """The fiber has worse-than-nodal singularities; Pic^0 need not be
-    semi-abelian (a cusp gives the additive group)."""
+from .errors import NotSemistable
 
 
 @dataclass(frozen=True)
@@ -95,6 +91,8 @@ def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -
     """Pic^0 of a projective snc variety with dual complex ``complex``: the
     torus rank is combinatorial; the abelian dimension needs h^1(O) as extra
     geometric input."""
+    if not complex.count(0):
+        raise ValueError("dual complex must have at least one component")
     t = torus_rank(complex)
     if h1_structure is None:
         return _semi_abelian_type(t, None)

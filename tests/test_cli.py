@@ -542,8 +542,10 @@ class TestMalformedScenario:
         ("cochain", lambda d: d.pop("strata"), (), "scenario file lacks a 'strata' section"),
         ("pic0", lambda d: [d.pop("strata"), d.pop("cochain")], (), "scenario file has no fiber to classify"),
         ("pic0", lambda d: d.update(curve_fiber={"genera": [-1]}), (), "genera must be nonnegative"),
+        ("pic0", lambda d: [d.pop("cochain"), d.update(strata={"levels": []})], (),
+         "dual complex must have at least one component"),
     ], ids=["non-square matrix", "multiplicities", "trace length", "target length", "cochain length",
-            "cochain without strata", "no fiber", "negative genus"])
+            "cochain without strata", "no fiber", "negative genus", "snc fiber without components"])
     def test_inconsistent_input(self, tmp_path, capsys, lattice_file, circle_file, command, edit, options,
                                 message):
         """Well-typed files whose parts do not fit together."""

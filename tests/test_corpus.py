@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from fiberext import corpus
+from fiberext.scenario import Scenario
 
 REQUIRED = {
     "example-1.1-irreducible-fiber",
@@ -120,3 +122,36 @@ def test_expected_obstruction_passes():
     sc = corpus.load_scenario("nef-extension-two-component")
     check = corpus._run_check(sc, {"op": "extend_nef", "targets": ["1", 0], "obstructed": True}, 0)
     assert (check.passed, check.expected, check.actual) == (True, "obstructed", "Obstructed")
+
+
+# op -> the section its check reads first.  The curve-fiber ops look their
+# fiber up by label instead, and a missing one is a KeyError naming it.
+SECTION_OPS = {
+    "validate_lattice": "lattice", "extend_trivial": "lattice", "extend_nef": "lattice",
+    "denominator_bound": "lattice", "component_group": "lattice", "homology": "strata",
+    "torus_rank": "strata", "classify_snc_fiber": "strata", "is_closed": "cochain", "is_exact": "cochain",
+    "h1_class": "cochain", "extension_obstruction": "obstruction",
+}
+# Every expected value an op reads, well typed, so only the section is missing.
+EVERY_VALUE = {"valid": True, "value": 0, "invariant_factors": [], "betti": [1], "closed": True, "exact": True,
+               "trivial": True, "obstructed": False}
+
+
+def test_every_op_that_reads_a_section_is_covered():
+    assert set(corpus._HANDLERS) - set(SECTION_OPS) == {"classify_curve_fiber", "numerical_triviality"}
+
+
+@pytest.mark.parametrize("op, section", sorted(SECTION_OPS.items()))
+def test_missing_section_is_named_as_the_cli_names_it(op, section):
+    """A check once crashed on the absent section, reporting an
+    ``AttributeError`` of ``None``."""
+    check = corpus._run_check(Scenario(name="probe"), {"op": op, **EVERY_VALUE}, 0)
+    assert not check.passed
+    assert check.actual == f"ValueError: scenario file lacks a {section!r} section"
+
+
+@pytest.mark.parametrize("op", ["extend_trivial", "extend_nef"])
+def test_extension_without_a_trace_names_the_trace(op):
+    sc = dataclasses.replace(corpus.load_scenario("kodaira-I2-family"), trace=None)
+    check = corpus._run_check(sc, {"op": op, **EVERY_VALUE}, 0)
+    assert check.actual == "ValueError: scenario file lacks a 'trace' section"

@@ -1,7 +1,9 @@
 """Result guards are real exceptions, so they still run under ``python -O``."""
 
 import ast
+import builtins
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fiberext import cochain, linalg
+from fiberext import cochain, errors, linalg
 from fiberext.cli import main
 from fiberext.cochain import Cochain, CoefficientGroup, GroupInvariants, cohomology_group
 from fiberext.dual_complex import build_dual_complex, simplex_strata, strata_from_multigraph
@@ -83,6 +85,58 @@ def test_the_guard_finds_checked_code(tmp_path, source, found):
     path = tmp_path / "module.py"
     path.write_text(source)
     assert checked_code_references(path) == found
+
+
+# Names a class may derive from to be an exception: the built-in
+# exceptions and the classes of ``fiberext.errors``.
+EXCEPTION_BASES = {name for name, value in {**vars(builtins), **vars(errors)}.items()
+                   if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def error_definitions(path) -> list[str]:
+    """Where a module defines an exception class or assigns an ``EXIT_*``
+    name; only ``fiberext.errors`` may."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            bases = {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in node.bases}
+            if bases & EXCEPTION_BASES:
+                found.append(f"{node.lineno} class {node.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            found += [f"{node.lineno} {name}" for name in names if name.startswith("EXIT_")]
+    return found
+
+
+def test_only_errors_defines_exceptions_and_exit_codes():
+    found = [f"{path.name}:{where}" for path in sorted(SOURCE.glob("*.py")) if path.name != "errors.py"
+             for where in error_definitions(path)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class Oops(ValueError):\n    pass", ["1 class Oops"]),
+    ("from . import errors\nclass Worse(errors.NotSemistable):\n    pass", ["2 class Worse"]),
+    ("class Refused(PreconditionError, object):\n    pass", ["1 class Refused"]),
+    ("EXIT_OK = 0", ["1 EXIT_OK"]),
+    ("EXIT_A, (x, EXIT_B) = 1, (2, 3)", ["1 EXIT_A", "1 EXIT_B"]),
+    ("EXIT_C: int = 3", ["1 EXIT_C"]),
+    ("class Plain:\n    pass\nfrom .errors import EXIT_OK, StrataError\ncode = EXIT_OK", []),
+])
+def test_the_guard_finds_error_definitions(tmp_path, source, found):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert error_definitions(path) == found
+
+
+@pytest.mark.parametrize("module, name", [
+    ("fiberext.dual_complex", "StrataError"), ("fiberext.pic0", "NotSemistable"), ("fiberext", "NotSemistable"),
+    ("fiberext.lattice", "PreconditionError"), ("fiberext.cochain", "PreconditionError"),
+    ("fiberext.cli", "EXIT_OK"), ("fiberext.cli", "EXIT_INPUT"), ("fiberext.cli", "EXIT_OBSTRUCTED"),
+])
+def test_old_import_paths_are_the_errors_objects(module, name):
+    assert getattr(importlib.import_module(module), name) is getattr(errors, name)
 
 
 @pytest.fixture

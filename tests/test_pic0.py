@@ -4,7 +4,7 @@ import pytest
 
 from fiberext import corpus
 from fiberext.cochain import CoefficientGroup
-from fiberext.dual_complex import build_dual_complex, strata_from_multigraph, torus_rank
+from fiberext.dual_complex import SncStrata, build_dual_complex, strata_from_multigraph, torus_rank
 from fiberext.pic0 import (
     CurveFiber,
     NotSemistable,
@@ -121,6 +121,20 @@ class TestSncClassification:
         strata = strata_from_multigraph(2, [(0, 1), (0, 1)])
         with pytest.raises(ValueError):
             classify_snc_fiber(build_dual_complex(strata), h1_structure=0)
+
+    @pytest.mark.parametrize("strata", [SncStrata(()), strata_from_multigraph(0, [])])
+    @pytest.mark.parametrize("h1", [None, 0])
+    def test_complex_without_components_rejected(self, strata, h1):
+        """A fiber has a component; the empty complex once classified as
+        an abelian variety of torus rank 0."""
+        with pytest.raises(ValueError, match="at least one component"):
+            classify_snc_fiber(build_dual_complex(strata), h1_structure=h1)
+
+    def test_disconnected_complex_still_classified(self):
+        """Two disjoint circles: Pic^0 is still semi-abelian, with t = b_1."""
+        cx = build_dual_complex(strata_from_multigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)]))
+        t = classify_snc_fiber(cx, h1_structure=2)
+        assert (t.torus_rank, t.abelian_dim, t.label) == (2, 0, "torus")
 
     def test_h1_structure_must_be_an_integer(self):
         """``h1_structure=True`` once computed ``True - t``."""
