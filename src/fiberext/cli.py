@@ -36,7 +36,7 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
     if args.mode == "trivial":
         result, symbol = extend_trivial(lattice, trace), "a"
     else:
-        targets = args.targets.split(",") if args.targets else None
+        targets = None if args.targets is None else args.targets.split(",")
         result, symbol = extend_nef(lattice, trace, targets), "b"
     if isinstance(result, Obstructed):
         value = None if result.value is None else str(result.value)
@@ -84,19 +84,17 @@ def cmd_dual_complex(args) -> tuple[int, dict, list[str]]:
 def cmd_cochain(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
     scenario.need("strata")
-    phi = scenario.need("cochain")
-    closed = cochain_mod.is_closed(phi)
-    if not closed:
-        return (EXIT_OBSTRUCTED, {"closed": False, "witness": closed.witness},
-                [f"not closed; witness {closed.witness}"])
-    cls = cochain_mod.h1_class(phi)
-    # The class of phi is trivial exactly when phi is exact: one solve.
-    exact = cls.is_trivial
-    rank, torsion = cls.group_profile.rank, list(cls.group_profile.torsion)
+    result = cochain_mod.glue_check(scenario.need("cochain"))
+    if isinstance(result, cochain_mod.NotClosed):
+        return (EXIT_OBSTRUCTED, {"closed": False, "witness": result.witness},
+                [f"not closed; witness {result.witness}"])
+    # The class is trivial exactly when the cochain is exact: one solve.
+    exact, profile = result.trivial, result.h1.group_profile
+    rank, torsion = profile.rank, list(profile.torsion)
     payload = {"closed": True, "exact": exact, "class_trivial": exact,
                "h1_rank": rank, "h1_torsion": torsion}
     if exact:
-        payload["potential"] = [list(v) for v in cls.potential.values]
+        payload["potential"] = [list(v) for v in result.h1.potential.values]
     return EXIT_OK, payload, [
         "closed; exact" if exact else "closed; not exact",
         f"class {'trivial' if exact else 'nontrivial'}; H1 profile rank {rank}, torsion {torsion}",
@@ -135,7 +133,7 @@ def cmd_corpus(args) -> tuple[int, dict, list[str]]:
         catalog = corpus.list_scenarios()
         return (EXIT_OK, {"scenarios": [{"name": n, "citation": c} for n, c in catalog]},
                 [f"{n}: {c}" for n, c in catalog])
-    reports = [corpus.run_scenario(args.name)] if args.name else corpus.run_all()
+    reports = corpus.run_all() if args.name is None else [corpus.run_scenario(args.name)]
     payload = {"reports": [
         {"name": r.name, "passed": r.passed,
          "checks": [{"op": c.op, "passed": c.passed, "expected": c.expected,

@@ -88,6 +88,10 @@ class CoefficientGroup:
     def has_infinite_order(self, a) -> bool:
         return any(x != 0 for x in self.reduce(a)[: self.rank])
 
+    @property
+    def is_trivial(self) -> bool:
+        return self.rank == 0 and not self.torsion
+
 
 @dataclass(frozen=True)
 class Cochain:
@@ -158,16 +162,12 @@ class NotClosed:
     witness: str
 
 
-@dataclass(frozen=True)
-class GroupInvariants:
-    """Finitely generated abelian group: free rank plus invariant factors."""
+class GroupInvariants(CoefficientGroup):
+    """An ``H^1`` profile: a ``CoefficientGroup``, checked on construction.
 
-    rank: int
-    torsion: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
+    It keeps its own name because the corpus prints its repr, as
+    ``GroupInvariants(rank=1, torsion=(2,))``, in ``h1_class`` checks.
+    """
 
 
 @dataclass(frozen=True)
@@ -310,20 +310,16 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     if not group.torsion:
         return GroupInvariants(rank, ())
 
-    # The relations are read off the cached boundary rows, never written:
-    # column v of d0 = -B_1^T is row v of B_1 negated, column e of d1 =
-    # B_2^T is row e of B_2.  Signs of whole rows do not change a span, so
-    # the rows of B_1 span im d0 as they are.
-    b1 = boundary_rows(complex, 1)
+    # The relations are the cached boundary rows, never written: column v
+    # of d0 = -B_1^T is row v of B_1 negated, column e of d1 = B_2^T is row
+    # e of B_2.  Negating a whole row, or the Z^T coordinates, keeps the
+    # quotient up to isomorphism, so the rows go in unnegated: (0, B_1 e_v),
+    # built once for every n, then (B_2 e_e, n e_e); Z^E is shifted by T.
+    vertex_rels = [{n_t + e: x for e, x in row.items()} for row in boundary_rows(complex, 1)]
     b2 = boundary_rows(complex, 2) if n_t else ({},) * n_e
     orders = []
     for n in group.torsion:
-        # (0, d0 e_v), then (-d1 e_e, n e_e): Z^T first, Z^E shifted by T.
-        rels = [{n_t + e: -x for e, x in row.items()} for row in b1]
-        for e, row in enumerate(b2):
-            rel = {t: -x for t, x in row.items()}
-            rel[n_t + e] = n
-            rels.append(rel)
+        rels = vertex_rels + [{**row, n_t + e: n} for e, row in enumerate(b2)]
         free, torsion = linalg.lattice_quotient(rels, n_t + n_e)
         if free != n_t:
             raise ArithmeticError(f"certificate failure: the mapping cone of {n} has free rank {free}, not {n_t}")

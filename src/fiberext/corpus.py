@@ -177,7 +177,7 @@ def _classification_matches(entry, kind):
 
 
 def _check_classify_curve(sc, entry):
-    fiber = sc.curve_fibers[entry.get("fiber", "default")]
+    fiber = sc.need("curve_fibers")[entry.get("fiber", "default")]
     if "error" in entry:
         try:
             got = classify_curve_fiber(fiber)
@@ -188,7 +188,7 @@ def _check_classify_curve(sc, entry):
 
 
 def _check_numerical_triviality(sc, entry):
-    fiber = sc.curve_fibers[entry.get("fiber", "default")]
+    fiber = sc.need("curve_fibers")[entry.get("fiber", "default")]
     got = numerical_triviality_on_fiber(fiber, [lattice_mod.parse_rational(d) for d in entry["degrees"]])
     return _equal(entry["trivial"], got, "trivial={}".format)
 

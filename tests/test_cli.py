@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import argv_cases
+from conftest import random_multigraph, random_strata
 from fiberext import cochain as cochain_mod
 from fiberext import lattice as lattice_mod
 from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
+from fiberext.dual_complex import build_dual_complex
+from fiberext.scenario import load_scenario_file
+from test_exactness import GROUPS
 from test_golden import golden_cases
 
 
@@ -215,6 +220,81 @@ class TestDualComplexAndCochain:
         assert "witness Z012" in capsys.readouterr().out
 
 
+def parent_cmd_cochain(args):
+    """The body of ``cmd_cochain`` before it called ``glue_check``, kept as
+    the reference of the differential test below."""
+    scenario = load_scenario_file(args.file)
+    scenario.need("strata")
+    phi = scenario.need("cochain")
+    closed = cochain_mod.is_closed(phi)
+    if not closed:
+        return (EXIT_OBSTRUCTED, {"closed": False, "witness": closed.witness},
+                [f"not closed; witness {closed.witness}"])
+    cls = cochain_mod.h1_class(phi)
+    exact = cls.is_trivial
+    rank, torsion = cls.group_profile.rank, list(cls.group_profile.torsion)
+    payload = {"closed": True, "exact": exact, "class_trivial": exact,
+               "h1_rank": rank, "h1_torsion": torsion}
+    if exact:
+        payload["potential"] = [list(v) for v in cls.potential.values]
+    return EXIT_OK, payload, [
+        "closed; exact" if exact else "closed; not exact",
+        f"class {'trivial' if exact else 'nontrivial'}; H1 profile rank {rank}, torsion {torsion}",
+    ]
+
+
+def strata_json(cx):
+    """The ``strata`` section that loads as ``cx``: vertex v has index v,
+    and every other simplex the indices of its facets."""
+    indices = [[(v,) for v in range(cx.count(0))]]
+    for faces in cx.facets[: cx.dimension]:
+        indices.append([tuple(sorted({i for f in fs for i in indices[-1][f]})) for fs in faces])
+    return {"levels": [[{"id": ident, "indices": list(indices[r][k]),
+                         "facets": [cx.simplex_ids[r - 1][f] for f in cx.facets[r - 1][k]] if r else []}
+                        for k, ident in enumerate(ids)] for r, ids in enumerate(cx.simplex_ids)]}
+
+
+def gluing_cochains(rng, cx, group):
+    """An exact cochain, the same with one coordinate bumped (closed or
+    not, depending on the edge), and random values."""
+    def element():
+        return [rng.randint(-20, 20) for _ in range(group.rank)] + [rng.randrange(n) for n in group.torsion]
+
+    exact = cochain_mod.coboundary(cochain_mod.Cochain(cx, group, 0, [element() for _ in range(cx.count(0))]))
+    values = [list(v) for v in exact.values]
+    out = [values]
+    if values:
+        bumped = [list(v) for v in values]
+        e, k = rng.randrange(len(values)), rng.randrange(group.width)
+        bumped[e][k] += 1
+        out.append(bumped)
+        out.append([element() for _ in values])
+    return out
+
+
+@pytest.mark.parametrize("source", ["strata", "multigraph"])
+def test_cochain_matches_the_parent_handler(tmp_path, capsys, rng, source):
+    """``cochain`` runs ``glue_check``; stdout and exit code are those of the
+    handler that called ``is_closed``, ``h1_class`` and ``is_trivial`` itself."""
+    closedness, path = set(), tmp_path / "cochain.json"
+    for _ in range(40):
+        cx = build_dual_complex(random_strata(rng)) if source == "strata" else random_multigraph(rng)
+        for group in GROUPS:
+            for values in gluing_cochains(rng, cx, group):
+                path.write_text(json.dumps({
+                    "name": "gluing", "strata": strata_json(cx),
+                    "cochain": {"group": {"rank": group.rank, "torsion": list(group.torsion)},
+                                "edge_values": values}}))
+                assert load_scenario_file(path).strata == cx
+                code, payload, lines = parent_cmd_cochain(argparse.Namespace(file=str(path)))
+                for fmt in ("human", "machine"):
+                    out = (json.dumps({**payload, "exit_code": code}, indent=2) + "\n" if fmt == "machine"
+                           else "".join(line + "\n" for line in lines))
+                    assert (main(["cochain", str(path), "--format", fmt]), capsys.readouterr()) == (code, (out, ""))
+                closedness.add((payload["closed"], payload.get("exact")))
+    assert closedness == ({(True, True), (True, False)} | ({(False, None)} if source == "strata" else set()))
+
+
 class TestPic0AndObstruction:
     def test_classify_curve(self, tmp_path, capsys):
         path = write(tmp_path, "nodal.json", {
@@ -286,6 +366,17 @@ class TestCorpusCommand:
     def test_run_unknown_names_it_without_stray_quotes(self, capsys):
         assert main(["corpus", "run", "nosuch"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: unknown scenario 'nosuch'\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["extend", "{lattice}", "--mode", "nef", "--targets", ""], "error: not an exact rational: ''"),
+    (["corpus", "run", ""], "error: unknown scenario ''"),
+], ids=["targets", "scenario name"])
+def test_empty_value_is_not_an_absent_one(lattice_file, capsys, argv, error):
+    """An empty value was once read as no value: the default targets, or
+    every scenario, and exit 0."""
+    assert main([a.format(lattice=lattice_file) for a in argv]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", error + "\n")
 
 
 class TestParserReuse:

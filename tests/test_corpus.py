@@ -124,27 +124,29 @@ def test_expected_obstruction_passes():
     assert (check.passed, check.expected, check.actual) == (True, "obstructed", "Obstructed")
 
 
-# op -> the section its check reads first.  The curve-fiber ops look their
-# fiber up by label instead, and a missing one is a KeyError naming it.
+# op -> the section its check reads first.  The curve-fiber ops then look
+# their fiber up by label, and an unknown label is a KeyError naming it.
 SECTION_OPS = {
     "validate_lattice": "lattice", "extend_trivial": "lattice", "extend_nef": "lattice",
     "denominator_bound": "lattice", "component_group": "lattice", "homology": "strata",
     "torus_rank": "strata", "classify_snc_fiber": "strata", "is_closed": "cochain", "is_exact": "cochain",
-    "h1_class": "cochain", "extension_obstruction": "obstruction",
+    "h1_class": "cochain", "extension_obstruction": "obstruction", "classify_curve_fiber": "curve_fibers",
+    "numerical_triviality": "curve_fibers",
 }
 # Every expected value an op reads, well typed, so only the section is missing.
 EVERY_VALUE = {"valid": True, "value": 0, "invariant_factors": [], "betti": [1], "closed": True, "exact": True,
-               "trivial": True, "obstructed": False}
+               "trivial": True, "obstructed": False, "degrees": []}
 
 
 def test_every_op_that_reads_a_section_is_covered():
-    assert set(corpus._HANDLERS) - set(SECTION_OPS) == {"classify_curve_fiber", "numerical_triviality"}
+    assert set(corpus._HANDLERS) - set(SECTION_OPS) == set()
 
 
 @pytest.mark.parametrize("op, section", sorted(SECTION_OPS.items()))
 def test_missing_section_is_named_as_the_cli_names_it(op, section):
     """A check once crashed on the absent section, reporting an
-    ``AttributeError`` of ``None``."""
+    ``AttributeError`` of ``None``, or, for a curve-fiber op, ``KeyError:
+    'default'``."""
     check = corpus._run_check(Scenario(name="probe"), {"op": op, **EVERY_VALUE}, 0)
     assert not check.passed
     assert check.actual == f"ValueError: scenario file lacks a {section!r} section"

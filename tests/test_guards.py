@@ -3,7 +3,9 @@
 import ast
 import builtins
 import contextlib
+import dataclasses
 import importlib
+import inspect
 import io
 import os
 import subprocess
@@ -180,6 +182,31 @@ def test_h1_class_rejects_a_disagreeing_hom_profile(monkeypatch):
     cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
     with pytest.raises(ArithmeticError, match="disagrees with Hom"):
         cochain.h1_class(Cochain(cx, CoefficientGroup(rank=1), 1, ((1,), (0,))))
+
+
+def test_h1_class_refuses_profiles_that_are_no_divisibility_chain(monkeypatch):
+    """Both profiles go through the same order merge.  A merge that returns
+    no chain once gave two equal, unchecked profiles, which passed the
+    cross-check; a profile is now a ``CoefficientGroup`` and checked."""
+    monkeypatch.setattr(cochain, "invariant_factor_chain", lambda orders: (4, 6))
+    cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
+    with pytest.raises(ValueError, match="divisibility chain"):
+        cochain.h1_class(Cochain(cx, CoefficientGroup(torsion=(6,)), 1, ((1,), (0,))))
+
+
+def test_h1_profile_is_a_coefficient_group_with_its_old_repr():
+    """The corpus output prints the profile's repr, so it keeps its name."""
+    assert issubclass(GroupInvariants, CoefficientGroup)
+    assert inspect.get_annotations(GroupInvariants) == {}
+    assert dataclasses.fields(GroupInvariants) == dataclasses.fields(CoefficientGroup)
+    assert repr(GroupInvariants(1, (2,))) == "GroupInvariants(rank=1, torsion=(2,))"
+
+
+@pytest.mark.parametrize("rank, torsion, error", [(-1, (), ValueError), (0, (1,), ValueError),
+                                                  (0, (4, 6), ValueError), (True, (), TypeError)])
+def test_h1_profile_is_checked(rank, torsion, error):
+    with pytest.raises(error):
+        GroupInvariants(rank, torsion)
 
 
 def test_corpus_passes_under_python_dash_o():
