@@ -45,7 +45,7 @@ print(f"  gauge          = {result.normalization}")
 print("  so 2*(S2 - S1) + C2 is numerically trivial on every fiber.")
 
 print(f"\ndenominator bound of the lattice: {denominator_bound(lattice)}")
-print(f"component group invariants:       {list(component_group(lattice).invariant_factors)}")
+print(f"component group invariants:       {list(component_group(lattice).torsion)}")
 
 # --- nef version: push the whole degree onto one component ----------------
 
@@ -59,5 +59,5 @@ print(f"  achieved trace = {tuple(str(x) for x in nef.achieved_trace)}")
 print("\ncycles of n rational (-2)-curves:")
 for n in range(2, 8):
     cyc = kodaira_cycle(n)
-    print(f"  n={n}: component group Z/{component_group(cyc).exponent}, "
+    print(f"  n={n}: component group Z/{component_group(cyc).torsion[-1]}, "
           f"denominator bound {denominator_bound(cyc)}")

@@ -18,8 +18,6 @@ from .cochain import (
     Cochain,
     CoefficientGroup,
     H1Class,
-    LineBundleClass,
-    NotClosed,
     NotExact,
     coboundary,
     glue_check,
@@ -44,7 +42,6 @@ from .lattice import (
     DivisorTrace,
     ExtensionResult,
     FiberLattice,
-    FiniteAbelianGroup,
     Obstructed,
     ValidationReport,
     component_group,

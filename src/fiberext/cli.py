@@ -4,8 +4,9 @@ Subcommands ingest JSON scenario files (rationals as "p/q" strings) and
 dispatch to the library.  Each handler computes every value once and
 returns ``(exit code, payload, human lines)``; ``main`` alone renders the
 result, as the lines or (``--format machine``) as the payload in JSON with
-the exit code added, and turns input errors into exit code 1 and one
-``error:`` line.  The exit codes are defined in ``errors``.
+the exit code added.  It turns an input error into exit code 1 and one
+``error:`` line, and a failed certificate into exit code 3 and one
+``internal error:`` line.  The exit codes are defined in ``errors``.
 
 Options, defaults and choices are defined once, in ``_COMMANDS``.
 ``read_argv`` reads the plain shape of argv straight from that table in
@@ -24,7 +25,7 @@ import sys
 from . import cochain as cochain_mod
 from . import corpus
 from .dual_complex import boundary_matrix, homology, torus_rank
-from .errors import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, NotSemistable
+from .errors import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, CertificateError, NotSemistable
 from .lattice import Obstructed, component_group, denominator_bound, extend_nef, extend_trivial
 from .pic0 import ObstructionCertificate, classify_curve_fiber, classify_snc_fiber, extension_obstruction
 from .scenario import load_scenario_file
@@ -52,7 +53,7 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
              f"normalization: {result.normalization}"]
     if args.mode == "trivial":
         bound = denominator_bound(lattice)
-        factors = list(component_group(lattice).invariant_factors)
+        factors = list(component_group(lattice).torsion)
         payload.update(denominator_bound=bound, component_group=factors)
         lines.append(f"denominator bound = {bound}; component group invariants = {factors}")
     return EXIT_OK, payload, lines
@@ -85,16 +86,16 @@ def cmd_cochain(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
     scenario.need("strata")
     result = cochain_mod.glue_check(scenario.need("cochain"))
-    if isinstance(result, cochain_mod.NotClosed):
+    if not result:
         return (EXIT_OBSTRUCTED, {"closed": False, "witness": result.witness},
                 [f"not closed; witness {result.witness}"])
     # The class is trivial exactly when the cochain is exact: one solve.
-    exact, profile = result.trivial, result.h1.group_profile
+    exact, profile = result.is_trivial, result.group_profile
     rank, torsion = profile.rank, list(profile.torsion)
     payload = {"closed": True, "exact": exact, "class_trivial": exact,
                "h1_rank": rank, "h1_torsion": torsion}
     if exact:
-        payload["potential"] = [list(v) for v in result.h1.potential.values]
+        payload["potential"] = [list(v) for v in result.potential.values]
     return EXIT_OK, payload, [
         "closed; exact" if exact else "closed; not exact",
         f"class {'trivial' if exact else 'nontrivial'}; H1 profile rank {rank}, torsion {torsion}",
@@ -249,11 +250,12 @@ def main(argv=None) -> int:
         else:
             for line in lines:
                 print(line)
-    except (OSError, KeyError, ValueError) as exc:
-        # str() of a KeyError is the repr of its argument; print the text.
-        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
-        print(f"error: {message}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CertificateError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     return code
 
 

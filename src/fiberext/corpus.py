@@ -37,7 +37,7 @@ def scenario_names() -> list[str]:
 def load_scenario(name: str) -> Scenario:
     path = _scenario_dir() / f"{name}.json"
     if not path.is_file():
-        raise KeyError(f"unknown scenario {name!r}")
+        raise ValueError(f"unknown scenario {name!r}")
     return load_scenario_file(path)
 
 
@@ -231,7 +231,7 @@ _HANDLERS = {
     "extend_nef": _check_extension,
     "denominator_bound": lambda sc, e: _equal(e["value"], lattice_mod.denominator_bound(sc.need("lattice"))),
     "component_group": lambda sc, e: _equal(
-        list(e["invariant_factors"]), list(lattice_mod.component_group(sc.need("lattice")).invariant_factors)),
+        list(e["invariant_factors"]), list(lattice_mod.component_group(sc.need("lattice")).torsion)),
     "homology": _check_homology,
     "torus_rank": lambda sc, e: _equal(e["value"], torus_rank(sc.need("strata"))),
     "classify_curve_fiber": _check_classify_curve,

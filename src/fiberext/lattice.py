@@ -29,7 +29,8 @@ from math import gcd, lcm
 from operator import mul
 
 from . import linalg
-from .errors import PreconditionError
+from .cochain import GroupInvariants
+from .errors import CertificateError, PreconditionError
 
 
 class _IntFractions(dict):
@@ -185,7 +186,7 @@ class FiberLattice:
         return linalg.snf_diagonal([{j: x for j, x in row.items() if j} for row in self._integer_matrix[1][1:]])
 
     @cached_property
-    def _component_group(self) -> FiniteAbelianGroup:
+    def _component_group(self) -> GroupInvariants:
         # M c = 0 puts im M inside c-perp, and Z^n / c-perp is free, so
         # Z^n / im M = c-perp / im M + Z: the torsion is that of coker M.
         # If c is 1 at the gauge index 0, deleting that coordinate maps c-perp
@@ -195,7 +196,7 @@ class FiberLattice:
             diag = self._reduced_diagonal
         else:
             diag = linalg.snf_diagonal(self._integer_matrix[1])
-        return FiniteAbelianGroup(tuple([d for d in diag if d > 1]))
+        return GroupInvariants(0, tuple([d for d in diag if d > 1]))
 
 
 @dataclass(frozen=True)
@@ -228,40 +229,6 @@ class ExtensionResult:
 class Obstructed:
     reason: str
     value: Fraction | None = None
-
-
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
-    """Finite abelian group given by its invariant factor chain."""
-
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        factors = tuple(self.invariant_factors)
-        for d in factors:
-            if type(d) is not int:
-                raise TypeError(f"invariant factors must be integers, got {d!r}")
-        object.__setattr__(self, "invariant_factors", factors)
-        if any(d <= 1 for d in factors):
-            raise ValueError("invariant factors must be > 1")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-
-    @property
-    def order(self) -> int:
-        p = 1
-        for d in self.invariant_factors:
-            p *= d
-        return p
-
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
 
 @dataclass(frozen=True)
@@ -306,14 +273,14 @@ def _extend(lattice: FiberLattice, trace: DivisorTrace, targets, symbol: str) ->
     w = [x * (m // mt) - y * (m // mv) for x, y in zip(t, v)]
     sub = linalg.solve_eliminated(lattice._elimination, [-d * x for x in w[1:]])
     if sub is None:
-        raise ArithmeticError("certificate failure: the gauge-reduced matrix is singular")
+        raise CertificateError("certificate failure: the gauge-reduced matrix is singular")
     e, y = sub
     y = [0] + y
     # x = y / (e m) meets the targets iff A y = d e w, on every row.
     ay = [sum([x * y[j] for j, x in row.items()]) for row in a]
     if ay != [d * e * x for x in w]:
         achieved = [x + Fraction(r, d * e * m) for x, r in zip(trace.values, ay)]
-        raise ArithmeticError(f"certificate failure: achieved trace {achieved} differs from {list(goal)}")
+        raise CertificateError(f"certificate failure: achieved trace {achieved} differs from {list(goal)}")
     den = e * m
     sol = tuple([Fraction(k, den) for k in y])
     return ExtensionResult(sol, den // gcd(den, *y), f"{symbol}[0] = 0", goal)
@@ -373,8 +340,9 @@ def denominator_bound(lattice: FiberLattice) -> int:
     return diag[-1] if diag else 1
 
 
-def component_group(lattice: FiberLattice) -> FiniteAbelianGroup:
-    """Torsion of coker(matrix : Z^n -> {w : w . c = 0}).
+def component_group(lattice: FiberLattice) -> GroupInvariants:
+    """Torsion of coker(matrix : Z^n -> {w : w . c = 0}), a rank-0
+    ``GroupInvariants`` whose ``torsion`` is its invariant factor chain.
 
     This is the lattice-level analogue of the group of connected components
     of the special fiber of the Neron model.

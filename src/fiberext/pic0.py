@@ -54,18 +54,16 @@ class SemiAbelianType:
 
     torus_rank: int
     abelian_dim: int | None
-    proper: bool
-    label: str
 
+    @property
+    def proper(self) -> bool:
+        return self.torus_rank == 0
 
-def _semi_abelian_type(t: int, a: int | None) -> SemiAbelianType:
-    if t == 0:
-        label = "abelian variety"
-    elif a == 0:
-        label = "torus"
-    else:
-        label = "semi-abelian"
-    return SemiAbelianType(torus_rank=t, abelian_dim=a, proper=(t == 0), label=label)
+    @property
+    def label(self) -> str:
+        if self.torus_rank == 0:
+            return "abelian variety"
+        return "torus" if self.abelian_dim == 0 else "semi-abelian"
 
 
 def _dual_complex(fiber: CurveFiber) -> DeltaComplex:
@@ -84,7 +82,7 @@ def classify_curve_fiber(fiber: CurveFiber) -> SemiAbelianType:
     complex = _dual_complex(fiber)
     if len(complex.spanning_forest) != fiber.components - 1:
         raise ValueError("fiber graph must be connected and nonempty")
-    return _semi_abelian_type(torus_rank(complex), sum(fiber.genera))
+    return SemiAbelianType(torus_rank(complex), sum(fiber.genera))
 
 
 def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -> SemiAbelianType:
@@ -95,13 +93,13 @@ def classify_snc_fiber(complex: DeltaComplex, h1_structure: int | None = None) -
         raise ValueError("dual complex must have at least one component")
     t = torus_rank(complex)
     if h1_structure is None:
-        return _semi_abelian_type(t, None)
+        return SemiAbelianType(t, None)
     if type(h1_structure) is not int:
         raise TypeError(f"h^1(O) must be an integer, got {h1_structure!r}")
     a = h1_structure - t
     if a < 0:
         raise ValueError(f"h^1(O) = {h1_structure} is smaller than the torus rank {t}")
-    return _semi_abelian_type(t, a)
+    return SemiAbelianType(t, a)
 
 
 def numerical_triviality_on_fiber(fiber: CurveFiber, degrees) -> bool:

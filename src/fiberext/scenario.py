@@ -43,12 +43,7 @@ from dataclasses import dataclass, field
 from .cochain import Cochain, CoefficientGroup
 from .dual_complex import DeltaComplex, SncStrata, build_dual_complex
 from .lattice import DivisorTrace, FiberLattice, parse_rational
-from .pic0 import (
-    CurveFiber,
-    ObstructionScenario,
-    SamplePoint,
-    _semi_abelian_type,
-)
+from .pic0 import CurveFiber, ObstructionScenario, SamplePoint, SemiAbelianType
 
 
 def _rationals(values, path: str, *args) -> list:
@@ -182,7 +177,7 @@ def parse_obstruction(data) -> ObstructionScenario:
     for j, p in enumerate(_get(data, "points", [dict], "obstruction.")):
         label = _get(p, "label", str, at, j)
         t, a = _get(p, "torus_rank", int, at, j), _get(p, "abelian_dim", int, at, j)
-        points.append(SamplePoint(label, _semi_abelian_type(t, a), _get(p, "value", [int], at, j)))
+        points.append(SamplePoint(label, SemiAbelianType(t, a), _get(p, "value", [int], at, j)))
     proper = _get(data, "proper", bool, "obstruction.")
     try:
         return ObstructionScenario(proper_base=proper, group=group, points=tuple(points))

@@ -93,7 +93,7 @@ def test_acceptance_cycle_invariants(report):
     for n in range(2, 10):
         lat = kodaira_cycle(n)
         group = component_group(lat)
-        assert group.invariant_factors == (n,)
+        assert group.torsion == (n,)
         assert denominator_bound(lat) == n
         reduced = [[int(lat.matrix[i][j]) for j in range(1, n)] for i in range(1, n)]
         assert cokernel_order_oracle(reduced) == n

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from fiberext.cochain import (
     Cochain,
     CoefficientGroup,
-    LineBundleClass,
-    NotClosed,
     NotExact,
     PreconditionError,
     coboundary,
@@ -257,11 +255,13 @@ class TestH1:
     def test_glue_check(self):
         cx = circle_complex()
         g = CoefficientGroup(rank=1)
-        result = glue_check(Cochain(cx, g, 1, ((1,), (0,))))
-        assert isinstance(result, LineBundleClass) and not result.trivial
+        phi = Cochain(cx, g, 1, ((1,), (0,)))
+        result = glue_check(phi)
+        assert result == h1_class(phi) and result and not result.is_trivial
         tri = triangle_complex()
-        bad = glue_check(Cochain(tri, g, 1, ((1,), (1,), (1,))))
-        assert isinstance(bad, NotClosed) and bad.witness == "Z012"
+        bad = Cochain(tri, g, 1, ((1,), (1,), (1,)))
+        assert glue_check(bad) is is_closed(bad)
+        assert not glue_check(bad) and glue_check(bad).witness == "Z012"
 
 
 class TestRestriction:

@@ -54,9 +54,9 @@ def test_run_all_matches_individual_runs():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown scenario 'no-such-scenario'"):
         corpus.load_scenario("no-such-scenario")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown scenario 'no-such-scenario'"):
         corpus.run_scenario("no-such-scenario")
 
 

@@ -155,7 +155,7 @@ def test_first_component_multiplicity_above_one_matches_reference():
         assert lat.multiplicities[0] > 1
         check_against_reference(rng, lat)
         # The gauge multiplicity is above 1, so the group comes from the full matrix.
-        assert lattice_mod.component_group(lat).invariant_factors == component_group_reference(lat)
+        assert lattice_mod.component_group(lat).torsion == component_group_reference(lat)
 
 
 def test_gauge_multiplicity_one_component_group_matches_reference():
@@ -166,8 +166,8 @@ def test_gauge_multiplicity_one_component_group_matches_reference():
         lat = random_fiber_lattice(rng, 12)
         assert lat.multiplicities[0] == 1
         group = lattice_mod.component_group(lat)
-        assert group.invariant_factors == component_group_reference(lat)
-        assert group.exponent == lattice_mod.denominator_bound(lat)
+        assert group.torsion == component_group_reference(lat)
+        assert max(group.torsion, default=1) == lattice_mod.denominator_bound(lat)
 
 
 @pytest.mark.parametrize("n", [*range(2, 41), 160])
@@ -175,7 +175,7 @@ def test_kodaira_cycles_match_reference(n):
     rng = random.Random(n)
     lat = lattice_mod.kodaira_cycle(n)
     check_against_reference(rng, lat, dense=n > 40)
-    assert lattice_mod.component_group(lat).invariant_factors == (n,)
+    assert lattice_mod.component_group(lat).torsion == (n,)
 
 
 def test_large_blow_ups_match_reference():

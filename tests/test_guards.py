@@ -4,20 +4,25 @@ import ast
 import builtins
 import contextlib
 import dataclasses
+import decimal
+import fractions
 import importlib
 import inspect
 import io
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fiberext import cochain, errors, linalg
+from fiberext import cochain, corpus, errors, linalg
 from fiberext.cli import main
 from fiberext.cochain import Cochain, CoefficientGroup, GroupInvariants, cohomology_group
 from fiberext.dual_complex import build_dual_complex, simplex_strata, strata_from_multigraph
+from fiberext.errors import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, CertificateError
 from fiberext.lattice import DivisorTrace, extend_nef, extend_trivial, kodaira_cycle
 
 SOURCE = Path(__file__).parent.parent / "src" / "fiberext"
@@ -150,18 +155,18 @@ def wrong_solver(monkeypatch):
 
 
 def test_extend_trivial_rejects_a_wrong_solution(wrong_solver):
-    with pytest.raises(ArithmeticError, match="certificate failure"):
+    with pytest.raises(CertificateError, match="certificate failure"):
         extend_trivial(kodaira_cycle(4), DivisorTrace((1, -1, 0, 0)))
 
 
 def test_extend_nef_rejects_a_wrong_solution(wrong_solver):
-    with pytest.raises(ArithmeticError, match="certificate failure"):
+    with pytest.raises(CertificateError, match="certificate failure"):
         extend_nef(kodaira_cycle(4), DivisorTrace((1, 0, 0, 0)))
 
 
 def test_singular_reduced_system_is_a_certificate_failure(monkeypatch):
     monkeypatch.setattr(linalg, "solve_eliminated", lambda pivots, rhs: None)
-    with pytest.raises(ArithmeticError, match="certificate failure"):
+    with pytest.raises(CertificateError, match="certificate failure"):
         extend_trivial(kodaira_cycle(3), DivisorTrace((1, -1, 0)))
 
 
@@ -172,7 +177,7 @@ def test_cohomology_group_rejects_a_wrong_quotient(monkeypatch, strata):
     count) is a certificate failure, with and without 2-simplices."""
     monkeypatch.setattr(linalg, "lattice_quotient", lambda rels, n: (n, []))
     cx = build_dual_complex(strata)
-    with pytest.raises(ArithmeticError, match="certificate failure"):
+    with pytest.raises(CertificateError, match="certificate failure"):
         cohomology_group(cx, CoefficientGroup(rank=1, torsion=(6,)))
 
 
@@ -180,7 +185,7 @@ def test_h1_class_rejects_a_disagreeing_hom_profile(monkeypatch):
     """``H^1`` is cross-checked against ``Hom(H_1, A)``; a mismatch is refused."""
     monkeypatch.setattr(cochain, "hom_from_h1", lambda complex, group: GroupInvariants(7, ()))
     cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
-    with pytest.raises(ArithmeticError, match="disagrees with Hom"):
+    with pytest.raises(CertificateError, match="disagrees with Hom"):
         cochain.h1_class(Cochain(cx, CoefficientGroup(rank=1), 1, ((1,), (0,))))
 
 
@@ -190,7 +195,7 @@ def test_h1_class_refuses_profiles_that_are_no_divisibility_chain(monkeypatch):
     cross-check; a profile is now a ``CoefficientGroup`` and checked."""
     monkeypatch.setattr(cochain, "invariant_factor_chain", lambda orders: (4, 6))
     cx = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
-    with pytest.raises(ValueError, match="divisibility chain"):
+    with pytest.raises(CertificateError, match="divisibility chain"):
         cochain.h1_class(Cochain(cx, CoefficientGroup(torsion=(6,)), 1, ((1,), (0,))))
 
 
@@ -202,8 +207,10 @@ def test_h1_profile_is_a_coefficient_group_with_its_old_repr():
     assert repr(GroupInvariants(1, (2,))) == "GroupInvariants(rank=1, torsion=(2,))"
 
 
-@pytest.mark.parametrize("rank, torsion, error", [(-1, (), ValueError), (0, (1,), ValueError),
-                                                  (0, (4, 6), ValueError), (True, (), TypeError)])
+@pytest.mark.parametrize("rank, torsion, error", [
+    (-1, (), ValueError), (0, (1,), ValueError), (0, (4, 6), ValueError), (True, (), TypeError),
+    (0, (0, 2), ValueError), (0, (-2,), ValueError), (0, (2.5, 4.9), TypeError), (0, (True, 2), TypeError),
+    (0, (2, "4"), TypeError), (0, (fractions.Fraction(2), 4), TypeError)])
 def test_h1_profile_is_checked(rank, torsion, error):
     with pytest.raises(error):
         GroupInvariants(rank, torsion)
@@ -219,3 +226,71 @@ def test_corpus_passes_under_python_dash_o():
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == out.getvalue()
+
+
+I4 = {"labels": ["C1", "C2", "C3", "C4"], "multiplicities": [1, 1, 1, 1],
+      "matrix": [[-2, 1, 0, 1], [1, -2, 1, 0], [0, 1, -2, 1], [1, 0, 1, -2]]}
+CIRCLE = {"levels": [[{"id": "W0", "indices": [0]}, {"id": "W1", "indices": [1]}],
+                     [{"id": f"E{k}", "indices": [0, 1], "facets": ["W1", "W0"]} for k in (0, 1)]]}
+# The scenario of each certificate site: the subcommand that reaches it
+# and the one corpus check that does.
+CERTIFIED = {
+    "extend": {"lattice": I4, "trace": {"values": [1, -1, 0, 0]}, "expect": [{"op": "extend_trivial"}]},
+    "cochain": {"strata": CIRCLE, "cochain": {"group": {"rank": 1, "torsion": [6]}, "edge_values": [[1, 0], [0, 0]]},
+                "expect": [{"op": "h1_class", "trivial": False}]},
+}
+
+
+@pytest.mark.parametrize("module, name, patch, command", [
+    (linalg, "solve_eliminated", lambda pivots, rhs: None, "extend"),
+    (linalg, "solve_eliminated", lambda pivots, rhs: (1, [1] * len(rhs)), "extend"),
+    (linalg, "lattice_quotient", lambda rels, n: (n, []), "cochain"),
+    (cochain, "hom_from_h1", lambda complex, group: GroupInvariants(7, ()), "cochain"),
+    (cochain, "invariant_factor_chain", lambda orders: (4, 6), "cochain"),
+], ids=["singular system", "achieved trace", "mapping cone", "Hom cross-check", "order merge"])
+def test_failed_certificate_has_its_own_exit(tmp_path, monkeypatch, capsys, module, name, patch, command):
+    """A failed certificate is the package's fault, not the input's: the
+    subcommand exits 3 with one ``internal error:`` line, and the corpus
+    check that reaches it fails."""
+    (tmp_path / "certified.json").write_text(json.dumps({"name": "certified", **CERTIFIED[command]}))
+    monkeypatch.setattr(corpus, "_scenario_dir", lambda: tmp_path)
+    assert main([command, str(tmp_path / "certified.json")]) == EXIT_OK
+    assert main(["corpus", "run", "certified"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(module, name, patch)
+    for fmt in ("human", "machine"):
+        assert main([command, str(tmp_path / "certified.json"), "--format", fmt]) == EXIT_CERTIFICATE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: ") and err.count("\n") == 1
+    assert main(["corpus", "run", "certified"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL certified\n") and "expected no exception; got CertificateError: " in out
+    assert err == ""
+
+
+# A backticked CamelCase name in README.md, such as `H1Class` in
+# `H1Class.potential`; one capital alone (`Fraction`, `Z/n`) is no camel.
+CAMEL_CASE = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+# Every name the package re-exports is defined in one of its modules.
+MODULES = [builtins, fractions, decimal, *(importlib.import_module(f"fiberext.{path.stem}")
+                                          for path in SOURCE.glob("*.py") if path.stem != "__init__")]
+DEFINED = {name for module in MODULES for name in vars(module)}
+
+
+def undefined_readme_names(text: str) -> list[str]:
+    return [name for span in re.findall(r"`([^`\n]+)`", text) for name in CAMEL_CASE.findall(span)
+            if name not in DEFINED]
+
+
+def test_readme_names_only_defined_classes():
+    assert undefined_readme_names((SOURCE.parent.parent / "README.md").read_text()) == []
+
+
+@pytest.mark.parametrize("text, found", [
+    ("`glue_check` returns `OpenCover` or a `GluedBundle`", ["OpenCover", "GluedBundle"]),
+    ("`component_group(lattice)` is a `CyclicGroup((2,))`", ["CyclicGroup"]),
+    ("`GroupInvariants(rank=0, torsion=(2,))`, `H1Class.potential`, `ValueError`, `Fraction`", []),
+    ("GroupInvariants outside backticks, `Z/n`, `I_n`, `SNF`", []),
+])
+def test_the_guard_finds_undefined_readme_names(text, found):
+    assert undefined_readme_names(text) == found

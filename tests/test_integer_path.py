@@ -125,7 +125,7 @@ def test_loaded_lattices_match_fraction_built_and_reference(tmp_path):
             idx = [i for i in range(lat.size) if i != i0]
             reduced = [[int(lat.matrix[i][j]) for j in idx] for i in idx]
             assert denominator_bound(loaded.lattice) == (cokernel_exponent_oracle(reduced) if reduced else 1)
-            assert component_group(loaded.lattice).invariant_factors == component_group_reference(lat)
+            assert component_group(loaded.lattice).torsion == component_group_reference(lat)
 
 
 # Strings go through the "p/q" grammar before any arithmetic: Fraction()
