@@ -11,7 +11,6 @@ trivial bundle iff it is a coboundary.
 from fiberext import (
     Cochain,
     CoefficientGroup,
-    NotExact,
     coboundary,
     h1_class,
     is_closed,
@@ -28,10 +27,10 @@ circle = build_dual_complex(strata_from_multigraph(2, [(0, 1), (0, 1)]))
 phi = Cochain(circle, Z, 1, ((1,), (0,)))
 print("circle, transition values (1, 0):")
 print(f"  closed: {bool(is_closed(phi))}")
-print(f"  exact:  {not isinstance(is_exact(phi), NotExact)}")
+print(f"  exact:  {is_exact(phi) is not None}")
 cls = h1_class(phi)
 print(f"  H^1 profile: rank {cls.group_profile.rank}, torsion {list(cls.group_profile.torsion)}")
-print(f"  class trivial: {cls.is_trivial}")
+print(f"  class trivial: {cls.is_trivial}  (potential: {cls.potential})")
 
 # shifting by a coboundary does not change the class
 beta = Cochain(circle, Z, 0, ((7,), (-3,)))

@@ -18,7 +18,6 @@ from .cochain import (
     Cochain,
     CoefficientGroup,
     H1Class,
-    NotExact,
     coboundary,
     glue_check,
     h1_class,
@@ -28,7 +27,6 @@ from .cochain import (
 from .dual_complex import (
     DeltaComplex,
     HomologyProfile,
-    SncStrata,
     Stratum,
     boundary_matrix,
     boundary_rows,

@@ -73,11 +73,16 @@ class CoefficientGroup:
     def zero(self):
         return (0,) * self.width
 
+    def _pairs(self, a, b):
+        if len(a) != len(b):  # ``zip`` would drop the surplus coordinates
+            raise ValueError(f"element must have {self.width} coordinates")
+        return zip(a, b)
+
     def add(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return self.reduce(tuple(x + y for x, y in self._pairs(a, b)))
 
     def sub(self, a, b):
-        return self.reduce(tuple(x - y for x, y in zip(a, b)))
+        return self.reduce(tuple(x - y for x, y in self._pairs(a, b)))
 
     def scale(self, m, a):
         return self.reduce(tuple(m * x for x in a))
@@ -152,11 +157,6 @@ class ClosednessResult:
         return self.closed
 
 
-@dataclass(frozen=True)
-class NotExact:
-    reason: str = "no 0-cochain has this coboundary"
-
-
 class GroupInvariants(CoefficientGroup):
     """A computed group: an ``H^1`` profile, or the component group of a
     fiber lattice (rank 0, its invariant factors in ``torsion``).  It is a
@@ -175,26 +175,19 @@ class GroupInvariants(CoefficientGroup):
 
 @dataclass(frozen=True)
 class H1Class:
-    """A cohomology class: closed representative plus the full H^1 profile.
-
-    The exactness solve runs at most once per instance; its result is
-    cached on it, not in a field, so equality and hashing ignore it.
-    """
+    """A cohomology class: closed representative, full H^1 profile, and
+    ``potential = is_exact(representative)``, None when nontrivial."""
 
     representative: Cochain
     group_profile: GroupInvariants
+    potential: Cochain | None
 
-    @cached_property
-    def potential(self):
-        """``is_exact(representative)``: a 0-cochain or ``NotExact``."""
-        return is_exact(self.representative)
-
-    @cached_property
+    @property
     def is_trivial(self) -> bool:
-        return not isinstance(self.potential, NotExact)
+        return self.potential is not None
 
     def same_class(self, other: "H1Class") -> bool:
-        return not isinstance(is_exact(self.representative - other.representative), NotExact)
+        return is_exact(self.representative - other.representative) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +219,7 @@ def is_closed(phi: Cochain) -> ClosednessResult:
 def is_exact(phi: Cochain):
     """Solve coboundary(beta) = phi over the coefficient group.
 
-    Returns the 0-cochain beta or NotExact.  beta is 0 at the largest
+    Returns the 0-cochain beta or None.  beta is 0 at the largest
     vertex index of each connected component and spreads from there along
     the complex's cached spanning forest, using ``beta(l) - beta(j) =
     phi(e)`` for the edge e between components l < j; every edge is then
@@ -247,7 +240,7 @@ def is_exact(phi: Cochain):
             beta[new] = group.sub(beta[known], values[e])
     for e, (larger, smaller) in enumerate(edges):
         if group.sub(beta[smaller], beta[larger]) != values[e]:
-            return NotExact()
+            return None
     return Cochain(cx, group, 0, tuple(beta))
 
 
@@ -338,7 +331,7 @@ def hom_from_h1(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvarian
 
 
 def h1_class(phi: Cochain) -> H1Class:
-    """Class of a closed 1-cochain in H^1, with the computed group profile.
+    """Class of a closed 1-cochain in H^1, with its profile and potential.
 
     The profile is cross-checked against Hom(H_1, A); since H_0 is free
     there is no Ext correction and the two must coincide.  The check
@@ -358,7 +351,7 @@ def h1_class(phi: Cochain) -> H1Class:
     if profile != expected:
         raise CertificateError(f"H^1 from the mapping cones of the torsion orders disagrees with "
                                f"Hom(H_1, A): {profile} vs {expected}")
-    return H1Class(phi, profile)
+    return H1Class(phi, profile, is_exact(phi))
 
 
 def glue_check(phi: Cochain):

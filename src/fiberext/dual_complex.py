@@ -36,16 +36,11 @@ from .errors import StrataError
 
 
 class Stratum(NamedTuple):
+    """A level-r stratum: r + 1 increasing indices; facet k drops index k."""
+
     ident: str
     indices: tuple[int, ...]
     facets: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SncStrata:
-    """Strata of an snc variety, grouped by level (r = |J| - 1)."""
-
-    levels: tuple[tuple[Stratum, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,6 @@ class DeltaComplex:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(len(ids) for ids in self.simplex_ids)
-
-    @property
-    def total_simplices(self) -> int:
-        return sum(self.counts)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** r * c for r, c in enumerate(self.counts))
@@ -142,19 +133,21 @@ class DeltaComplex:
         return DeltaComplex(ids, facets), maps
 
 
-def build_dual_complex(strata: SncStrata) -> DeltaComplex:
+def build_dual_complex(levels) -> DeltaComplex:
     """Assemble the ordered Delta-complex of an snc stratum description.
 
-    One r-simplex per level-r stratum; several simplices may share a vertex
-    set (a Delta-complex, not a simplicial complex).  Facet references must
-    be consistent: the two ways around any codimension-2 face agree.  One
-    walk, level by level, checks each stratum and resolves its facets to
-    positions one level down; of several faults it reports the first met.
+    ``levels[r]`` holds the level-r strata (r = |J| - 1) as ``Stratum``s or
+    plain ``(id, indices, facets)`` tuples.  One r-simplex per level-r
+    stratum; several simplices may share a vertex set (a Delta-complex, not
+    a simplicial complex).  Facet references must be consistent: the two
+    ways around any codimension-2 face agree.  One walk, level by level,
+    checks each stratum and resolves its facets to positions one level
+    down; of several faults it reports the first met.
     """
     seen = set()
     ids, facets = [], []
     below, below_indices, below_facets = {}, [], []  # the level under the current one
-    for r, level in enumerate(strata.levels):
+    for r, level in enumerate(levels):
         position, indices, rows = {}, [], []
         n_facets = r + 1 if r else 0
         for ident, idx, fids in level:
@@ -277,11 +270,6 @@ class HomologyProfile:
     betti: tuple[int, ...]
     torsion: tuple[tuple[int, ...], ...]
 
-    def degree(self, k: int):
-        if 0 <= k < len(self.betti):
-            return self.betti[k], self.torsion[k]
-        return 0, ()
-
 
 def homology(complex: DeltaComplex) -> HomologyProfile:
     """Integral homology of the complex in every degree; each boundary
@@ -299,9 +287,9 @@ def torus_rank(complex: DeltaComplex) -> int:
 # Convenience constructors
 # ---------------------------------------------------------------------------
 
-def strata_from_multigraph(n_vertices: int, edges) -> SncStrata:
-    """Strata of a loop-free multigraph: one component per vertex, one
-    double curve per edge.  Loops are rejected (not snc)."""
+def strata_from_multigraph(n_vertices: int, edges) -> tuple[tuple[Stratum, ...], ...]:
+    """Strata levels of a loop-free multigraph: one component per vertex,
+    one double curve per edge.  Loops are rejected (not snc)."""
     verts = tuple(Stratum(f"W{i}", (i,)) for i in range(n_vertices))
     level1 = []
     for k, (a, b) in enumerate(edges):
@@ -312,11 +300,11 @@ def strata_from_multigraph(n_vertices: int, edges) -> SncStrata:
     levels = [verts]
     if level1:
         levels.append(tuple(level1))
-    return SncStrata(tuple(levels))
+    return tuple(levels)
 
 
-def simplex_strata(indices: tuple[int, ...], full: bool = True) -> SncStrata:
-    """All strata of components in general position over the given indices.
+def simplex_strata(indices: tuple[int, ...], full: bool = True) -> tuple[tuple[Stratum, ...], ...]:
+    """Strata levels of components in general position over the indices.
 
     With ``full`` false the top stratum is omitted (boundary-of-simplex
     pattern).
@@ -334,4 +322,4 @@ def simplex_strata(indices: tuple[int, ...], full: bool = True) -> SncStrata:
             facs = tuple("Z" + "".join(str(i) for i in sub[:k] + sub[k + 1:]) for k in range(r + 1)) if r else ()
             level.append(Stratum(name, sub, facs))
         levels.append(tuple(level))
-    return SncStrata(tuple(levels))
+    return tuple(levels)

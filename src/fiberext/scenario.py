@@ -41,7 +41,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .cochain import Cochain, CoefficientGroup
-from .dual_complex import DeltaComplex, SncStrata, build_dual_complex
+from .dual_complex import DeltaComplex, build_dual_complex
 from .lattice import DivisorTrace, FiberLattice, parse_rational
 from .pic0 import CurveFiber, ObstructionScenario, SamplePoint, SemiAbelianType
 
@@ -144,7 +144,7 @@ def parse_strata(data) -> DeltaComplex:
                 facets = _list(s.get("facets", []), str, at + "facets", r, k)
             strata.append((ident, tuple(idx), facets))
         levels.append(strata)
-    return build_dual_complex(SncStrata(tuple(levels)))
+    return build_dual_complex(levels)
 
 
 def parse_group(data, path: str) -> CoefficientGroup:

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from fiberext import corpus
-from fiberext.dual_complex import SncStrata, Stratum, build_dual_complex, strata_from_multigraph
+from fiberext.dual_complex import Stratum, build_dual_complex, strata_from_multigraph
 from fiberext.lattice import DivisorTrace, FiberLattice, kodaira_cycle
 
 
@@ -104,7 +104,7 @@ def _base_ident(subset) -> str:
     return "Z" + "".join(str(i) for i in subset)
 
 
-def random_strata(rng: random.Random, max_total: int = 30) -> SncStrata:
+def random_strata(rng: random.Random, max_total: int = 30) -> tuple[tuple[Stratum, ...], ...]:
     n_verts = rng.randint(2, 5)
     subsets = {(i,) for i in range(n_verts)}
     for _ in range(rng.randint(0, 5)):
@@ -130,7 +130,7 @@ def random_strata(rng: random.Random, max_total: int = 30) -> SncStrata:
             for extra in range(1, copies[s]):
                 level.append(Stratum(f"{_base_ident(s)}x{extra}", s, facs))
         levels.append(tuple(level))
-    return SncStrata(tuple(levels))
+    return tuple(levels)
 
 
 def random_multigraph(rng):

@@ -642,8 +642,8 @@ def vertex_coboundary(cx):
 def is_exact_reference(phi):
     """``coboundary(beta) = phi`` solved against ``d0 = -B_1^T``: an integer
     solve per free coordinate and a modular solve per cyclic factor of the
-    coefficient group.  Returns the 0-cochain or ``NotExact``."""
-    from fiberext.cochain import Cochain, NotExact
+    coefficient group.  Returns the 0-cochain, or ``None`` when there is none."""
+    from fiberext.cochain import Cochain
 
     cx, group = phi.complex, phi.group
     n_v = cx.count(0)
@@ -654,20 +654,21 @@ def is_exact_reference(phi):
         mod = group.torsion[p - group.rank] if p >= group.rank else None
         sol = solve_reference(mat, rhs, n_v, mod)
         if sol is None:
-            return NotExact()
+            return None
         for v in range(n_v):
             per_vertex[v][p] = sol[v]
     return Cochain(cx, group, 0, tuple(tuple(v) for v in per_vertex))
 
 
-def build_dual_complex_reference(strata):
-    """The three-walk ``build_dual_complex``: every shape check on every
-    stratum first, then facet references looked up by id, then positions."""
+def build_dual_complex_reference(levels):
+    """The three-walk ``build_dual_complex`` over levels of ``Stratum``s:
+    every shape check on every stratum first, then facet references looked
+    up by id, then positions."""
     from fiberext.dual_complex import DeltaComplex, StrataError
 
     seen = {}
     by_level = []
-    for r, level in enumerate(strata.levels):
+    for r, level in enumerate(levels):
         table = {}
         for s in level:
             if s.ident in seen:
@@ -681,12 +682,12 @@ def build_dual_complex_reference(strata):
                 raise StrataError(f"stratum {s.ident!r} must list {r + 1} facets")
             table[s.ident] = s
         by_level.append(table)
-    if strata.levels:
-        vertex_indices = [s.indices[0] for s in strata.levels[0]]
+    if levels:
+        vertex_indices = [s.indices[0] for s in levels[0]]
         if len(set(vertex_indices)) != len(vertex_indices):
             raise StrataError("component indices at level 0 must be distinct")
-    for r in range(1, len(strata.levels)):
-        for s in strata.levels[r]:
+    for r in range(1, len(levels)):
+        for s in levels[r]:
             for i, fid in enumerate(s.facets):
                 if fid not in by_level[r - 1]:
                     raise StrataError(f"facet {fid!r} of {s.ident!r} is not a level-{r - 1} stratum")
@@ -707,11 +708,11 @@ def build_dual_complex_reference(strata):
                                 f"{s.indices[i]} and {s.indices[j]} in either order must "
                                 "reach the same stratum"
                             )
-    ids = tuple(tuple(s.ident for s in level) for level in strata.levels)
-    position = [{s.ident: k for k, s in enumerate(level)} for level in strata.levels]
+    ids = tuple(tuple(s.ident for s in level) for level in levels)
+    position = [{s.ident: k for k, s in enumerate(level)} for level in levels]
     facets = tuple(
-        tuple(tuple(position[r - 1][fid] for fid in s.facets) for s in strata.levels[r])
-        for r in range(1, len(strata.levels))
+        tuple(tuple(position[r - 1][fid] for fid in s.facets) for s in levels[r])
+        for r in range(1, len(levels))
     )
     return DeltaComplex(ids, facets)
 
@@ -725,7 +726,7 @@ def build_dual_complex_reference(strata):
 
 def parse_strata_reference(data):
     """``scenario.parse_strata`` with every stratum read by the helpers."""
-    from fiberext.dual_complex import SncStrata, build_dual_complex
+    from fiberext.dual_complex import build_dual_complex
     from fiberext.scenario import _get, _list
 
     at = "strata.levels[{}][{}]."
@@ -735,7 +736,7 @@ def parse_strata_reference(data):
                         _get(s, "indices", [int], at, r, k),
                         _list(s.get("facets", []), str, at + "facets", r, k))
                        for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r))])
-    return build_dual_complex(SncStrata(tuple(levels)))
+    return build_dual_complex(levels)
 
 
 def parse_cochain_reference(data, complex):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from fiberext.cochain import Cochain, CoefficientGroup, coboundary, cohomology_group, hom_from_h1, is_closed
-from fiberext.dual_complex import boundary_matrix, build_dual_complex, homology, torus_rank
+from fiberext.dual_complex import boundary_matrix, build_dual_complex, homology, homology_degree, torus_rank
 from fiberext.lattice import (
     DivisorTrace,
     FiberLattice,
@@ -110,7 +110,7 @@ def test_acceptance_homology_oracle_equivalence(corpus_complexes, report):
         complexes.append(build_dual_complex(random_strata(rng)))
     start = time.perf_counter()
     for cx in complexes:
-        assert cx.total_simplices <= 30
+        assert sum(cx.counts) <= 30
         boundaries = {r: boundary_matrix(cx, r) for r in range(1, cx.dimension + 1)}
         betti, torsion = brute_homology(list(cx.counts), boundaries)
         profile = homology(cx)
@@ -136,8 +136,7 @@ def test_acceptance_boundary_squares_to_zero(report):
 def test_acceptance_two_edge_circle_fiber(report):
     sc = corpus.load_scenario("example-5.1-type-iii-dual-complex")
     cx = sc.strata
-    profile = homology(cx)
-    assert profile.degree(1) == (1, ())
+    assert homology_degree(cx, 1) == (1, ())
     assert torus_rank(cx) == 1
     kind = classify_snc_fiber(sc.strata, sc.h1_structure)
     assert (kind.torus_rank, kind.abelian_dim, kind.label) == (1, 0, "torus")

@@ -16,7 +16,6 @@ from fiberext import dual_complex, linalg
 from fiberext.cochain import (
     Cochain,
     CoefficientGroup,
-    NotExact,
     coboundary,
     cohomology_group,
     h1_class,
@@ -258,7 +257,7 @@ class TestOneFactorizationPerComplex:
         group = CoefficientGroup(rank=1, torsion=(4, 8))
         phi = coboundary(Cochain(cx, group, 0, ((5, 1, 7), (-2, 3, 0), (0, 2, 6), (9, 0, 1))))
         beta = is_exact(phi)
-        assert not isinstance(beta, NotExact)
+        assert beta is not None
         assert coboundary(beta) == phi
         assert factored == []
 

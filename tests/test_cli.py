@@ -367,6 +367,15 @@ class TestCorpusCommand:
         assert main(["corpus", "run", "nosuch"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: unknown scenario 'nosuch'\n")
 
+    @pytest.mark.parametrize("relative", [True, False], ids=["relative", "absolute"])
+    def test_run_refuses_a_path_out_of_the_corpus(self, tmp_path, capsys, relative):
+        """A corpus file copied out of the package once ran, and passed, by a
+        path relative to the bundled folder or by an absolute one."""
+        (tmp_path / "copy.json").write_text((SCENARIOS / "example-4.2-stable-genus-one.json").read_text())
+        name = os.path.relpath(tmp_path / "copy", SCENARIOS) if relative else str(tmp_path / "copy")
+        assert main(["corpus", "run", name]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: unknown scenario {name!r}\n")
+
 
 @pytest.mark.parametrize("argv, error", [
     (["extend", "{lattice}", "--mode", "nef", "--targets", ""], "error: not an exact rational: ''"),

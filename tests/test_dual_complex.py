@@ -1,7 +1,6 @@
 import pytest
 
 from fiberext.dual_complex import (
-    SncStrata,
     Stratum,
     boundary_matrix,
     build_dual_complex,
@@ -18,10 +17,10 @@ from oracles import brute_homology
 
 def circle_complex():
     """Two components meeting along two disjoint double curves."""
-    strata = SncStrata((
+    strata = (
         (Stratum("W0", (0,)), Stratum("W1", (1,))),
         (Stratum("E0", (0, 1), ("W1", "W0")), Stratum("E1", (0, 1), ("W1", "W0"))),
-    ))
+    )
     return build_dual_complex(strata)
 
 
@@ -40,27 +39,27 @@ class TestBuild:
         assert cx.euler_characteristic() == 0
 
     def test_duplicate_id_rejected(self):
-        strata = SncStrata(((Stratum("W0", (0,)), Stratum("W0", (1,))),))
+        strata = ((Stratum("W0", (0,)), Stratum("W0", (1,))),)
         with pytest.raises(StrataError):
             build_dual_complex(strata)
 
     def test_wrong_index_count_rejected(self):
-        strata = SncStrata(((Stratum("W0", (0, 1)),),))
+        strata = ((Stratum("W0", (0, 1)),),)
         with pytest.raises(StrataError):
             build_dual_complex(strata)
 
     def test_facet_index_mismatch_rejected(self):
-        strata = SncStrata((
+        strata = (
             (Stratum("W0", (0,)), Stratum("W1", (1,)), Stratum("W2", (2,))),
             (Stratum("E0", (0, 1), ("W2", "W0")),),
-        ))
+        )
         with pytest.raises(StrataError):
             build_dual_complex(strata)
 
     def test_codim_two_consistency_enforced(self):
         # two parallel edges on {0,1}; the triangle's facets mix them
         # inconsistently with the third edge's facets
-        strata = SncStrata((
+        strata = (
             (Stratum("W0", (0,)), Stratum("W1", (1,)), Stratum("W2", (2,))),
             (
                 Stratum("E01", (0, 1), ("W1", "W0")),
@@ -69,18 +68,18 @@ class TestBuild:
                 Stratum("E12", (1, 2), ("W2", "W1")),
             ),
             (Stratum("T", (0, 1, 2), ("E12", "E02", "E01")),),
-        ))
+        )
         build_dual_complex(strata)  # consistent choice passes
-        bad = SncStrata((
-            strata.levels[0],
-            strata.levels[1],
+        bad = (
+            strata[0],
+            strata[1],
             (Stratum("T", (0, 1, 2), ("E12", "E02", "E01b")),),
-        ))
+        )
         # still consistent: both parallel edges have identical facets, so
         # swapping them cannot be detected at codimension two
         build_dual_complex(bad)
-        worse = SncStrata((
-            strata.levels[0],
+        worse = (
+            strata[0],
             (
                 Stratum("E01", (0, 1), ("W1", "W0")),
                 Stratum("E02", (0, 2), ("W2", "W0")),
@@ -89,7 +88,7 @@ class TestBuild:
             ),
             (Stratum("T", (0, 1, 2), ("E12", "E02", "E01")),
              Stratum("T2", (0, 1, 2), ("E12b", "E02", "E01")),),
-        ))
+        )
         build_dual_complex(worse)
 
     def test_loops_rejected_in_multigraph(self):
@@ -167,10 +166,10 @@ class TestHomology:
     def test_invariance_under_stratum_reordering(self, rng):
         for _ in range(15):
             strata = random_strata(rng)
-            shuffled = SncStrata(tuple(
+            shuffled = tuple(
                 tuple(sorted(level, key=lambda s: rng.random()))
-                for level in strata.levels
-            ))
+                for level in strata
+            )
             a = homology(build_dual_complex(strata))
             b = homology(build_dual_complex(shuffled))
             assert a == b

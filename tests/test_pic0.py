@@ -4,7 +4,7 @@ import pytest
 
 from fiberext import corpus
 from fiberext.cochain import CoefficientGroup
-from fiberext.dual_complex import SncStrata, build_dual_complex, strata_from_multigraph, torus_rank
+from fiberext.dual_complex import build_dual_complex, strata_from_multigraph, torus_rank
 from fiberext.pic0 import (
     CurveFiber,
     NotSemistable,
@@ -122,7 +122,7 @@ class TestSncClassification:
         with pytest.raises(ValueError):
             classify_snc_fiber(build_dual_complex(strata), h1_structure=0)
 
-    @pytest.mark.parametrize("strata", [SncStrata(()), strata_from_multigraph(0, [])])
+    @pytest.mark.parametrize("strata", [(), strata_from_multigraph(0, [])])
     @pytest.mark.parametrize("h1", [None, 0])
     def test_complex_without_components_rejected(self, strata, h1):
         """A fiber has a component; the empty complex once classified as

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fiberext import corpus, dual_complex, linalg, scenario
 from fiberext.cli import EXIT_INPUT, main
-from fiberext.dual_complex import SncStrata, StrataError, Stratum, build_dual_complex
+from fiberext.dual_complex import StrataError, Stratum, build_dual_complex
 from fiberext.scenario import load_scenario_file, parse_strata
 
 from conftest import random_strata
@@ -26,14 +26,14 @@ SCENARIOS = Path(__file__).parent.parent / "src" / "fiberext" / "scenarios"
 CORPUS = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
 
 
-def to_json(strata: SncStrata) -> dict:
+def to_json(strata) -> dict:
     return {"levels": [[{"id": s.ident, "indices": list(s.indices), "facets": list(s.facets)}
-                        for s in level] for level in strata.levels]}
+                        for s in level] for level in strata]}
 
 
-def from_json(data: dict) -> SncStrata:
-    return SncStrata(tuple(tuple(Stratum(s["id"], tuple(s["indices"]), tuple(s.get("facets", ())))
-                                 for s in level) for level in data["levels"]))
+def from_json(data: dict) -> tuple:
+    return tuple(tuple(Stratum(s["id"], tuple(s["indices"]), tuple(s.get("facets", ())))
+                       for s in level) for level in data["levels"])
 
 
 def outcome(build, arg):
@@ -44,7 +44,7 @@ def outcome(build, arg):
         return f"StrataError: {exc}"
 
 
-def assert_same_outcome(strata: SncStrata):
+def assert_same_outcome(strata):
     """The JSON walk, the library build and the three-walk reference agree."""
     want = outcome(build_dual_complex_reference, strata)
     assert outcome(build_dual_complex, strata) == want
@@ -57,21 +57,21 @@ def assert_same_outcome(strata: SncStrata):
 # ---------------------------------------------------------------------------
 
 def _replace_at(strata, r, k, stratum):
-    levels = list(strata.levels)
+    levels = list(strata)
     levels[r] = levels[r][:k] + (stratum,) + levels[r][k + 1:]
-    return SncStrata(tuple(levels))
+    return tuple(levels)
 
 
 def _append_at(strata, r, stratum):
-    levels = list(strata.levels)
+    levels = list(strata)
     levels[r] = levels[r] + (stratum,)
-    return SncStrata(tuple(levels))
+    return tuple(levels)
 
 
 def _pick(rng, strata, min_level=0):
-    r = rng.randrange(min_level, len(strata.levels))
-    k = rng.randrange(len(strata.levels[r]))
-    return r, k, strata.levels[r][k]
+    r = rng.randrange(min_level, len(strata))
+    k = rng.randrange(len(strata[r]))
+    return r, k, strata[r][k]
 
 
 def _inconsistent(rng, strata):
@@ -79,7 +79,7 @@ def _inconsistent(rng, strata):
     facet F whose first facet is in turn a parallel copy of F's: each copy
     is valid, but two routes to a codimension-2 face now disagree."""
     r, k, top = _pick(rng, strata, 3)
-    ids = {s.ident: s for level in strata.levels for s in level}
+    ids = {s.ident: s for level in strata for s in level}
     f = ids[top.facets[0]]
     g = ids[f.facets[0]]
     g2 = g._replace(ident=g.ident + "'")
@@ -96,7 +96,7 @@ def _mutant(kind, rng, strata):
         r, k, s = _pick(rng, strata)
         return _replace_at(strata, r, k, s._replace(indices=s.indices + (s.indices[-1] + 100,)))
     if kind == "distinct vertices":
-        return _replace_at(strata, 0, 1, strata.levels[0][1]._replace(indices=strata.levels[0][0].indices))
+        return _replace_at(strata, 0, 1, strata[0][1]._replace(indices=strata[0][0].indices))
     r, k, s = _pick(rng, strata, 1)
     if kind == "non-increasing":
         return _replace_at(strata, r, k, s._replace(indices=(s.indices[1], s.indices[0]) + s.indices[2:]))
@@ -138,13 +138,21 @@ class TestStrataWalk:
         cx = assert_same_outcome(from_json(data))
         assert corpus.load_scenario(name).strata == cx == parse_strata(data)
 
+    @pytest.mark.parametrize("name", sorted(n for n, d in CORPUS.items() if "strata" in d))
+    def test_plain_triples_build_the_loaded_complex(self, name):
+        """``build_dual_complex`` takes the loader's form, lists of plain
+        ``(id, indices, facets)`` triples, with no wrapper around them."""
+        levels = [[(s["id"], tuple(s["indices"]), s.get("facets", [])) for s in level]
+                  for level in CORPUS[name]["strata"]["levels"]]
+        assert build_dual_complex(levels) == corpus.load_scenario(name).strata
+
     @pytest.mark.parametrize("kind", sorted(MUTANT_MESSAGES))
     def test_single_fault_messages_match_reference(self, kind):
         rng = random.Random(kind)
         tried = 0
         for _ in range(300):
             strata = random_strata(rng)
-            if len(strata.levels) < MIN_LEVELS.get(kind, 2):
+            if len(strata) < MIN_LEVELS.get(kind, 2):
                 continue
             want = assert_same_outcome(_mutant(kind, rng, strata))
             assert want.startswith("StrataError: ") and MUTANT_MESSAGES[kind] in want
