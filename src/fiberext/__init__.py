@@ -55,7 +55,6 @@ from .pic0 import (
     ObstructionScenario,
     SamplePoint,
     SemiAbelianType,
-    Unobstructed,
     classify_curve_fiber,
     classify_snc_fiber,
     extension_obstruction,

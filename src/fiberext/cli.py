@@ -32,6 +32,8 @@ from .scenario import load_scenario_file
 
 
 def cmd_extend(args) -> tuple[int, dict, list[str]]:
+    if args.targets is not None and args.mode != "nef":
+        raise ValueError("--targets needs --mode nef")
     scenario = load_scenario_file(args.file)
     lattice, trace = scenario.need("lattice"), scenario.need("trace")
     if args.mode == "trivial":
@@ -40,10 +42,8 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
         targets = None if args.targets is None else args.targets.split(",")
         result, symbol = extend_nef(lattice, trace, targets), "b"
     if isinstance(result, Obstructed):
-        value = None if result.value is None else str(result.value)
-        detail = "" if value is None else f" = {value} != 0"
-        return (EXIT_OBSTRUCTED, {"obstructed": True, "reason": result.reason, "value": value},
-                [f"obstructed: {result.reason}{detail}"])
+        return (EXIT_OBSTRUCTED, {"obstructed": True, "reason": result.reason, "value": str(result.value)},
+                [f"obstructed: {result.reason} = {result.value} != 0"])
     coeffs = [str(x) for x in result.coefficients]
     achieved = [str(x) for x in result.achieved_trace]
     payload = {"coefficients": coeffs, "denominator": result.denominator,
@@ -51,7 +51,8 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
     lines = [f"{symbol} = ({', '.join(coeffs)}); m = {result.denominator}",
              f"achieved trace = ({', '.join(achieved)})",
              f"normalization: {result.normalization}"]
-    if args.mode == "trivial":
+    # Both invariants are of integer matrices; a rational lattice has neither.
+    if args.mode == "trivial" and lattice.is_integral():
         bound = denominator_bound(lattice)
         factors = list(component_group(lattice).torsion)
         payload.update(denominator_bound=bound, component_group=factors)
@@ -83,9 +84,7 @@ def cmd_dual_complex(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_cochain(args) -> tuple[int, dict, list[str]]:
-    scenario = load_scenario_file(args.file)
-    scenario.need("strata")
-    result = cochain_mod.glue_check(scenario.need("cochain"))
+    result = cochain_mod.glue_check(load_scenario_file(args.file).need("cochain"))
     if not result:
         return (EXIT_OBSTRUCTED, {"closed": False, "witness": result.witness},
                 [f"not closed; witness {result.witness}"])
@@ -104,6 +103,8 @@ def cmd_cochain(args) -> tuple[int, dict, list[str]]:
 
 def cmd_pic0(args) -> tuple[int, dict, list[str]]:
     scenario = load_scenario_file(args.file)
+    if scenario.strata is not None and "snc" in scenario.curve_fibers:
+        raise ValueError("curve_fibers.snc: the label 'snc' names the strata fiber")
     try:
         kinds = {label: classify_curve_fiber(f) for label, f in scenario.curve_fibers.items()}
         if scenario.strata is not None:
@@ -126,7 +127,7 @@ def cmd_obstruction(args) -> tuple[int, dict, list[str]]:
                    "values": [list(v) for v in result.values], "note": result.note}
         return EXIT_OBSTRUCTED, payload, [
             f"obstructed; witnesses {result.witnesses[0]!r}, {result.witnesses[1]!r}", result.note]
-    return EXIT_OK, {"obstructed": False, "reason": result.reason}, [f"unobstructed: {result.reason}"]
+    return EXIT_OK, {"obstructed": False, "reason": result}, [f"unobstructed: {result}"]
 
 
 def cmd_corpus(args) -> tuple[int, dict, list[str]]:

@@ -93,10 +93,6 @@ class CoefficientGroup:
     def has_infinite_order(self, a) -> bool:
         return any(x != 0 for x in self.reduce(a)[: self.rank])
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
 
 @dataclass(frozen=True)
 class Cochain:

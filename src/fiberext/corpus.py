@@ -54,7 +54,7 @@ class CheckResult:
     passed: bool
     expected: str
     actual: str
-    provenance: str = ""
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def _check_obstruction(sc, entry):
     if ok and got and "witnesses" in entry:
         ok = set(result.witnesses) == set(entry["witnesses"])
     actual = (f"obstructed, witnesses={result.witnesses}" if got
-              else f"unobstructed: {result.reason}")
+              else f"unobstructed: {result}")
     return ok, f"obstructed={want}", actual
 
 

@@ -228,7 +228,7 @@ class ExtensionResult:
 @dataclass(frozen=True)
 class Obstructed:
     reason: str
-    value: Fraction | None = None
+    value: Fraction
 
 
 @dataclass(frozen=True)

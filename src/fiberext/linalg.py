@@ -40,9 +40,7 @@ from math import gcd, lcm
 
 def common_denominator(values) -> tuple[int, list[int]]:
     """``(m, m * values)`` in integers, m the lcm of the denominators of the
-    ints and Fractions in ``values``.  An all-int list is returned as it is."""
-    if set(map(type, values)) <= {int}:
-        return 1, values
+    ints and Fractions in ``values``."""
     m = lcm(*[x.denominator for x in values])
     return m, [x.numerator * (m // x.denominator) for x in values]
 

@@ -152,21 +152,17 @@ class ObstructionCertificate:
     note: str
 
 
-@dataclass(frozen=True)
-class Unobstructed:
-    reason: str
-
-
-def extension_obstruction(scenario: ObstructionScenario):
+def extension_obstruction(scenario: ObstructionScenario) -> ObstructionCertificate | str:
     """Certify that no multiple of the divisor extends numerically trivially.
 
     A section of a torus bundle over a proper base curve is constant, so two
     sample points with values differing by an element of infinite order rule
-    out the extension of every nonzero multiple.  No claim of extendability
-    is made in the Unobstructed case.
+    out the extension of every nonzero multiple.  Otherwise the answer is
+    the reason no certificate exists, a string; it makes no claim of
+    extendability.
     """
     if not scenario.proper_base:
-        return Unobstructed("base curve is not proper; constancy argument does not apply")
+        return "base curve is not proper; constancy argument does not apply"
     group = scenario.group
     torsion_witness = None
     for i, p in enumerate(scenario.points):
@@ -185,8 +181,6 @@ def extension_obstruction(scenario: ObstructionScenario):
             if not group.is_zero(diff):
                 torsion_witness = (p.label, q.label)
     if torsion_witness:
-        return Unobstructed(
-            "inconclusive under torsion: sample values differ only by finite-order "
-            f"elements (witnesses {torsion_witness[0]!r}, {torsion_witness[1]!r})"
-        )
-    return Unobstructed("all section values agree; constant sections exist")
+        return ("inconclusive under torsion: sample values differ only by finite-order "
+                f"elements (witnesses {torsion_witness[0]!r}, {torsion_witness[1]!r})")
+    return "all section values agree; constant sections exist"

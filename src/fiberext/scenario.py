@@ -256,7 +256,10 @@ def parse_scenario(data) -> Scenario:
     curve_fibers = {}
     if "curve_fiber" in data:
         curve_fibers["default"] = section("curve_fiber", parse_curve_fiber)
-    curve_fibers.update(section("curve_fibers", curve_fiber_table, dict, {}))
+    fibers = section("curve_fibers", curve_fiber_table, dict, {})
+    if "default" in fibers and curve_fibers:
+        raise ValueError("curve_fibers.default: the label 'default' names the 'curve_fiber' section")
+    curve_fibers.update(fibers)
     strata = section("strata", parse_strata)
     if "name" not in data:
         raise ValueError("name is missing")

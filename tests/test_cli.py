@@ -155,6 +155,28 @@ class TestExtend:
         assert [line for line in captured.err.splitlines() if line.startswith("error:")] \
             == captured.err.splitlines() == ["error: trace.values[0]: zero denominator in rational '1/0'"]
 
+    @pytest.mark.parametrize("form", ["human", "machine"])
+    def test_rational_lattice_extends_without_integer_invariants(self, tmp_path, capsys, form):
+        """A valid rational lattice was solved, then refused with exit 1 for
+        ``denominator_bound``, which needs an integer matrix."""
+        path = write(tmp_path, "rational.json", {
+            "name": "rational",
+            "lattice": {"labels": ["C1", "C2"],
+                        "matrix": [["-1/2", "1/2"], ["1/2", "-1/2"]],
+                        "multiplicities": [1, 1]},
+            "trace": {"values": [1, -1]},
+        })
+        assert main(["extend", path, "--format", form]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if form == "human":
+            assert captured.out.splitlines() == ["a = (0, -2); m = 1", "achieved trace = (0, 0)",
+                                                 "normalization: a[0] = 0"]
+        else:
+            assert json.loads(captured.out) == {"coefficients": ["0", "-2"], "denominator": 1,
+                                                "normalization": "a[0] = 0", "achieved_trace": ["0", "0"],
+                                                "exit_code": EXIT_OK}
+
     def test_zero_denominator_in_targets_exits_one(self, lattice_file, capsys):
         assert main(["extend", lattice_file, "--mode", "nef", "--targets", "1/0,0"]) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -644,8 +666,22 @@ class TestMalformedScenario:
         ("pic0", lambda d: d.update(curve_fiber={"genera": [-1]}), (), "genera must be nonnegative"),
         ("pic0", lambda d: [d.pop("cochain"), d.update(strata={"levels": []})], (),
          "dual complex must have at least one component"),
+        # These four refusals once gave exit 0, or named 'strata'; each runs in both formats.
+        *[case[:2] + (case[2] + form, case[3]) for form in ((), ("--format", "machine")) for case in [
+            ("extend", lambda d: None, ("--targets", "5,7"), "--targets needs --mode nef"),
+            ("pic0", lambda d: d.update(curve_fibers={"snc": {"genera": [1]}}), (),
+             "curve_fibers.snc: the label 'snc' names the strata fiber"),
+            ("pic0", lambda d: d.update(curve_fiber={"genera": [1]}, curve_fibers={"default": {"genera": [2]}}),
+             (), "curve_fibers.default: the label 'default' names the 'curve_fiber' section"),
+            ("cochain", lambda d: [d.pop("strata"), d.pop("cochain")], (), "scenario file lacks a 'cochain' section"),
+        ]],
+        ("obstruction", lambda d: d.update(MALFORMED_SOURCES["obstruction"][0]), (),
+         "a scenario needs at least two sample points"),
     ], ids=["non-square matrix", "multiplicities", "trace length", "target length", "cochain length",
-            "cochain without strata", "no fiber", "negative genus", "snc fiber without components"])
+            "cochain without strata", "no fiber", "negative genus", "snc fiber without components",
+            *[name + form for form in ("", ", machine") for name in
+              ("targets without nef", "curve fiber named snc", "two default fibers", "neither cochain nor strata")],
+            "one-point obstruction"])
     def test_inconsistent_input(self, tmp_path, capsys, lattice_file, circle_file, command, edit, options,
                                 message):
         """Well-typed files whose parts do not fit together."""

@@ -128,6 +128,24 @@ def test_loaded_lattices_match_fraction_built_and_reference(tmp_path):
             assert component_group(loaded.lattice).torsion == component_group_reference(lat)
 
 
+def test_ints_outside_the_shared_table_load_as_fractions(tmp_path):
+    """Ints outside -64..64 miss the table of shared small Fractions; they
+    load as ``Fraction``s equal to them all the same."""
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "name": "large",
+        "lattice": {"labels": ["A", "B"], "matrix": [[-100, 100], [100, -100]], "multiplicities": [1, 1]},
+        "trace": {"values": [65, -65]},
+    }))
+    loaded = load_scenario_file(path)
+    built = FiberLattice(("A", "B"), [[Fraction(-100), Fraction(100)], [Fraction(100), Fraction(-100)]], (1, 1))
+    assert_same_public_data(loaded.lattice, built)
+    assert_same_public_data(loaded.trace, DivisorTrace((Fraction(65), Fraction(-65))))
+    assert_fraction_tuples(loaded.lattice.matrix)
+    assert_fraction_tuples((loaded.trace.values,))
+    assert loaded.lattice.matrix == ((-100, 100), (100, -100)) and loaded.trace.values == (65, -65)
+
+
 # Strings go through the "p/q" grammar before any arithmetic: Fraction()
 # reads most of the strings below, and builds a 10^8-digit integer from
 # "1e100000000".
