@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import cochain as cochain_mod
 from . import corpus
@@ -239,6 +240,36 @@ def read_argv(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(**values)
 
 
+def to_json(x, indent: str = "\n") -> str:
+    """``json.dumps(x, indent=2)``, written directly: with an indent, the
+    json module falls back to its pure-Python encoder.  ``indent`` is the
+    line break and indentation that close ``x``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        items = [to_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(x, dict):
+        items = [_json_key(k) + ": " + to_json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    return json.dumps(x)
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):  # json writes these keys as strings
+        return '"' + json.dumps(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = read_argv(argv)
@@ -247,7 +278,7 @@ def main(argv=None) -> int:
     try:
         code, payload, lines = args.func(args)
         if args.format == "machine":
-            print(json.dumps({**payload, "exit_code": code}, indent=2))
+            print(to_json({**payload, "exit_code": code}))
         else:
             for line in lines:
                 print(line)

@@ -9,12 +9,15 @@ exactness and class computations into decidable integer linear algebra.
 Coboundaries are the transposed boundary maps of the complex (``d0 =
 -B_1^T``, ``d1 = B_2^T``), so there is one sign convention.  Exactness
 needs no matrix at all: a potential is propagated along a spanning forest
-of the 1-skeleton in the coefficient group and then checked on every edge.
-Closedness is walked at most once per cochain and cached on it.  ``H^1``
-needs no lattice basis: the ``Z`` part reads the invariant factors of B_1
-and B_2 the complex caches, and each ``Z/n`` gives one sparse integer
-relation matrix, the mapping cone of ``n``, built straight from the cached
-boundary rows (see ``cohomology_group``).
+of the 1-skeleton and then checked on every edge.  Closedness is walked at
+most once per cochain and cached on it.  Cochain arithmetic, closedness and
+exactness run one coordinate at a time over plain ints: the coordinate's
+column of the values, a free coordinate as is, a torsion coordinate of
+order n reduced with ``% n``, with no ``CoefficientGroup`` call per
+element.  ``H^1`` needs no lattice basis: the ``Z`` part reads the
+invariant factors of B_1 and B_2 the complex caches, and each ``Z/n``
+gives one sparse integer relation matrix, the mapping cone of ``n``, built
+straight from the cached boundary rows (see ``cohomology_group``).
 
 Group elements are tuples of Python ints; ``CoefficientGroup`` rejects
 bools, floats and strings instead of truncating them.
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
+from operator import add, sub
 
 from . import linalg
 from .dual_complex import DeltaComplex, boundary_rows, homology_degree
@@ -110,7 +115,7 @@ class Cochain:
 
     def __post_init__(self):
         expected = self.complex.count(self.degree)
-        vals = tuple(self.group.reduce(v) for v in self.values)
+        vals = _reduced(self.group, self.values)
         if len(vals) != expected:
             raise ValueError(
                 f"cochain of degree {self.degree} needs {expected} values, got {len(vals)}"
@@ -120,28 +125,27 @@ class Cochain:
     def _combine(self, other: "Cochain", op) -> "Cochain":
         if (self.complex, self.group, self.degree) != (other.complex, other.group, other.degree):
             raise ValueError("cochains live on different complexes or groups")
-        return Cochain(self.complex, self.group, self.degree, tuple(map(op, self.values, other.values)))
+        width = self.group.width
+        columns = [list(map(op, a, b))
+                   for a, b in zip(_columns(self.values, width), _columns(other.values, width))]
+        return Cochain(self.complex, self.group, self.degree, _rows(columns, len(self.values)))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self._combine(other, self.group.sub)
+        return self._combine(other, sub)
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        return self._combine(other, self.group.add)
+        return self._combine(other, add)
 
     def is_zero(self) -> bool:
-        return all(self.group.is_zero(v) for v in self.values)
+        return not any(map(any, self.values))  # the values are reduced
 
     @cached_property
     def _closedness(self) -> "ClosednessResult":
         """``is_closed(self)`` of a 1-cochain: the first 2-simplex on which
         phi(ij) + phi(jk) - phi(ik) does not vanish is the witness."""
-        cx, group, values = self.complex, self.group, self.values
-        if cx.dimension < 2:
-            return ClosednessResult(True)
-        for t, (f_jk, f_ik, f_ij) in enumerate(cx.facets[1]):
-            if not group.is_zero(group.sub(group.add(values[f_ij], values[f_jk]), values[f_ik])):
-                return ClosednessResult(False, cx.simplex_ids[2][t])
-        return ClosednessResult(True)
+        cx = self.complex
+        t = _open_triangle(cx.facets[1], self.group, self.values) if cx.dimension >= 2 else None
+        return ClosednessResult(True) if t is None else ClosednessResult(False, cx.simplex_ids[2][t])
 
 
 @dataclass(frozen=True)
@@ -187,20 +191,69 @@ class H1Class:
 
 
 # ---------------------------------------------------------------------------
-# Coboundary, closedness, exactness
+# Per-coordinate kernels, coboundary, closedness, exactness
 # ---------------------------------------------------------------------------
+
+def _columns(values, width: int) -> list:
+    """Coordinate p of every value, for each p < ``width``."""
+    return list(zip(*values)) if values else [()] * width
+
+
+def _rows(columns, count: int) -> tuple:
+    """The ``count`` values whose coordinates are ``columns``."""
+    return tuple(zip(*columns)) if columns else ((),) * count
+
+
+def _moduli(group: CoefficientGroup) -> tuple[int, ...]:
+    """The order of each coordinate of ``group``, 0 for a free one."""
+    return (0,) * group.rank + group.torsion
+
+
+def _reduced(group: CoefficientGroup, values) -> tuple:
+    """``group.reduce`` of every value, in bulk: one pass each over the
+    element types, the widths and the coordinate types, then one ``% n``
+    pass per torsion coordinate.  When a bulk check fails, ``group.reduce``
+    runs value by value, so the first fault is named with its own error."""
+    values = tuple(values)
+    try:
+        vals = tuple(map(tuple, values))
+    except TypeError:
+        vals = None
+    if (vals is None or not set(map(len, vals)) <= {group.width}
+            or not set(map(type, chain.from_iterable(vals))) <= {int}):
+        return tuple(map(group.reduce, values))
+    if not group.torsion:
+        return vals
+    columns = _columns(vals, group.width)
+    for p, n in enumerate(group.torsion, group.rank):
+        columns[p] = [x % n for x in columns[p]]
+    return _rows(columns, len(vals))
+
+
+def _open_triangle(triangles, group: CoefficientGroup, values) -> int | None:
+    """The first of the ``(jk, ik, ij)`` edge triples on which phi(ij) +
+    phi(jk) - phi(ik) is nonzero in some coordinate, or None.  Each
+    coordinate is checked up to the first failure found so far."""
+    first = len(triangles)
+    for col, n in zip(_columns(values, group.width), _moduli(group)):
+        for t, (jk, ik, ij) in enumerate(triangles[:first]):
+            d = col[ij] + col[jk] - col[ik]
+            if d % n if n else d:
+                first = t
+                break
+    return first if first < len(triangles) else None
+
 
 def coboundary(beta: Cochain) -> Cochain:
     """Degree-raising map: the edge between components l < j receives
     beta(l) - beta(j)."""
     if beta.degree != 0:
         raise PreconditionError("coboundary is implemented for 0-cochains")
-    group = beta.group
-    values = []
-    for e in range(beta.complex.count(1)):
-        larger, smaller = beta.complex.facets[0][e]
-        values.append(group.sub(beta.values[smaller], beta.values[larger]))
-    return Cochain(beta.complex, group, 1, tuple(values))
+    cx, group = beta.complex, beta.group
+    edges = cx.facets[0] if cx.dimension >= 1 else ()
+    columns = [[col[smaller] - col[larger] for larger, smaller in edges]
+               for col in _columns(beta.values, group.width)]
+    return Cochain(cx, group, 1, _rows(columns, len(edges)))
 
 
 def is_closed(phi: Cochain) -> ClosednessResult:
@@ -215,29 +268,33 @@ def is_closed(phi: Cochain) -> ClosednessResult:
 def is_exact(phi: Cochain):
     """Solve coboundary(beta) = phi over the coefficient group.
 
-    Returns the 0-cochain beta or None.  beta is 0 at the largest
-    vertex index of each connected component and spreads from there along
-    the complex's cached spanning forest, using ``beta(l) - beta(j) =
-    phi(e)`` for the edge e between components l < j; every edge is then
-    checked.  Two solutions differ by a constant on each component, so a
-    failed check means no solution exists, over any coefficient group.
+    Returns the 0-cochain beta or None.  In each coordinate, beta is 0 at
+    the largest vertex index of each connected component and spreads from
+    there along the complex's cached spanning forest, using ``beta(l) -
+    beta(j) = phi(e)`` for the edge e between components l < j; every edge
+    is then checked.  Two solutions differ by a constant on each component,
+    so a failed check means no solution exists, over any coefficient group.
     """
     if phi.degree != 1:
         raise PreconditionError("is_exact expects a 1-cochain")
     if not is_closed(phi):
         raise PreconditionError("is_exact expects a closed 1-cochain")
-    cx, group, values = phi.complex, phi.group, phi.values
+    cx, group = phi.complex, phi.group
     edges = cx.facets[0] if cx.dimension >= 1 else ()
-    beta = [group.zero()] * cx.count(0)
-    for e, known, new in cx.spanning_forest:
-        if new == edges[e][1]:
-            beta[new] = group.add(beta[known], values[e])
-        else:
-            beta[new] = group.sub(beta[known], values[e])
-    for e, (larger, smaller) in enumerate(edges):
-        if group.sub(beta[smaller], beta[larger]) != values[e]:
-            return None
-    return Cochain(cx, group, 0, tuple(beta))
+    forest, n_v = cx.spanning_forest, cx.count(0)
+    columns = []
+    for col, n in zip(_columns(phi.values, group.width), _moduli(group)):
+        beta = [0] * n_v
+        for e, known, new in forest:
+            beta[new] = beta[known] + col[e] if new == edges[e][1] else beta[known] - col[e]
+        if n:
+            beta = [b % n for b in beta]
+        for (larger, smaller), x in zip(edges, col):
+            d = beta[smaller] - beta[larger] - x
+            if d % n if n else d:
+                return None
+        columns.append(beta)
+    return Cochain(cx, group, 0, _rows(columns, n_v))
 
 
 # ---------------------------------------------------------------------------

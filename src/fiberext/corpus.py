@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from . import cochain as cochain_mod
@@ -26,7 +27,9 @@ from .pic0 import (
 from .scenario import Scenario, _one, load_scenario_file
 
 
+@cache
 def _scenario_dir():
+    """The bundled scenario directory, resolved once per process."""
     return resources.files(__package__) / "scenarios"
 
 
@@ -81,6 +84,7 @@ def run_all() -> list[ScenarioReport]:
 # check instead of being coerced (``abelian_dim`` may be null).
 _KINDS = {"op": str, "valid": bool, "obstructed": bool, "trivial": bool, "closed": bool, "exact": bool,
           "denominator": int, "denominator_divides": int, "torus_rank": int, "abelian_dim": int, "value": int,
+          "fiber": str,
           **dict.fromkeys(("coefficients", "achieved", "targets", "invariant_factors", "betti", "torsion",
                            "degrees", "witnesses"), list)}
 
@@ -178,8 +182,16 @@ def _classification_matches(entry, kind):
     return ok, "; ".join(wants), actual
 
 
+def _curve_fiber(sc, entry):
+    """The curve fiber the entry names by its ``fiber`` label, else ``default``."""
+    fibers, label = sc.need("curve_fibers"), entry.get("fiber", "default")
+    if label not in fibers:
+        raise ValueError(f"{entry.at}fiber: the scenario has no curve fiber {label!r}")
+    return fibers[label]
+
+
 def _check_classify_curve(sc, entry):
-    fiber = sc.need("curve_fibers")[entry.get("fiber", "default")]
+    fiber = _curve_fiber(sc, entry)
     if "error" in entry:
         try:
             got = classify_curve_fiber(fiber)
@@ -190,7 +202,7 @@ def _check_classify_curve(sc, entry):
 
 
 def _check_numerical_triviality(sc, entry):
-    fiber = sc.need("curve_fibers")[entry.get("fiber", "default")]
+    fiber = _curve_fiber(sc, entry)
     got = numerical_triviality_on_fiber(fiber, [lattice_mod.parse_rational(d) for d in entry["degrees"]])
     return _equal(entry["trivial"], got, "trivial={}".format)
 

@@ -660,6 +660,42 @@ def is_exact_reference(phi):
     return Cochain(cx, group, 0, tuple(tuple(v) for v in per_vertex))
 
 
+# ---------------------------------------------------------------------------
+# Per-element cochain arithmetic: the walks the package made before it
+# worked one coordinate at a time, each step a ``CoefficientGroup`` call.
+# ---------------------------------------------------------------------------
+
+def cochain_values_reference(complex, group, degree, values):
+    """The values a ``Cochain`` keeps: each value through ``group.reduce``,
+    which names the first bad element, then the count checked."""
+    vals = tuple(group.reduce(v) for v in values)
+    expected = complex.count(degree)
+    if len(vals) != expected:
+        raise ValueError(f"cochain of degree {degree} needs {expected} values, got {len(vals)}")
+    return vals
+
+
+def coboundary_reference(beta):
+    """The values of ``coboundary(beta)``: beta(l) - beta(j) on the edge
+    between components l < j, whose facets are ``(j, l)``."""
+    cx, group = beta.complex, beta.group
+    edges = cx.facets[0] if cx.dimension >= 1 else ()
+    return tuple(group.sub(beta.values[smaller], beta.values[larger]) for larger, smaller in edges)
+
+
+def is_closed_reference(phi):
+    """``(closed, witness)`` of a 1-cochain: the first 2-simplex, facets
+    ``(jk, ik, ij)``, on which phi(ij) + phi(jk) - phi(ik) is not zero in the
+    group is the witness."""
+    cx, group, values = phi.complex, phi.group, phi.values
+    if cx.dimension < 2:
+        return True, None
+    for t, (f_jk, f_ik, f_ij) in enumerate(cx.facets[1]):
+        if not group.is_zero(group.sub(group.add(values[f_ij], values[f_jk]), values[f_ik])):
+            return False, cx.simplex_ids[2][t]
+    return True, None
+
+
 def build_dual_complex_reference(levels):
     """The three-walk ``build_dual_complex`` over levels of ``Stratum``s:
     every shape check on every stratum first, then facet references looked

@@ -13,7 +13,7 @@ import argv_cases
 from conftest import random_multigraph, random_strata
 from fiberext import cochain as cochain_mod
 from fiberext import lattice as lattice_mod
-from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main
+from fiberext.cli import EXIT_INPUT, EXIT_OBSTRUCTED, EXIT_OK, build_parser, main, to_json
 from fiberext.dual_complex import build_dual_complex
 from fiberext.scenario import load_scenario_file
 from test_exactness import GROUPS
@@ -434,6 +434,33 @@ class TestParserReuse:
         assert shared == fresh
         assert "B_1" in shared[0][1].out and "B_1" not in shared[1][1].out
         assert build_parser() is build_parser()
+
+
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(JSON_KEYS, inner)),
+    max_leaves=40,
+)
+
+
+class TestMachineWriter:
+    """``to_json`` against ``json.dumps(x, indent=2)``, which ``--format
+    machine`` printed before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(JSON_VALUES)
+    def test_same_text_as_json_dumps(self, value):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{(1, 2): 0}, [{"a": object()}], {"a": {1.5}}],
+                             ids=["tuple key", "object", "set"])
+    def test_same_error_as_json_dumps(self, value):
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as ours:
+            to_json(value)
+        assert str(ours.value) == str(theirs.value)
 
 
 ARGVS = st.one_of(

@@ -53,6 +53,19 @@ def test_run_all_matches_individual_runs():
     assert all(r.passed for r in reports)
 
 
+def test_scenario_directory_is_resolved_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(corpus.resources, "files", lambda package, files=corpus.resources.files:
+                        calls.append(package) or files(package))
+    corpus._scenario_dir.cache_clear()
+    try:
+        corpus.load_scenario("kodaira-I2-family")
+        corpus.run_scenario("example-3.7-cubic-curves")
+        assert calls == ["fiberext"]
+    finally:
+        corpus._scenario_dir.cache_clear()
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError, match="unknown scenario 'no-such-scenario'"):
         corpus.load_scenario("no-such-scenario")
@@ -96,7 +109,8 @@ def test_non_integer_expectation_fails_naming_its_path(tmp_path, monkeypatch, in
     ("kodaira-I2-family", 1, "op", MISSING, "ValueError: expect[1].op is missing"),
     ("kodaira-I2-family", 2, "value", MISSING, "ValueError: expect[2].value is missing"),
     ("kodaira-I2-family", 1, "invariant_factors", MISSING, "ValueError: expect[1].invariant_factors is missing"),
-    ("example-3.7-cubic-curves", 0, "fiber", "no-such-fiber", "KeyError: 'no-such-fiber'"),
+    ("example-3.7-cubic-curves", 0, "fiber", "no-such-fiber",
+     "ValueError: expect[0].fiber: the scenario has no curve fiber 'no-such-fiber'"),
     # A string was once compared as the set of its characters.
     ("example-5.1-obstruction", 0, "witnesses", "type-II-point",
      "TypeError: expect[0].witnesses must be a list, got 'type-II-point'"),
@@ -118,6 +132,25 @@ def test_wrong_expectation_is_a_failed_check(tmp_path, monkeypatch, name, index,
     assert (check.expected, check.actual) == (expected, actual)
 
 
+@pytest.mark.parametrize("op", ["classify_curve_fiber", "numerical_triviality"])
+@pytest.mark.parametrize("fiber, actual", [
+    ("nope", "ValueError: expect[4].fiber: the scenario has no curve fiber 'nope'"),
+    (MISSING, "ValueError: expect[4].fiber: the scenario has no curve fiber 'default'"),
+    (3, "TypeError: expect[4].fiber must be a string, got 3"),
+    (["elliptic"], "TypeError: expect[4].fiber must be a string, got ['elliptic']"),
+])
+def test_unknown_curve_fiber_is_named_by_its_path(op, fiber, actual):
+    """Both curve-fiber checks once failed as ``KeyError: 'nope'``, and a
+    list label as an unhashable ``TypeError``."""
+    sc = corpus.load_scenario("example-3.7-cubic-curves")
+    entry = {"op": op, "torus_rank": 0, "degrees": [], "trivial": True}
+    if fiber is not MISSING:
+        entry["fiber"] = fiber
+    check = corpus._run_check(sc, entry, 4)
+    assert (check.passed, check.actual) == (False, actual)
+    assert corpus._run_check(sc, {**entry, "fiber": "elliptic"}, 4).actual != actual
+
+
 def test_expected_obstruction_passes():
     sc = corpus.load_scenario("nef-extension-two-component")
     check = corpus._run_check(sc, {"op": "extend_nef", "targets": ["1", 0], "obstructed": True}, 0)
@@ -125,7 +158,7 @@ def test_expected_obstruction_passes():
 
 
 # op -> the section its check reads first.  The curve-fiber ops then look
-# their fiber up by label, and an unknown label is a KeyError naming it.
+# their fiber up by label (see test_unknown_curve_fiber_is_named_by_its_path).
 SECTION_OPS = {
     "validate_lattice": "lattice", "extend_trivial": "lattice", "extend_nef": "lattice",
     "denominator_bound": "lattice", "component_group": "lattice", "homology": "strata",
