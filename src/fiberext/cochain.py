@@ -14,10 +14,12 @@ most once per cochain and cached on it.  Cochain arithmetic, closedness and
 exactness run one coordinate at a time over plain ints: the coordinate's
 column of the values, a free coordinate as is, a torsion coordinate of
 order n reduced with ``% n``, with no ``CoefficientGroup`` call per
-element.  ``H^1`` needs no lattice basis: the ``Z`` part reads the
-invariant factors of B_1 and B_2 the complex caches, and each ``Z/n``
-gives one sparse integer relation matrix, the mapping cone of ``n``, built
-straight from the cached boundary rows (see ``cohomology_group``).
+element; the cochains they return are built with their fields set
+directly, as their values are already reduced.  ``H^1`` needs no lattice
+basis: the ``Z`` part reads the invariant factors of B_1 and B_2 the
+complex caches, and each ``Z/n`` gives one sparse integer relation matrix,
+the mapping cone of ``n``, built straight from the cached boundary rows
+(see ``cohomology_group``).
 
 Group elements are tuples of Python ints; ``CoefficientGroup`` rejects
 bools, floats and strings instead of truncating them.
@@ -28,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 from . import linalg
 from .dual_complex import DeltaComplex, boundary_rows, homology_degree
 from .errors import CertificateError, PreconditionError
+from .linalg import invariant_factor_chain  # read by name as ``cochain.invariant_factor_chain``
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,8 @@ class Cochain:
         width = self.group.width
         columns = [list(map(op, a, b))
                    for a, b in zip(_columns(self.values, width), _columns(other.values, width))]
-        return Cochain(self.complex, self.group, self.degree, _rows(columns, len(self.values)))
+        return _cochain(self.complex, self.group, self.degree, _reduce_columns(self.group, columns),
+                        len(self.values))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self._combine(other, sub)
@@ -224,10 +228,25 @@ def _reduced(group: CoefficientGroup, values) -> tuple:
         return tuple(map(group.reduce, values))
     if not group.torsion:
         return vals
-    columns = _columns(vals, group.width)
+    return _rows(_reduce_columns(group, _columns(vals, group.width)), len(vals))
+
+
+def _reduce_columns(group: CoefficientGroup, columns: list) -> list:
+    """``columns``, coordinate columns of ints, with each torsion column
+    reduced ``% n`` in place."""
     for p, n in enumerate(group.torsion, group.rank):
         columns[p] = [x % n for x in columns[p]]
-    return _rows(columns, len(vals))
+    return columns
+
+
+def _cochain(complex: DeltaComplex, group: CoefficientGroup, degree: int, columns, count: int) -> Cochain:
+    """The cochain of ``count`` values whose coordinate columns are
+    ``columns``, reduced ints, with its fields set directly: the kernels'
+    results skip ``Cochain.__post_init__``, which would check and reduce
+    them again."""
+    phi = object.__new__(Cochain)
+    phi.__dict__.update(complex=complex, group=group, degree=degree, values=_rows(columns, count))
+    return phi
 
 
 def _open_triangle(triangles, group: CoefficientGroup, values) -> int | None:
@@ -253,7 +272,7 @@ def coboundary(beta: Cochain) -> Cochain:
     edges = cx.facets[0] if cx.dimension >= 1 else ()
     columns = [[col[smaller] - col[larger] for larger, smaller in edges]
                for col in _columns(beta.values, group.width)]
-    return Cochain(cx, group, 1, _rows(columns, len(edges)))
+    return _cochain(cx, group, 1, _reduce_columns(group, columns), len(edges))
 
 
 def is_closed(phi: Cochain) -> ClosednessResult:
@@ -294,40 +313,12 @@ def is_exact(phi: Cochain):
             if d % n if n else d:
                 return None
         columns.append(beta)
-    return Cochain(cx, group, 0, _rows(columns, n_v))
+    return _cochain(cx, group, 0, columns, n_v)
 
 
 # ---------------------------------------------------------------------------
 # H^1 with finitely generated coefficients
 # ---------------------------------------------------------------------------
-
-def invariant_factor_chain(orders) -> tuple[int, ...]:
-    """Canonical invariant factors of a direct sum of cyclic groups.
-
-    Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
-    Z/gcd``, largest factor first, so nothing is factored.  Orders below 2
-    contribute nothing; an order that is not an ``int`` (a bool is none)
-    raises ``TypeError``.  An order dividing the smallest factor passes
-    through every merge unchanged, so it is appended at once: equal orders
-    cost linear time.
-    """
-    chain = []  # descending: each factor divides the one before it
-    for a in orders:
-        if type(a) is not int:
-            raise TypeError(f"orders must be integers, got {a!r}")
-        if a < 2:
-            continue
-        if chain and chain[-1] % a == 0:
-            chain.append(a)
-            continue
-        for k, d in enumerate(chain):
-            chain[k], a = lcm(d, a), gcd(d, a)
-            if a == 1:
-                break
-        else:
-            chain.append(a)
-    return tuple(reversed(chain))
-
 
 def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInvariants:
     """H^1 of the complex with the given coefficients, computed directly

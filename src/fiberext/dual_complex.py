@@ -19,7 +19,11 @@ degree that needs them is first asked for (``homology_degree``), so
 the incidence matrix of a directed graph, so its invariant factors are a 1
 per edge of a spanning forest of the 1-skeleton, which each complex also
 caches (``DeltaComplex.spanning_forest``) and ``cochain.is_exact``
-propagates potentials along.  ``boundary_matrix`` is a dense view of the
+propagates potentials along.  Each ``B_r`` (r >= 2) is factored on fewer
+rows: the unit-pivot columns of ``B_(r-1)`` (the forest's edges for r = 2,
+the columns ``linalg`` pivoted at +-1 before any content division above)
+are rows of ``B_r`` that cannot change its invariant factors, so they are
+left out (see ``_factored``).  ``boundary_matrix`` is a dense view of the
 rows, for display.  The caches are not fields and are never shared between
 complexes.
 """
@@ -53,6 +57,12 @@ class DeltaComplex:
     invariant factors are computed at most once per instance and degree,
     and the spanning forest once per instance, and cached on it; the caches
     are not fields, so equality, hashing and repr ignore them.
+
+    The facet maps must make a chain complex, ``B_(r-1) B_r = 0``: the
+    invariant factors of ``B_r`` are computed without the rows that the
+    unit pivots of ``B_(r-1)`` name, which is exact only then.
+    ``build_dual_complex`` checks it (the codimension-2 check) and
+    ``closure`` keeps it; an instance built directly must satisfy it.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
@@ -79,7 +89,7 @@ class DeltaComplex:
 
     @cached_property
     def _invariant_factors(self) -> dict:
-        """Degree r -> the invariant factors of B_r."""
+        """Degree r -> the invariant factors and unit columns of B_r."""
         return {}
 
     @cached_property
@@ -229,29 +239,48 @@ def boundary_matrix(complex: DeltaComplex, r: int):
     return linalg.dense(boundary_rows(complex, r), complex.count(r))
 
 
-def _factor(complex: DeltaComplex, r: int) -> list[int]:
-    """Invariant factors of B_r, r >= 2, computed from its rows (a cache miss)."""
-    return linalg.snf_diagonal(boundary_rows(complex, r))
+def _factored(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
+    """``(invariant factors, unit columns)`` of B_r, computed at most once
+    per complex and degree.  The unit columns are r-simplices on which the
+    rows of B_r project onto all of ``Z^units``: the edges of the spanning
+    forest for r = 1, the scale-1 unit pivots of ``linalg`` for r >= 2.
+
+    B_r (r >= 2) is factored on the rows that are no unit column of
+    B_(r-1) only.  Those units give a unimodular block of integer
+    combinations of the rows of B_(r-1), whose kernel projects onto the
+    other coordinates isomorphically and as a direct summand; the columns
+    of B_r lie in that kernel, as ``B_(r-1) B_r = 0``, so deleting the rows
+    keeps the invariant factors (clear and compress: Bauer, Kerber and
+    Reininghaus 2014; over Z, Dumas, Heckenbach, Saunders and Welker 2003)."""
+    cache = complex._invariant_factors
+    if r not in cache:
+        if not 1 <= r <= complex.dimension:
+            cache[r] = [], set()
+        elif r == 1:
+            forest = complex.spanning_forest
+            cache[r] = [1] * len(forest), {e for e, _, _ in forest}
+        else:
+            cache[r] = _factor(complex, r)
+    return cache[r]
+
+
+def _factor(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
+    """``_factored`` of B_r, r >= 2, from its rows less the unit columns of
+    B_(r-1) (a cache miss)."""
+    below = _factored(complex, r - 1)[1]
+    return linalg._smith_diagonal([row for f, row in enumerate(boundary_rows(complex, r)) if f not in below])
 
 
 def invariant_factors(complex: DeltaComplex, r: int) -> list[int]:
     """Invariant factors of B_r (none outside 1..dimension), computed at
-    most once per complex and degree.
+    most once per complex and degree; B_r needs those of B_1..B_(r-1).
 
     B_1 is never factored.  Its column of an edge is the difference of the
     edge's two vertices, zero for a loop, so B_1 is the incidence matrix of
     a directed graph and totally unimodular (Schrijver, *Theory of Linear
     and Integer Programming*, 19.3): its invariant factors are a 1 per step
     of the spanning forest."""
-    cache = complex._invariant_factors
-    if r not in cache:
-        if not 1 <= r <= complex.dimension:
-            cache[r] = []
-        elif r == 1:
-            cache[r] = [1] * len(complex.spanning_forest)
-        else:
-            cache[r] = _factor(complex, r)
-    return cache[r]
+    return _factored(complex, r)[0]
 
 
 def homology_degree(complex: DeltaComplex, k: int) -> tuple[int, tuple[int, ...]]:

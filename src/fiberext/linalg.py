@@ -21,9 +21,14 @@ never written, so a caller may hand in rows it shares (the boundary rows a
 dense boundary matrices.  The elimination is transform-free: unit
 pivots first, and whenever no +-1 entry is left the residue is divided by
 its content, so boundary matrices and the mapping-cone relations of
-cohomology (``n`` at one entry beside +-1 incidences) never reach a dense
-Smith form.  ``lattice_quotient`` reads a quotient ``Z^n / span(rels)``
-straight from them, with no lattice basis.
+cohomology (``n`` at one entry beside +-1 incidences) rarely reach a dense
+Smith form.  Rows with one entry are kept out of the elimination, as one
+gcd per column, and finish as a divisibility chain (``invariant_factor_chain``
+merges such chains for ``cochain`` too).  The columns pivoted at +-1 before
+any content division are reported to ``dual_complex``, which deletes them
+from the rows of the next boundary matrix.  ``lattice_quotient`` reads a
+quotient ``Z^n / span(rels)`` straight from the invariant factors, with no
+lattice basis.
 
 ``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
 integer and modular solvers and ``kernel_basis``, which the package itself
@@ -175,37 +180,63 @@ def _fix_signs(s, u, v, m, n):
 
 
 def snf_diagonal(mat):
-    """Invariant factors of the matrix with the given sparse rows: the
-    nonzero Smith diagonal, ascending.
+    """Invariant factors of the matrix with the given sparse rows, which are
+    never written: the nonzero Smith diagonal, ascending.  No column count
+    is needed, as empty columns add nothing.  The elimination is
+    ``_smith_diagonal``'s."""
+    return _smith_diagonal(mat)[0]
 
-    No transforms are built.  Each row is copied (the input is never
-    written) and indexed by a column -> rows map, and every +-1 entry is
-    eliminated first: columns are walked sparsest first, each pivoting on
-    its shortest row with a unit entry, and each pivot contributes the
-    current scale to the diagonal.  When no unit is left, the residue is
-    divided by its content ``g`` (as ``SNF(g A) = g SNF(A)``) and the scale
-    multiplied by ``g``.  Only a residue of content 1 without units goes to
-    ``smith_normal_form``.  Empty columns add nothing, so no column count is
-    needed.
 
-    Rows with one entry (the ``n e_e`` rows of a mapping cone) span
-    ``m_j e_j`` for each column ``j`` they sit in, ``m_j`` the gcd of their
-    values.  Such a row is touched only when its own column is eliminated,
-    and then becomes a multiple of the pivot row; when every entry of that
-    multiple is divisible by the ``m_j`` of its column, it lies in the span
-    of the others and is dropped instead of filled in.
+def _smith_diagonal(mat):
+    """``(snf_diagonal(mat), units)``: the invariant factors, and the set of
+    columns pivoted on at +-1 while the scale was still 1.
+
+    No transforms are built.  Each row of two or more entries is copied (the
+    input is never written) and indexed by a column -> rows map, and every
+    +-1 entry is eliminated first: columns are walked sparsest first, each
+    pivoting on its shortest row with a unit entry, and each pivot
+    contributes the current scale to the diagonal.  When no unit is left,
+    the residue is divided by its content ``g`` (as ``SNF(g A) = g SNF(A)``)
+    and the scale multiplied by ``g``.  Only a residue of content 1 without
+    units goes to ``smith_normal_form``.
+
+    Rows with one entry (the ``n e_e`` rows of a mapping cone, and rows that
+    shrink to one entry) stay out of the index: they span ``m_j e_j`` for
+    each column ``j``, ``m_j`` the gcd of their values.  An ``m_j`` of 1 is
+    a unit pivot that clears column ``j`` at once, with no fill-in.
+    Pivoting column ``c`` on row ``p`` turns ``m_c e_c`` into ``-m_c a``
+    times the rest of row ``p`` (``a`` the pivot), which is reduced modulo
+    each ``m_j`` and then dropped, merged into the map or kept as a row.
+    With no row left, the ``m_j`` are a diagonal matrix, whose Smith
+    diagonal is their divisibility chain padded with ones.  The content
+    division and the dense fallback include the ``m_j``.
+
+    The pivot rows of the units are integer combinations of the rows, unit
+    triangular on the unit columns, so the rows project onto all of
+    ``Z^units``.  A unit taken after a content division is not recorded:
+    its pivot row is a combination divided by the scale.
     """
-    rows, cols, single = {}, {}, {}
+    rows, cols, m = {}, {}, {}
     for i, row in enumerate(mat):
-        if row:
+        if len(row) > 1:
             rows[i] = dict(row)
-            for j, x in row.items():
-                cols.setdefault(j, set()).add(i)
-            if len(row) == 1 and x:
-                single[j] = gcd(single.get(j, 0), x)
-    diag, scale = [], 1
-    while rows:
-        pivoted = True
+            for j in row:
+                if j in cols:
+                    cols[j].add(i)
+                else:
+                    cols[j] = {i}
+        elif row:
+            ((j, x),) = row.items()
+            m[j] = gcd(m.get(j, 0), x)
+    diag, units, scale = [], set(), 1
+    done, short = [], []  # the columns pivoted at this scale; rows that may have < 2 entries
+    while True:
+        for j in [j for j, x in m.items() if x == 1]:
+            _clear(rows, cols, m, short, j)
+            done.append(j)
+        if short:
+            _settle(rows, cols, m, short, done)
+        pivoted = bool(rows)
         while pivoted:
             pivoted = False
             for c in sorted(cols, key=lambda j: len(cols[j])):
@@ -214,40 +245,82 @@ def snf_diagonal(mat):
                     if rows[i][c] in (1, -1) and (best is None or len(rows[i]) < len(rows[best])):
                         best = i
                 if best is not None:
-                    _eliminate_unit(rows, cols, single, best, c)
-                    diag.append(scale)
+                    _pivot(rows, cols, m, short, best, c)
+                    done.append(c)
+                    if short:
+                        _settle(rows, cols, m, short, done)
                     pivoted = True
+        diag += [scale] * len(done)
+        if scale == 1:
+            units.update(done)
+        done = []
         if not rows:
             break
-        g = 0
+        g = gcd(*m.values())
         for row in rows.values():
-            for x in row.values():
-                g = gcd(g, x)
+            g = gcd(g, *row.values())
+            if g == 1:
+                break
         if g == 1:
             break
         scale *= g
         for row in rows.values():
             for j in row:
                 row[j] //= g
-        for j in single:
-            single[j] //= g
+        for j in m:
+            m[j] //= g
     if rows:
-        keep = sorted(cols)
-        _, s, _ = smith_normal_form([[row.get(j, 0) for j in keep] for row in rows.values()], len(keep))
-        diag += [scale * s[t][t] for t in range(min(len(rows), len(keep))) if s[t][t]]
-    return diag
+        keep = sorted(cols.keys() | m.keys())
+        residue = [[row.get(j, 0) for j in keep] for row in rows.values()]
+        residue += [[x if k == j else 0 for k in keep] for j, x in m.items()]
+        _, s, _ = smith_normal_form(residue, len(keep))
+        diag += [scale * s[t][t] for t in range(min(len(residue), len(keep))) if s[t][t]]
+    else:
+        chain = _merged(m.values())
+        diag += [scale] * (len(m) - len(chain)) + [scale * d for d in reversed(chain)]
+    return diag, units
 
 
-def _eliminate_unit(rows, cols, single, p, c):
-    """Clear column ``c`` with the unit pivot in row ``p``, then drop row
-    ``p`` and column ``c``; column operations would clear the rest of row
-    ``p`` without touching any other row.  ``single`` maps a column to the
-    gcd ``m_j`` of its one-entry rows; a row with no entry but ``c`` becomes
-    ``-q`` times the rest of row ``p`` and is dropped when ``m_j`` divides
-    each of its entries."""
+def _clear(rows, cols, m, short, j):
+    """Pivot on the unit one-entry row ``e_j``, which has nothing to fill in."""
+    del m[j]
+    for k in cols.pop(j, ()):
+        row = rows[k]
+        del row[j]
+        if len(row) < 2:
+            short.append(k)
+
+
+def _settle(rows, cols, m, short, done):
+    """Move the rows in ``short`` with fewer than two entries out of the
+    index, into ``m``; a column whose ``m_j`` becomes 1 is cleared at once
+    and appended to ``done``."""
+    while short:
+        i = short.pop()
+        row = rows.get(i)
+        if row is None or len(row) > 1:
+            continue
+        del rows[i]
+        if row:
+            ((j, x),) = row.items()
+            col = cols[j]
+            col.discard(i)
+            if not col:
+                del cols[j]
+            m[j] = g = gcd(m.get(j, 0), x)
+            if g == 1:
+                _clear(rows, cols, m, short, j)
+                done.append(j)
+
+
+def _pivot(rows, cols, m, short, p, c):
+    """Clear column ``c`` with the unit in row ``p``, then drop row ``p``
+    and column ``c``: column operations would clear the rest of row ``p``
+    and touch no other row.  ``m_c e_c`` becomes ``-m_c a`` times the rest
+    of row ``p``, modulo each ``m_j``, and takes the place of row ``p``.
+    Rows left with fewer than two entries are appended to ``short``."""
     prow = rows.pop(p)
     a = prow.pop(c)
-    single.pop(c, None)
     for j in prow:
         cols[j].discard(p)
     for i in cols.pop(c):
@@ -255,9 +328,6 @@ def _eliminate_unit(rows, cols, single, p, c):
             continue
         row = rows[i]
         q = row.pop(c) * a
-        if not row and all(j in single and q * x % single[j] == 0 for j, x in prow.items()):
-            del rows[i]
-            continue
         for j, x in prow.items():
             y = row.get(j, 0) - q * x
             if y:
@@ -266,8 +336,22 @@ def _eliminate_unit(rows, cols, single, p, c):
             else:
                 del row[j]
                 cols[j].discard(i)
-        if not row:
-            del rows[i]
+        if len(row) < 2:
+            short.append(i)
+    mc = m.pop(c, 0)
+    if mc:
+        new = {}
+        for j, x in prow.items():
+            y = -mc * a * x
+            if j in m:
+                y %= m[j]
+            if y:
+                new[j] = y
+                cols[j].add(p)
+        if new:
+            rows[p] = new
+            if len(new) == 1:
+                short.append(p)
     for j in prow:
         if not cols[j]:
             del cols[j]
@@ -329,6 +413,42 @@ def lattice_quotient(rels, n):
     change under transposition)."""
     diag = snf_diagonal(rels)
     return n - len(diag), [d for d in diag if d > 1]
+
+
+def invariant_factor_chain(orders) -> tuple[int, ...]:
+    """Canonical invariant factors of a direct sum of cyclic groups.
+
+    Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
+    Z/gcd``, so nothing is factored (``_merged``, which also finishes the
+    one-entry rows of ``_smith_diagonal``).  Orders below 2 contribute
+    nothing; an order that is not an ``int`` (a bool is none) raises
+    ``TypeError``."""
+    orders = list(orders)
+    for a in orders:
+        if type(a) is not int:
+            raise TypeError(f"orders must be integers, got {a!r}")
+    return tuple(reversed(_merged(orders)))
+
+
+def _merged(orders) -> list[int]:
+    """The invariant factors of the sum of ``Z/a`` over the int ``orders``,
+    largest first.  An order dividing the smallest factor so far passes
+    through every merge unchanged, so it is appended at once: equal orders
+    cost linear time."""
+    chain = []  # descending: each factor divides the one before it
+    for a in orders:
+        if a < 2:
+            continue
+        if chain and chain[-1] % a == 0:
+            chain.append(a)
+            continue
+        for k, d in enumerate(chain):
+            chain[k], a = lcm(d, a), gcd(d, a)
+            if a == 1:
+                break
+        else:
+            chain.append(a)
+    return chain
 
 
 # ---------------------------------------------------------------------------

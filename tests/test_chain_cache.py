@@ -34,6 +34,7 @@ from fiberext.dual_complex import (
     strata_from_multigraph,
 )
 from fiberext.lattice import component_group, validate_lattice
+from test_exactness import one_vertex_complex
 from oracles import (
     boundary_matrix_reference,
     component_group_reference,
@@ -210,6 +211,73 @@ class TestSpanningForestFactors:
         assert homology(points).betti == (3,)
 
 
+def suspension(cx):
+    """The suspension of a Delta-complex: two new vertices after the old
+    ones and, in each dimension k >= 1, the old k-simplices and then the
+    cones from each new vertex on the (k-1)-simplices.  The new vertex is
+    last in each cone, so facet i of a cone on s is the cone on facet i of
+    s, and its last facet is s: ``B_(r-1) B_r = 0`` holds again."""
+    counts = cx.counts + (0,)
+    ids = [cx.simplex_ids[0] + ("a", "b")]
+    facets = []
+    for k in range(1, len(counts)):
+        old = cx.simplex_ids[k] if k < len(counts) - 1 else ()
+        ids.append(old + tuple(f"{s}*{t}" for t in "ab" for s in cx.simplex_ids[k - 1]))
+        rows = list(cx.facets[k - 1]) if k < len(counts) - 1 else []
+        for t in range(2):
+            if k == 1:
+                rows += [(counts[0] + t, v) for v in range(counts[0])]
+            else:
+                shift = counts[k - 1] + t * counts[k - 2]
+                rows += [tuple(shift + f for f in fs) + (j,) for j, fs in enumerate(cx.facets[k - 2])]
+        facets.append(tuple(rows))
+    return dual_complex.DeltaComplex(tuple(ids), tuple(facets))
+
+
+def assert_compression_keeps_factors(cx):
+    """In every degree, the invariant factors the cache computes from the
+    rows of B_r less the unit columns of B_(r-1) equal the Smith diagonal
+    of all of B_r, by ``snf_diagonal`` and by plain Euclid; and the unit
+    columns of B_r are ones the rows of B_r project onto all of Z^units,
+    which is what makes deleting them from B_(r+1) exact."""
+    for r in range(1, cx.dimension + 1):
+        mat = boundary_matrix_reference(cx, r)
+        if r >= 2:
+            below = boundary_matrix_reference(cx, r - 1)
+            assert not any(sum(a * b for a, b in zip(row, col)) for row in below for col in zip(*mat))
+        factors, units = dual_complex._factored(cx, r)
+        assert invariant_factors(cx, r) == factors == linalg.snf_diagonal(boundary_rows(cx, r)) \
+            == naive_invariant_factors(mat)
+        assert naive_invariant_factors([[row[j] for j in sorted(units)] for row in mat]) == [1] * len(units)
+
+
+def double_suspension(cx):
+    return suspension(suspension(cx))
+
+
+class TestCompression:
+    def test_random_strata(self, rng):
+        for _ in range(200):
+            assert_compression_keeps_factors(build_dual_complex(random_strata(rng)))
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_simplex_boundaries(self, k):
+        assert_compression_keeps_factors(build_dual_complex(simplex_strata(tuple(range(k)), full=False)))
+
+    def test_corpus_complexes(self, corpus_complexes):
+        for _, cx in corpus_complexes:
+            assert_compression_keeps_factors(cx)
+
+    def test_double_suspensions_of_one_vertex_complexes(self, rng):
+        """Torsion of ``H_1`` moves to ``H_3``, below the compressed B_4."""
+        torsion = 0
+        for _ in range(150):
+            cx = double_suspension(one_vertex_complex(rng))
+            assert_compression_keeps_factors(cx)
+            torsion += any(d > 1 for d in invariant_factors(cx, 4))
+        assert torsion >= 15
+
+
 SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-30, 30)),
                       min_size=n, max_size=n), max_size=5),
@@ -218,6 +286,24 @@ SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
 
 
 @given(SMALL_MATRICES)
+# One-entry rows 2 e_0 and 3 e_0, whose gcd 1 clears column 0.
+@example(([[2, 0, 0], [3, 0, 0], [0, 4, 0], [5, 2, 6], [0, 2, 2]], 3, 1))
+# A unit one-entry row -e_1 clears its column; after the content 2 is
+# divided out, pivoting column 0 leaves -3 e_2 and -5 e_2, whose gcd 1
+# clears column 2 in the same pass.
+@example(([[0, -1, 0], [2, 3, 4], [4, 5, 2], [6, 0, 2]], 3, 1))
+# Row 1 shrinks to 2 e_2 when column 0 is pivoted; the finish is the chain
+# of 3 and 2, with a 1 beside 6.
+@example(([[1, 1, 0], [1, 1, 2], [0, 3, 0]], 3, 1))
+@example(([[1, 1, 0], [1, 1, 2], [0, 3, 0]], 3, 6))
+# Pivoting column 0 turns 3 e_0 into -3 (e_1 + e_2), which is e_1 - 3 e_2
+# modulo 2 e_1 and is kept as a row.
+@example(([[1, 1, 1], [3, 0, 0], [0, 2, 0]], 3, 1))
+# The mapping cone of 2 on a triangle: each 2 e_e is dropped modulo the others.
+@example(([[1, -1, 0], [0, 1, -1], [-1, 0, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 3, 1))
+# Content 2 in the rows but 1 with m_0 = 3: the dense fallback includes 3 e_0.
+@example(([[2, 4], [4, 2], [3, 0]], 2, 1))
+@example(([[1, 1, 0], [1, 1, 2], [0, 3, 3], [0, 6, 0]], 3, 1))
 @settings(max_examples=300, deadline=None)
 def test_invariant_factors_property(case):
     mat, n, factor = case
@@ -226,9 +312,10 @@ def test_invariant_factors_property(case):
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Every matrix handed to either factorization entry point, in call
-    order: dense rows for ``linalg.smith_normal_form``, copies of the sparse
-    rows for ``linalg.snf_diagonal``."""
+    """Every matrix handed to either factorization routine, in call order:
+    dense rows for ``linalg.smith_normal_form``, copies of the sparse rows
+    for ``linalg._smith_diagonal``, which ``snf_diagonal`` and the
+    boundary-matrix cache call."""
     calls = []
 
     def counting(original, copy):
@@ -237,9 +324,16 @@ def factored(monkeypatch):
             return original(mat, *ncols)
         return wrapper
 
-    for name, copy in (("smith_normal_form", list), ("snf_diagonal", dict)):
+    for name, copy in (("smith_normal_form", list), ("_smith_diagonal", dict)):
         monkeypatch.setattr(linalg, name, counting(getattr(linalg, name), copy))
     return calls
+
+
+def compressed(cx, r):
+    """B_r built entry by entry, as sparse rows, less the rows of the unit
+    columns of B_(r-1): what the homology cache factors."""
+    units = dual_complex._factored(cx, r - 1)[1]
+    return [row for f, row in enumerate(linalg.sparse(boundary_matrix_reference(cx, r))) if f not in units]
 
 
 class TestOneFactorizationPerComplex:
@@ -249,7 +343,8 @@ class TestOneFactorizationPerComplex:
         profiles = [homology(cx) for _ in range(3)]
         assert profiles[0] == profiles[1] == profiles[2]
         assert profiles[0].betti == (1, 0, 0, 1)
-        assert factored == [linalg.sparse(boundary_matrix_reference(cx, r)) for r in range(2, cx.dimension + 1)]
+        assert factored == [compressed(cx, r) for r in range(2, cx.dimension + 1)]
+        assert [len(rows) for rows in factored] == [6, 4]
 
     def test_is_exact_factors_the_incidence_matrix_once(self, factored):
         """At most once, and in fact never: the spanning-forest solve hands
@@ -265,13 +360,15 @@ class TestOneFactorizationPerComplex:
     def test_h1_class_factors_each_boundary_matrix_once(self, factored):
         """The free part of ``H^1`` and the ``Hom(H_1, A)`` cross-check read
         the same cached invariant factors of B_1 and B_2, B_1's from the
-        spanning forest; the one other factorization is the mapping cone of 6."""
+        spanning forest, B_2's on the 6 rows that are no forest edge; the one
+        other factorization is the mapping cone of 6."""
         cx = build_dual_complex(simplex_strata(tuple(range(5)), full=False))
         group = CoefficientGroup(rank=1, torsion=(6,))
         cls = h1_class(Cochain(cx, group, 1, (group.zero(),) * cx.count(1)))
         assert cls.group_profile.rank == 0 and cls.group_profile.torsion == ()
-        assert [len(m) for m in factored] == [10, 15]
-        assert factored[:1] == [[dict(row) for row in boundary_rows(cx, 2)]]
+        assert [len(m) for m in factored] == [6, 15]
+        forest = {e for e, _, _ in cx.spanning_forest}
+        assert factored[:1] == [[dict(row) for f, row in enumerate(boundary_rows(cx, 2)) if f not in forest]]
 
     def test_cache_is_not_a_field(self):
         a = build_dual_complex(simplex_strata((0, 1, 2)))
@@ -330,7 +427,7 @@ class TestSparseBoundaryRows:
         cx = build_dual_complex(simplex_strata(tuple(range(7)), full=False))
         assert cx.dimension == 5
         assert hom_from_h1(cx, CoefficientGroup(rank=1, torsion=(6,))) == GroupInvariants(0, ())
-        assert factored == [linalg.sparse(boundary_matrix_reference(cx, 2))]
+        assert factored == [compressed(cx, 2)]
         assert sorted(cx._invariant_factors) == [1, 2]
 
     def test_rows_are_unchanged_by_their_readers(self, rng, corpus_complexes):

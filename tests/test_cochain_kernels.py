@@ -103,6 +103,38 @@ class TestKernelsMatchThePerElementWalks:
             assert is_exact(Cochain(cx, group, 1, ())).values == (group.zero(),) * n_vertices
 
 
+def assert_same_as_public(phi):
+    """A kernel's result, built without ``Cochain``'s checks, equals the
+    cochain the public constructor makes of its values, as lists."""
+    public = Cochain(phi.complex, phi.group, phi.degree, [list(v) for v in phi.values])
+    assert type(phi.values) is tuple and all(type(v) is tuple for v in phi.values)
+    assert phi.values == public.values
+    assert phi == public and hash(phi) == hash(public) and repr(phi) == repr(public)
+
+
+GENERATORS = {
+    "random_strata": lambda rng: build_dual_complex(random_strata(rng)),
+    "random_multigraph": random_multigraph,
+    "one_vertex_complex": one_vertex_complex,
+    "simplex_boundary": lambda rng: build_dual_complex(simplex_strata(tuple(range(rng.randint(3, 6))), full=False)),
+    "no_edges": lambda rng: build_dual_complex(strata_from_multigraph(rng.randint(0, 4), [])),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+def test_kernel_results_match_the_public_constructor(rng, generator):
+    """Coboundaries, sums, differences and potentials set their fields
+    directly; they must be the cochains ``Cochain(...)`` would build."""
+    for _ in range(60):
+        cx = GENERATORS[generator](rng)
+        for group in KERNEL_GROUPS:
+            beta = Cochain(cx, group, 0, [unreduced(rng, group) for _ in range(cx.count(0))])
+            exact = coboundary(beta)
+            noise = Cochain(cx, group, 1, [unreduced(rng, group) for _ in range(cx.count(1))])
+            for phi in (exact, exact + noise, exact - noise, noise - exact, noise + noise, is_exact(exact)):
+                assert_same_as_public(phi)
+
+
 BAD_ELEMENTS = [1.0, True, "1", None, 2**70 + 0.5]
 
 
