@@ -245,8 +245,8 @@ def _factored(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
     rows of B_r project onto all of ``Z^units``: the edges of the spanning
     forest for r = 1, the scale-1 unit pivots of ``linalg`` for r >= 2.
 
-    B_r (r >= 2) is factored on the rows that are no unit column of
-    B_(r-1) only.  Those units give a unimodular block of integer
+    B_r (r >= 2) is factored without the rows that are unit columns of
+    B_(r-1).  Those units give a unimodular block of integer
     combinations of the rows of B_(r-1), whose kernel projects onto the
     other coordinates isomorphically and as a direct summand; the columns
     of B_r lie in that kernel, as ``B_(r-1) B_r = 0``, so deleting the rows

@@ -270,9 +270,10 @@ def _smith_diagonal(mat):
         for j in m:
             m[j] //= g
     if rows:
-        keep = sorted(cols.keys() | m.keys())
+        keep = sorted({*cols, *m})
         residue = [[row.get(j, 0) for j in keep] for row in rows.values()]
-        residue += [[x if k == j else 0 for k in keep] for j, x in m.items()]
+        for j, x in m.items():
+            residue.append([x if k == j else 0 for k in keep])
         _, s, _ = smith_normal_form(residue, len(keep))
         diag += [scale * s[t][t] for t in range(min(len(residue), len(keep))) if s[t][t]]
     else:

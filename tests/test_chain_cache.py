@@ -251,10 +251,6 @@ def assert_compression_keeps_factors(cx):
         assert naive_invariant_factors([[row[j] for j in sorted(units)] for row in mat]) == [1] * len(units)
 
 
-def double_suspension(cx):
-    return suspension(suspension(cx))
-
-
 class TestCompression:
     def test_random_strata(self, rng):
         for _ in range(200):
@@ -272,7 +268,7 @@ class TestCompression:
         """Torsion of ``H_1`` moves to ``H_3``, below the compressed B_4."""
         torsion = 0
         for _ in range(150):
-            cx = double_suspension(one_vertex_complex(rng))
+            cx = suspension(suspension(one_vertex_complex(rng)))
             assert_compression_keeps_factors(cx)
             torsion += any(d > 1 for d in invariant_factors(cx, 4))
         assert torsion >= 15
@@ -303,6 +299,8 @@ SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
 @example(([[1, -1, 0], [0, 1, -1], [-1, 0, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 3, 1))
 # Content 2 in the rows but 1 with m_0 = 3: the dense fallback includes 3 e_0.
 @example(([[2, 4], [4, 2], [3, 0]], 2, 1))
+# Row 1 shrinks to 2 e_2; the row 3 e_1 + 3 e_2 is left, of content 1 only
+# with m_1 = 6 and m_2 = 2, and goes to the dense fallback with them.
 @example(([[1, 1, 0], [1, 1, 2], [0, 3, 3], [0, 6, 0]], 3, 1))
 @settings(max_examples=300, deadline=None)
 def test_invariant_factors_property(case):
