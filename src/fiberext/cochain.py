@@ -18,8 +18,8 @@ element; the cochains they return are built with their fields set
 directly, as their values are already reduced.  ``H^1`` needs no lattice
 basis: the ``Z`` part reads the invariant factors of B_1 and B_2 the
 complex caches, and each ``Z/n`` gives one sparse integer relation matrix,
-the mapping cone of ``n``, built straight from the cached boundary rows
-(see ``cohomology_group``).
+the mapping cone of ``n`` on the complex reduced along its spanning
+forest, with no vertex relation (see ``cohomology_group``).
 
 Group elements are tuples of Python ints; ``CoefficientGroup`` rejects
 bools, floats and strings instead of truncating them.
@@ -34,7 +34,7 @@ from math import gcd
 from operator import add, sub
 
 from . import linalg
-from .dual_complex import DeltaComplex, boundary_rows, homology_degree
+from .dual_complex import DeltaComplex, compressed_rows, homology_degree
 from .errors import CertificateError, PreconditionError
 from .linalg import invariant_factor_chain  # read by name as ``cochain.invariant_factor_chain``
 
@@ -329,11 +329,14 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     off the invariant factors the complex caches, as ``hom_from_h1`` does.
     Its torsion is that of ``Z^E / im d0``, none: B_1 is totally unimodular
     (see ``invariant_factors``).
-    For ``Z/n``, ``C (x) Z/n`` of the free complex C is quasi-isomorphic to
-    the mapping cone of multiplication by n on C (Weibel, *An Introduction
-    to Homological Algebra*, 1.5), and ``H^1(Z/n)`` is the torsion of
-    ``(Z^T + Z^E) / span{(0, d0 e_v), (-d1 e_e, n e_e)}``.  The cone is
-    acyclic over Q, so that quotient has free rank exactly T.
+    For ``Z/n``, reducing the cochain complex by the pairs (vertex, forest
+    edge) is a chain homotopy equivalence over Z (Kaczynski, Mrozek and
+    Slusarek 1998).  It leaves ``d0 = 0`` and, as ``d1``, the rows of B_2
+    of the E - F edges off the forest (``compressed_rows``), numbered ``c =
+    0, 1, ...``.  So ``H^1(Z/n) = ker(d1 mod n)`` is the torsion of the
+    mapping cone of ``n`` (Weibel, *An Introduction to Homological
+    Algebra*, 1.5), ``(Z^T + Z^(E - F)) / span{(B_2 e_e, n e_c)}``.  Each
+    relation holds ``n`` alone in column ``T + c``: free rank T, no check.
     """
     n_e, n_t = complex.count(1), complex.count(2)
     if n_e == 0:
@@ -341,22 +344,10 @@ def cohomology_group(complex: DeltaComplex, group: CoefficientGroup) -> GroupInv
     rank = group.rank * homology_degree(complex, 1)[0] if group.rank else 0
     if not group.torsion:
         return GroupInvariants(rank, ())
-
-    # The relations are the cached boundary rows, never written: column v
-    # of d0 = -B_1^T is row v of B_1 negated, column e of d1 = B_2^T is row
-    # e of B_2.  Negating a whole row, or the Z^T coordinates, keeps the
-    # quotient up to isomorphism, so the rows go in unnegated: (0, B_1 e_v),
-    # built once for every n, then (B_2 e_e, n e_e); Z^E is shifted by T.
-    vertex_rels = [{n_t + e: x for e, x in row.items()} for row in boundary_rows(complex, 1)]
-    b2 = boundary_rows(complex, 2) if n_t else ({},) * n_e
+    b2 = compressed_rows(complex, 2) if n_t else ({},) * (n_e - len(complex.spanning_forest))
     orders = []
     for n in group.torsion:
-        rels = vertex_rels + [{**row, n_t + e: n} for e, row in enumerate(b2)]
-        free, torsion = linalg.lattice_quotient(rels, n_t + n_e)
-        if free != n_t:
-            raise CertificateError(f"certificate failure: the mapping cone of {n} has free rank {free}, not {n_t}")
-        orders.extend(torsion)
-
+        orders += linalg.lattice_quotient([{**row, n_t + c: n} for c, row in enumerate(b2)], n_t + len(b2))[1]
     return GroupInvariants(rank, invariant_factor_chain(orders))
 
 
@@ -382,7 +373,9 @@ def h1_class(phi: Cochain) -> H1Class:
     certifies the ``Z/n`` parts, which ``cohomology_group`` reads off the
     mapping cones of ``n`` and ``hom_from_h1`` off ``H_1``.  Both read the
     free rank from the same cached invariant factors of B_1 and B_2, so
-    that part is not checked independently.  A profile that the
+    that part is not checked independently.  Both also trust
+    ``DeltaComplex.spanning_forest``, whose rank nothing here checks
+    independently (an open item of ROADMAP.md).  A profile that the
     ``GroupInvariants`` checks refuse, or a mismatch, is a ``CertificateError``.
     """
     if not is_closed(phi):

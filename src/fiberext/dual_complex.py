@@ -23,9 +23,10 @@ propagates potentials along.  Each ``B_r`` (r >= 2) is factored on fewer
 rows: the unit-pivot columns of ``B_(r-1)`` (the forest's edges for r = 2,
 the columns ``linalg`` pivoted at +-1 before any content division above)
 are rows of ``B_r`` that cannot change its invariant factors, so they are
-left out (see ``_factored``).  ``boundary_matrix`` is a dense view of the
-rows, for display.  The caches are not fields and are never shared between
-complexes.
+left out (see ``_factored``).  ``_factor`` and, for r = 2, the mapping cones
+of ``cochain.cohomology_group`` read the same ``compressed_rows``.
+``boundary_matrix`` is a dense view of the rows, for display.  The caches
+are not fields and are never shared between complexes.
 """
 
 from __future__ import annotations
@@ -265,10 +266,15 @@ def _factored(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
 
 
 def _factor(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
-    """``_factored`` of B_r, r >= 2, from its rows less the unit columns of
-    B_(r-1) (a cache miss)."""
+    """``_factored`` of B_r, r >= 2, from its ``compressed_rows`` (a cache miss)."""
+    return linalg._smith_diagonal(compressed_rows(complex, r))
+
+
+def compressed_rows(complex: DeltaComplex, r: int) -> list[dict[int, int]]:
+    """The cached rows of B_r less the unit columns of B_(r-1), in order:
+    for r = 2, the rows of the edges off the spanning forest."""
     below = _factored(complex, r - 1)[1]
-    return linalg._smith_diagonal([row for f, row in enumerate(boundary_rows(complex, r)) if f not in below])
+    return [row for f, row in enumerate(boundary_rows(complex, r)) if f not in below]
 
 
 def invariant_factors(complex: DeltaComplex, r: int) -> list[int]:

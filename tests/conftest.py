@@ -133,6 +133,24 @@ def random_strata(rng: random.Random, max_total: int = 30) -> tuple[tuple[Stratu
     return tuple(levels)
 
 
+def torus_strata(n: int) -> tuple[tuple[Stratum, ...], ...]:
+    """Strata of the n x n torus (n >= 3): vertex ``(i, j)`` is component
+    ``n i + j``, indices mod n, and each square is cut along its diagonal,
+    so there are n^2 vertices, 3 n^2 edges and 2 n^2 triangles."""
+    def v(i, j):
+        return i % n * n + j % n
+
+    def ident(s):
+        return "Z" + "-".join(map(str, s))
+
+    squares = [(v(i, j), v(i, j + 1), v(i + 1, j), v(i + 1, j + 1)) for i in range(n) for j in range(n)]
+    triangles = sorted(tuple(sorted(t)) for a, b, c, d in squares for t in ((a, b, d), (a, c, d)))
+    edges = sorted({e for t in triangles for e in combinations(t, 2)})
+    return tuple(tuple(Stratum(ident(s), s, tuple(ident(s[:k] + s[k + 1:]) for k in range(len(s))) if s[1:] else ())
+                       for s in level)
+                 for level in ([(k,) for k in range(n * n)], edges, triangles))
+
+
 def random_multigraph(rng):
     """Several components on shuffled vertex labels, isolated vertices,
     spanning trees plus extra and parallel edges."""

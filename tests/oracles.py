@@ -627,6 +627,19 @@ def cohomology_group_reference(complex, group):
     return GroupInvariants(rank, invariant_factors_of_orders_reference(orders))
 
 
+def mapping_cone_reference(complex, n):
+    """``(free, torsion)`` of the full mapping cone of ``n``, as the package
+    factored it before the spanning-forest gauge: ``(Z^T + Z^E) / span{(0,
+    B_1 e_v), (B_2 e_e, n e_e)}`` over every vertex v and every edge e, from
+    dense boundary matrices and the reference Smith diagonal."""
+    n_e, n_t = complex.count(1), complex.count(2)
+    b2 = boundary_matrix_reference(complex, 2) if n_t else [[]] * n_e
+    rels = [[0] * n_t + row for row in boundary_matrix_reference(complex, 1)]
+    rels += [row + [n if j == e else 0 for j in range(n_e)] for e, row in enumerate(b2)]
+    diag = smith_diagonal_reference(rels, n_t + n_e)
+    return n_t + n_e - len(diag), [d for d in diag if d > 1]
+
+
 # ---------------------------------------------------------------------------
 # Reference path for exactness: the Smith-based solves the package used
 # before the spanning-forest propagation, kept so differential tests can

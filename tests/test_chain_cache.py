@@ -2,9 +2,10 @@
 with it, checked against the reference paths kept in ``oracles``: the
 Smith routine with a full pivot scan, the transform-free invariant factors
 against two Smith diagonals, invariant factors of cyclic sums by trial
-division and the component group through ``c-perp`` coordinates; and the
+division and the component group through ``c-perp`` coordinates; the
 cached sparse boundary rows against the dense matrices built entry by
-entry."""
+entry; and the mapping cones gauged by the spanning forest against the full
+cone on every vertex and edge."""
 
 import sys
 
@@ -39,6 +40,7 @@ from oracles import (
     boundary_matrix_reference,
     component_group_reference,
     invariant_factor_chain_reference,
+    mapping_cone_reference,
     naive_invariant_factors,
     smith_normal_form_reference,
     vertex_coboundary,
@@ -107,13 +109,13 @@ def relation_block(mat, ncols, n):
 
 @pytest.fixture
 def quotients(monkeypatch):
-    """Every ``(rels, n)`` that ``cohomology_group`` hands to
-    ``linalg.lattice_quotient``, in call order."""
+    """Every ``(rels, n, (free, torsion))`` that ``cohomology_group`` hands
+    to and gets back from ``linalg.lattice_quotient``, in call order."""
     calls = []
 
     def recording(rels, n, original=linalg.lattice_quotient):
-        calls.append((rels, n))
-        return original(rels, n)
+        calls.append((rels, n, original(rels, n)))
+        return calls[-1][2]
 
     monkeypatch.setattr(linalg, "lattice_quotient", recording)
     return calls
@@ -166,7 +168,7 @@ class TestTransformFreeInvariantFactors:
             cx = build_dual_complex(random_strata(rng))
             if cx.count(2):
                 cohomology_group(cx, CoefficientGroup(torsion=(order,)))
-        for rels, n in quotients:
+        for rels, n, _ in quotients:
             assert_same_invariant_factors(linalg.dense(rels, n), n)
 
 
@@ -274,6 +276,41 @@ class TestCompression:
         assert torsion >= 15
 
 
+CONE_ORDERS = (2, 4, 6, 12, 35)
+
+
+def assert_gauged_cones_match(cx, quotients):
+    """For each order n, the one cone ``cohomology_group`` factors, on the
+    edges off the spanning forest, has the ``(free, torsion)`` of the full
+    cone on every vertex and edge.  A complex without edges has no cone."""
+    for n in CONE_ORDERS:
+        quotients.clear()
+        cohomology_group(cx, CoefficientGroup(torsion=(n,)))
+        assert [q for _, _, q in quotients] == ([mapping_cone_reference(cx, n)] if cx.count(1) else [])
+
+
+class TestGaugedMappingCone:
+    def test_random_strata(self, rng, quotients):
+        for _ in range(500):
+            assert_gauged_cones_match(build_dual_complex(random_strata(rng)), quotients)
+
+    def test_random_multigraphs(self, rng, quotients):
+        for _ in range(300):
+            assert_gauged_cones_match(random_multigraph(rng), quotients)
+
+    def test_one_vertex_complexes(self, rng, quotients):
+        for _ in range(300):
+            assert_gauged_cones_match(one_vertex_complex(rng), quotients)
+
+    def test_double_suspensions_of_one_vertex_complexes(self, rng, quotients):
+        for _ in range(150):
+            assert_gauged_cones_match(suspension(suspension(one_vertex_complex(rng))), quotients)
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_simplex_boundaries(self, k, quotients):
+        assert_gauged_cones_match(build_dual_complex(simplex_strata(tuple(range(k)), full=False)), quotients)
+
+
 SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
     st.lists(st.lists(st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-30, 30)),
                       min_size=n, max_size=n), max_size=5),
@@ -359,14 +396,17 @@ class TestOneFactorizationPerComplex:
         """The free part of ``H^1`` and the ``Hom(H_1, A)`` cross-check read
         the same cached invariant factors of B_1 and B_2, B_1's from the
         spanning forest, B_2's on the 6 rows that are no forest edge; the one
-        other factorization is the mapping cone of 6."""
+        other factorization is the mapping cone of 6, gauged by the same
+        forest: those 6 rows, each with 6 in its own column past the 10
+        triangles, and no vertex relation."""
         cx = build_dual_complex(simplex_strata(tuple(range(5)), full=False))
         group = CoefficientGroup(rank=1, torsion=(6,))
         cls = h1_class(Cochain(cx, group, 1, (group.zero(),) * cx.count(1)))
         assert cls.group_profile.rank == 0 and cls.group_profile.torsion == ()
-        assert [len(m) for m in factored] == [6, 15]
+        assert [len(m) for m in factored] == [6, 6]
         forest = {e for e, _, _ in cx.spanning_forest}
         assert factored[:1] == [[dict(row) for f, row in enumerate(boundary_rows(cx, 2)) if f not in forest]]
+        assert factored[1] == [{**row, 10 + c: 6} for c, row in enumerate(factored[0])]
 
     def test_cache_is_not_a_field(self):
         a = build_dual_complex(simplex_strata((0, 1, 2)))

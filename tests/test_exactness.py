@@ -4,9 +4,11 @@ solves, a potential whose coboundary is the cochain, and 0 at the largest
 vertex of every connected component.  ``H^1``: the same group as the
 kernel-basis path and as ``Hom(H_1, A)``."""
 
+import time
+
 import pytest
 
-from conftest import random_multigraph, random_strata
+from conftest import random_multigraph, random_strata, torus_strata
 from fiberext import cochain, lattice, linalg
 from fiberext.cochain import Cochain, CoefficientGroup, coboundary, is_closed, is_exact
 from fiberext.dual_complex import DeltaComplex, build_dual_complex, homology_degree, simplex_strata, strata_from_multigraph
@@ -172,6 +174,20 @@ class TestMappingConeCohomology:
     @pytest.mark.parametrize("k", range(3, 10))
     def test_simplex_boundaries(self, k):
         check_cohomology(build_dual_complex(simplex_strata(tuple(range(k)), full=False)))
+
+
+def test_h1_class_on_the_60_by_60_torus_is_fast():
+    """The mapping cone of 6 on the torus is gauged by the spanning forest:
+    7,201 relations instead of 14,400.  On a shared 2-vCPU machine this
+    call took 1.3 s with the full cone and under 0.1 s with the gauged one;
+    the bound sits between."""
+    cx = build_dual_complex(torus_strata(60))
+    group = CoefficientGroup(rank=1, torsion=(6,))
+    phi = Cochain(cx, group, 1, (group.zero(),) * cx.count(1))
+    start = time.perf_counter()
+    cls = cochain.h1_class(phi)
+    assert time.perf_counter() - start < 0.5
+    assert cls.group_profile == cochain.GroupInvariants(rank=2, torsion=(6, 6))
 
 
 def test_quotient_of_all_of_z_n_matches_the_identity_basis(rng):

@@ -20,8 +20,8 @@ import pytest
 
 from fiberext import cochain, corpus, errors, linalg
 from fiberext.cli import main
-from fiberext.cochain import Cochain, CoefficientGroup, GroupInvariants, cohomology_group
-from fiberext.dual_complex import build_dual_complex, simplex_strata, strata_from_multigraph
+from fiberext.cochain import Cochain, CoefficientGroup, GroupInvariants
+from fiberext.dual_complex import build_dual_complex, strata_from_multigraph
 from fiberext.errors import EXIT_CERTIFICATE, EXIT_INPUT, EXIT_OK, CertificateError
 from fiberext.lattice import DivisorTrace, extend_nef, extend_trivial, kodaira_cycle
 
@@ -168,17 +168,6 @@ def test_singular_reduced_system_is_a_certificate_failure(monkeypatch):
     monkeypatch.setattr(linalg, "solve_eliminated", lambda pivots, rhs: None)
     with pytest.raises(CertificateError, match="certificate failure"):
         extend_trivial(kodaira_cycle(3), DivisorTrace((1, -1, 0)))
-
-
-@pytest.mark.parametrize("strata", [strata_from_multigraph(3, [(0, 1), (1, 2), (2, 0)]),
-                                    simplex_strata((0, 1, 2, 3), full=False)])
-def test_cohomology_group_rejects_a_wrong_quotient(monkeypatch, strata):
-    """A mapping cone whose quotient is not of free rank T (the triangle
-    count) is a certificate failure, with and without 2-simplices."""
-    monkeypatch.setattr(linalg, "lattice_quotient", lambda rels, n: (n, []))
-    cx = build_dual_complex(strata)
-    with pytest.raises(CertificateError, match="certificate failure"):
-        cohomology_group(cx, CoefficientGroup(rank=1, torsion=(6,)))
 
 
 def test_h1_class_rejects_a_disagreeing_hom_profile(monkeypatch):
