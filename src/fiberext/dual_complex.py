@@ -3,10 +3,10 @@
 The combinatorics of an snc variety are recorded stratum by stratum: a
 level-r stratum is an irreducible component of an (r+1)-fold intersection
 of components, and knows which stratum contains it when one index is
-dropped.  From this we build an ordered Delta-complex, in one checking
-walk, and compute its integer homology from the invariant factors of its
-boundary matrices.  A scenario file's ``strata`` section loads as one
-``DeltaComplex``.
+dropped.  From this we build an ordered Delta-complex, checking and
+resolving one level at a time (``build_dual_complex``), and compute its
+integer homology from the invariant factors of its boundary matrices.  A
+scenario file's ``strata`` section loads as one ``DeltaComplex``.
 
 Each ``DeltaComplex`` caches one sparse form of its chain complex: row
 ``f`` of ``B_r`` is ``{j: +-1}`` over the r-simplices ``j`` that have the
@@ -27,12 +27,18 @@ left out (see ``_factored``).  ``_factor`` and, for r = 2, the mapping cones
 of ``cochain.cohomology_group`` read the same ``compressed_rows``.
 ``boundary_matrix`` is a dense view of the rows, for display.  The caches
 are not fields and are never shared between complexes.
+
+The compression is exact only for a chain complex, ``B_(r-1) B_r = 0``.
+``build_dual_complex`` guarantees it and ``closure`` keeps it; a complex
+built directly is checked once per degree r >= 2, the first time
+``compressed_rows`` reads B_r (``_check_chain``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import ge
 from typing import NamedTuple
 
@@ -61,9 +67,12 @@ class DeltaComplex:
 
     The facet maps must make a chain complex, ``B_(r-1) B_r = 0``: the
     invariant factors of ``B_r`` are computed without the rows that the
-    unit pivots of ``B_(r-1)`` name, which is exact only then.
-    ``build_dual_complex`` checks it (the codimension-2 check) and
-    ``closure`` keeps it; an instance built directly must satisfy it.
+    unit pivots of ``B_(r-1)`` name, which is exact only then.  Every
+    complex ``build_dual_complex`` returns satisfies it, and ``closure`` of
+    such a complex keeps it; both mark their result as checked.  An
+    instance built directly is checked in degree r the first time B_r is
+    compressed, and a ``StrataError`` names the first r-simplex whose
+    boundary is no cycle.  The mark is not a field either.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
@@ -92,6 +101,13 @@ class DeltaComplex:
     def _invariant_factors(self) -> dict:
         """Degree r -> the invariant factors and unit columns of B_r."""
         return {}
+
+    @cached_property
+    def _unchecked(self) -> set:
+        """Degrees r >= 2 for which ``B_(r-1) B_r = 0`` is still to be
+        checked: all of them for an instance built directly, none for one
+        that ``build_dual_complex`` or ``closure`` made (``_checked``)."""
+        return set(range(2, self.dimension + 1))
 
     @cached_property
     def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
@@ -141,20 +157,121 @@ class DeltaComplex:
             tuple(tuple(new_index[k - 1][f] for f in self.facets[k - 1][i]) for i in maps[k])
             for k in range(1, r + 1)
         )
-        return DeltaComplex(ids, facets), maps
+        sub = DeltaComplex(ids, facets)
+        return (sub if self._unchecked else _checked(sub)), maps
 
 
 def build_dual_complex(levels) -> DeltaComplex:
     """Assemble the ordered Delta-complex of an snc stratum description.
 
     ``levels[r]`` holds the level-r strata (r = |J| - 1) as ``Stratum``s or
-    plain ``(id, indices, facets)`` tuples.  One r-simplex per level-r
-    stratum; several simplices may share a vertex set (a Delta-complex, not
-    a simplicial complex).  Facet references must be consistent: the two
-    ways around any codimension-2 face agree.  One walk, level by level,
-    checks each stratum and resolves its facets to positions one level
-    down; of several faults it reports the first met.
+    plain ``(id, indices, facets)`` tuples, with index sets as tuples.  One
+    r-simplex per level-r stratum; several simplices may share a vertex set
+    (a Delta-complex, not a simplicial complex).  Facet references must be
+    consistent: the two ways around any codimension-2 face agree.
+
+    Each level is checked and resolved whole.  Its ids, index sets and
+    facet lists are read as columns, each column of facet ids is resolved
+    to positions one level down with one lookup, and the index sets the
+    facets have are compared with those they must have, column against
+    column.  From level 2 on this comparison also shows that each index set
+    increases, as the facets' index sets do.
+
+    The codimension-2 check runs on level r only when two strata of level
+    r - 2 share an index set, so never on level 2, as level 0's indices are
+    distinct.  Skipping it is exact: the facet index-set checks of levels r
+    and r - 1 already send both routes around the face ``J - {j_a, j_b}``
+    of a level-r stratum to level-(r - 2) strata with that index set, and
+    with distinct index sets there is only one.  So every complex built
+    satisfies ``B_(r-1) B_r = 0``.
+
+    A level that fails any check, or holds an index set that is not a
+    tuple, sends the whole description to ``_walk``, which checks one
+    stratum at a time and raises the first fault it meets.
     """
+    levels = iter(levels)
+    read, ids, facets, seen, total = [], [], [], set(), 0
+    names = indices = columns = two_below = vertices = ()
+    for r, level in enumerate(levels):
+        if type(level) is not list and type(level) is not tuple:
+            level = tuple(level)
+        read.append(level)
+        below_names, below_indices, below_columns = names, indices, columns
+        names = indices = columns = rows = ()
+        try:
+            if level:
+                names, indices, fids = zip(*level, strict=True)
+                seen.update(names)
+                total += len(names)
+                # tuple.__len__ refuses an index set that is not a tuple.
+                if len(seen) != total or set(map(tuple.__len__, indices)) != {r + 1}:
+                    break
+                if not r:
+                    (vertices,) = zip(*indices)
+                    if any(fids) or len(set(vertices)) != len(vertices):
+                        break
+                else:
+                    # A facet that is no stratum one level down gets position
+                    # None, which the index-set comparison refuses.
+                    below = dict(zip(below_names, range(len(below_names)))).get
+                    if r == 1:
+                        # Level 0's index sets are the 1-tuples of ``vertices``.
+                        lo, hi = zip(*indices)
+                        f0, f1 = zip(*fids, strict=True)
+                        columns = tuple(map(below, f0)), tuple(map(below, f1))
+                        if (any(map(ge, lo, hi)) or tuple(map(vertices.__getitem__, columns[0])) != hi
+                                or tuple(map(vertices.__getitem__, columns[1])) != lo):
+                            break
+                    else:
+                        cols = tuple(zip(*indices))
+                        columns = tuple(tuple(map(below, col)) for col in zip(*fids, strict=True))
+                        # Facets with strictly increasing index sets equal
+                        # to J less one index make J strictly increasing.
+                        if (len(columns) != r + 1 or not _facets_drop_one_index(columns, cols, below_indices)
+                                or len(set(two_below)) != len(two_below)
+                                and not _routes_agree(columns, below_columns)):
+                            break
+                    rows = tuple(zip(*columns))
+        except (TypeError, ValueError):
+            break
+        ids.append(names)
+        facets.append(rows)
+        two_below = below_indices if r > 1 else ()
+    else:
+        return _checked(DeltaComplex(tuple(ids), tuple(facets[1:])))
+    return _checked(_walk(chain(read, levels)))
+
+
+def _checked(complex: DeltaComplex) -> DeltaComplex:
+    """``complex``, marked as known to satisfy ``B_(r-1) B_r = 0``."""
+    complex.__dict__["_unchecked"] = ()
+    return complex
+
+
+def _facets_drop_one_index(columns, cols, below_indices) -> bool:
+    """Whether facet i of each stratum of a level r >= 2 has the stratum's
+    index set less its i-th index.  ``cols[k]`` lists the k-th index of each
+    stratum, ``columns[i]`` the position of its facet i one level down, and
+    ``below_indices`` the index sets there."""
+    get = below_indices.__getitem__
+    return all(tuple(map(get, col)) == tuple(zip(*cols[:i], *cols[i + 1:])) for i, col in enumerate(columns))
+
+
+def _routes_agree(columns, below) -> bool:
+    """Whether the two routes around every codimension-2 face of a level
+    agree.  ``columns[i]`` and ``below[i]`` list, per stratum of the level
+    and of the level under it, the position of facet i one level down:
+    dropping indices a < b reaches ``below[b - 1][F_a]`` one way and
+    ``below[a][F_b]`` the other."""
+    return all(tuple(map(below[b - 1].__getitem__, columns[a])) == tuple(map(below[a].__getitem__, columns[b]))
+               for b in range(len(columns)) for a in range(b))
+
+
+def _walk(levels) -> DeltaComplex:
+    """``build_dual_complex`` one stratum at a time, for a description some
+    level of which fails a check: every check on every stratum, level by
+    level, the codimension-2 check included; of several faults it reports
+    the first met."""
     seen = set()
     ids, facets = [], []
     below, below_indices, below_facets = {}, [], []  # the level under the current one
@@ -170,7 +287,7 @@ def build_dual_complex(levels) -> DeltaComplex:
             if r and any(map(ge, idx, idx[1:])):
                 raise StrataError(f"index set of {ident!r} must be strictly increasing")
             if len(fids) != n_facets:
-                raise StrataError(f"stratum {ident!r} must list {r + 1} facets")
+                raise StrataError(f"stratum {ident!r} must list {n_facets} facets")
             position[ident] = len(indices)
             indices.append(idx)
             row = tuple(map(below.get, fids))
@@ -273,8 +390,28 @@ def _factor(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
 def compressed_rows(complex: DeltaComplex, r: int) -> list[dict[int, int]]:
     """The cached rows of B_r less the unit columns of B_(r-1), in order:
     for r = 2, the rows of the edges off the spanning forest."""
+    if r in complex._unchecked:
+        _check_chain(complex, r)
+        complex._unchecked.discard(r)
     below = _factored(complex, r - 1)[1]
     return [row for f, row in enumerate(boundary_rows(complex, r)) if f not in below]
+
+
+def _check_chain(complex: DeltaComplex, r: int) -> None:
+    """Raise ``StrataError`` unless ``B_(r-1) B_r = 0``: the facets of the
+    facets of each r-simplex, with the product of their two signs, cancel."""
+    below = complex.facets[r - 2]
+    for j, faces in enumerate(complex.facets[r - 1]):
+        total, sign = {}, 1
+        for f in faces:
+            inner = sign
+            for g in below[f]:
+                total[g] = total.get(g, 0) + inner
+                inner = -inner
+            sign = -sign
+        if any(total.values()):
+            raise StrataError(f"facet maps of the {r}-simplex {complex.simplex_ids[r][j]!r} "
+                              f"break B_{r - 1} B_{r} = 0")
 
 
 def invariant_factors(complex: DeltaComplex, r: int) -> list[int]:

@@ -21,10 +21,10 @@ formatted only when a check fails.
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
 snc checks) and ``cochain`` as a ``Cochain`` bound to it.  These two
 sections are the bulk of a large file, so each is walked once with no
-helper call per leaf.  The helpers check the containers (the level list and
-each level, the list of cochain values); a stratum's leaves are tested
-inline and the strata go to ``build_dual_complex`` as plain ``(id, indices,
-facets)`` tuples, every type check before any snc check; the cochain values
+helper call per leaf.  The helpers check the level list and the list of
+cochain values; a level's entries and their leaves are tested inline and
+the strata go to ``build_dual_complex`` as plain ``(id, indices, facets)``
+tuples, every type check before any snc check; the cochain values
 go to ``Cochain`` unchecked, since ``CoefficientGroup.reduce`` already
 checks every coordinate and width.  The helpers walk a stratum, or the
 cochain values, only once a fault is found there, to name it.
@@ -121,16 +121,19 @@ def parse_strata(data) -> DeltaComplex:
 
     Ids and facet references must be strings and index sets lists of JSON
     integers; ``build_dual_complex`` then makes every snc check.  The level
-    list and each level go through the helpers once; a stratum's leaves are
-    tested inline, and only a stratum that fails goes through the helpers,
-    which name its first fault."""
+    list goes through the helpers once; each level is walked once, its
+    entries and their leaves tested inline.  Only at an entry that fails do
+    the helpers run: first on its level, to name an entry that is no JSON
+    object, then on the entry, to name its first fault."""
     at = "strata.levels[{}][{}]."
     levels = []
     for r, level in enumerate(_get(data, "levels", [list], "strata.")):
         strata = []
-        for k, s in enumerate(_list(level, dict, "strata.levels[{}]", r)):
-            ident, idx, facets = s.get("id"), s.get("indices"), s.get("facets", ())
-            ok = type(ident) is str and type(idx) is list and (type(facets) is list or facets == ())
+        for k, s in enumerate(level):
+            ok = type(s) is dict
+            if ok:
+                ident, idx, facets = s.get("id"), s.get("indices"), s.get("facets", ())
+                ok = type(ident) is str and type(idx) is list and (type(facets) is list or facets == ())
             if ok:
                 for i in idx:
                     if type(i) is not int:
@@ -139,7 +142,9 @@ def parse_strata(data) -> DeltaComplex:
                     if type(f) is not str:
                         ok = False
             if not ok:
-                # The helpers name this stratum's first fault.
+                # The helpers name the first fault: a later entry of the
+                # level that is no JSON object comes before this one's.
+                _list(level, dict, "strata.levels[{}]", r)
                 ident, idx = _get(s, "id", str, at, r, k), _get(s, "indices", [int], at, r, k)
                 facets = _list(s.get("facets", []), str, at + "facets", r, k)
             strata.append((ident, tuple(idx), facets))

@@ -709,6 +709,11 @@ def is_closed_reference(phi):
     return True, None
 
 
+# ---------------------------------------------------------------------------
+# Reference builds of the dual complex: the three-walk and the one-walk
+# ``build_dual_complex`` the package ran before, for differential tests.
+# ---------------------------------------------------------------------------
+
 def build_dual_complex_reference(levels):
     """The three-walk ``build_dual_complex`` over levels of ``Stratum``s:
     every shape check on every stratum first, then facet references looked
@@ -728,7 +733,7 @@ def build_dual_complex_reference(levels):
             if any(a >= b for a, b in zip(s.indices, s.indices[1:])):
                 raise StrataError(f"index set of {s.ident!r} must be strictly increasing")
             if len(s.facets) != (r + 1 if r > 0 else 0):
-                raise StrataError(f"stratum {s.ident!r} must list {r + 1} facets")
+                raise StrataError(f"stratum {s.ident!r} must list {r + 1 if r > 0 else 0} facets")
             table[s.ident] = s
         by_level.append(table)
     if levels:
@@ -764,6 +769,61 @@ def build_dual_complex_reference(levels):
         for r in range(1, len(levels))
     )
     return DeltaComplex(ids, facets)
+
+
+def build_dual_complex_walk_reference(levels):
+    """The one-walk ``build_dual_complex`` the package ran before it checked
+    a level at a time: each stratum checked and resolved in turn, the
+    codimension-2 check on every stratum of level r >= 2."""
+    from operator import ge
+
+    from fiberext.dual_complex import DeltaComplex, StrataError
+
+    seen = set()
+    ids, facets = [], []
+    below, below_indices, below_facets = {}, [], []  # the level under the current one
+    for r, level in enumerate(levels):
+        position, indices, rows = {}, [], []
+        n_facets = r + 1 if r else 0
+        for ident, idx, fids in level:
+            if ident in seen:
+                raise StrataError(f"duplicate stratum id {ident!r}")
+            seen.add(ident)
+            if len(idx) != r + 1:
+                raise StrataError(f"stratum {ident!r} at level {r} must have {r + 1} indices")
+            if r and any(map(ge, idx, idx[1:])):
+                raise StrataError(f"index set of {ident!r} must be strictly increasing")
+            if len(fids) != n_facets:
+                raise StrataError(f"stratum {ident!r} must list {n_facets} facets")
+            position[ident] = len(indices)
+            indices.append(idx)
+            row = tuple(map(below.get, fids))
+            for i, p in enumerate(row):
+                if p is None:
+                    raise StrataError(f"facet {fids[i]!r} of {ident!r} is not a level-{r - 1} stratum")
+                expected = idx[:i] + idx[i + 1:]
+                if below_indices[p] != expected:
+                    raise StrataError(
+                        f"facet {fids[i]!r} of {ident!r} has index set "
+                        f"{below_indices[p]}, expected {expected}"
+                    )
+            if r >= 2:
+                for i in range(r + 1):
+                    fi = below_facets[row[i]]
+                    for j in range(i + 1, r + 1):
+                        if fi[j - 1] != below_facets[row[j]][i]:
+                            raise StrataError(
+                                f"inconsistent facets of {ident!r}: dropping indices "
+                                f"{idx[i]} and {idx[j]} in either order must "
+                                "reach the same stratum"
+                            )
+            rows.append(row)
+        if not r and len({idx[0] for idx in indices}) != len(indices):
+            raise StrataError("component indices at level 0 must be distinct")
+        ids.append(tuple(position))
+        facets.append(tuple(rows))
+        below, below_indices, below_facets = position, indices, rows
+    return DeltaComplex(tuple(ids), tuple(facets[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,10 @@ def _mutant(kind, rng, strata):
         return _replace_at(strata, r, k, s._replace(indices=s.indices + (s.indices[-1] + 100,)))
     if kind == "distinct vertices":
         return _replace_at(strata, 0, 1, strata[0][1]._replace(indices=strata[0][0].indices))
+    if kind == "facet count" and rng.random() < 0.3:
+        # A level-0 stratum lists no facets.
+        k = rng.randrange(len(strata[0]))
+        return _replace_at(strata, 0, k, strata[0][k]._replace(facets=(strata[0][0].ident,)))
     r, k, s = _pick(rng, strata, 1)
     if kind == "non-increasing":
         return _replace_at(strata, r, k, s._replace(indices=(s.indices[1], s.indices[0]) + s.indices[2:]))
