@@ -9,9 +9,11 @@ a divisor by vertical components so that the result is numerically trivial
 
 Solutions are unique up to multiples of the multiplicity vector, which is
 positive everywhere, so they are normalized to 0 at the gauge index 0, the
-first component.  Every check, elimination, Smith diagonal and certificate
-reads one integer form, the sparse rows of ``d * matrix``.  It is
-eliminated once (``linalg.echelon`` of ``-d * matrix``, the gauge index
+first component.  A lattice stores one integer form, the sparse rows of
+``d * matrix`` (``kodaira_cycle`` builds them sparsely), and every check,
+elimination, Smith diagonal and certificate reads it; the ``Fraction``
+matrix is a view built on first read, which nothing here does.  The form
+is eliminated once (``linalg.echelon`` of ``-d * matrix``, the gauge index
 last): the pivots decide semidefiniteness and the kernel dimension, and
 every extension solves with the first n - 1 pivot rows.
 ``denominator_bound`` and, at gauge multiplicity 1, ``component_group``
@@ -25,6 +27,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -90,16 +93,19 @@ def _multiplicity(c) -> int:
     return int(c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiberLattice:
     """Intersection data of the components of a connected fiber.
 
     ``matrix[i][j]`` is the intersection number of components i and j;
     ``multiplicities`` are their coefficients in the scheme-theoretic fiber.
-    The integer form ``(d, rows)``, row i the ``{j: d * matrix[i][j]}`` dict
-    of nonzero entries, is built with the Fraction tuples, and invariants
-    are computed at most once per instance and cached on it; neither is a
-    field, so equality, hashing and repr ignore them.
+    What is stored is the integer form ``(d, rows)``: d the lcm of the
+    denominators, row i the ``{j: d * matrix[i][j]}`` dict of nonzero
+    entries.  An all-int matrix is type-checked once and made into rows in
+    one pass; any other goes through ``parse_rational``.  Equality, hashing
+    and repr follow the four fields, so they read ``matrix``, the tuple of
+    ``Fraction`` tuples built from the rows on first read.  Invariants are
+    computed at most once per instance and cached on it.
     """
 
     labels: tuple[str, ...]
@@ -107,22 +113,41 @@ class FiberLattice:
     multiplicities: tuple[int, ...]
     connected: bool = True
 
-    def __post_init__(self):
-        n = len(self.labels)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        rows = [_exact(row) for row in self.matrix]
-        mat = tuple([row for row, _, _ in rows])
-        d = lcm(*[m for _, m, _ in rows])
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "_integer_matrix",
-                           (d, [{j: x * (d // m) for j, x in enumerate(a) if x} for _, m, a in rows]))
-        object.__setattr__(self, "multiplicities", tuple([_multiplicity(c) for c in self.multiplicities]))
-        if len(mat) != n or any(len(row) != n for row in mat):
+    def __init__(self, labels, matrix, multiplicities, connected: bool = True):
+        n, matrix = len(labels), list(matrix)
+        if {*map(type, chain.from_iterable(matrix))} <= {int}:
+            d, rows = 1, [{j: x for j, x in enumerate(row) if x} for row in matrix]
+        else:
+            rows = [_exact(row) for row in matrix]
+            d = lcm(*[m for _, m, _ in rows])
+            rows = [{j: x * (d // m) for j, x in enumerate(a) if x} for _, m, a in rows]
+        multiplicities = tuple([_multiplicity(c) for c in multiplicities])
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("intersection matrix must be square and match the labels")
-        if len(self.multiplicities) != n:
+        if len(multiplicities) != n:
             raise ValueError("multiplicity vector length must match the matrix")
-        if any(c <= 0 for c in self.multiplicities):
+        if any(c <= 0 for c in multiplicities):
             raise ValueError("multiplicities must be positive integers")
+        vars(self).update(labels=tuple(labels), _integer_matrix=(d, rows),
+                          multiplicities=multiplicities, connected=connected)
+
+    @classmethod
+    def _from_rows(cls, labels, rows, multiplicities) -> FiberLattice:
+        """The connected lattice of the int rows ``rows`` (d = 1), unchecked."""
+        lattice = cls.__new__(cls)
+        vars(lattice).update(labels=labels, _integer_matrix=(1, rows), multiplicities=multiplicities, connected=True)
+        return lattice
+
+    # Declared above as a field, so that equality, hashing and repr read it;
+    # defined here as a cached property, so that it is built on first read.
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, rows = self._integer_matrix
+        view = [[_FRACTION[0]] * self.size for _ in rows]
+        for out, row in zip(view, rows):
+            for j, x in row.items():
+                out[j] = _FRACTION[x] if d == 1 else Fraction(x, d)
+        return tuple(map(tuple, view))
 
     @property
     def size(self) -> int:
@@ -357,15 +382,9 @@ def kodaira_cycle(n: int) -> FiberLattice:
     """Cycle of n rational (-2)-curves (Kodaira type I_n), n >= 2."""
     if n < 2:
         raise ValueError("a cycle needs at least two components")
-    mat = [[0] * n for _ in range(n)]
+    rows = [{i: -2} for i in range(n)]
     for i in range(n):
-        mat[i][i] = -2
         j = (i + 1) % n
-        mat[i][j] += 1
-        mat[j][i] += 1
-    return FiberLattice(
-        labels=tuple(f"C{i + 1}" for i in range(n)),
-        matrix=mat,
-        multiplicities=(1,) * n,
-        connected=True,
-    )
+        rows[i][j] = rows[i].get(j, 0) + 1
+        rows[j][i] = rows[j].get(i, 0) + 1
+    return FiberLattice._from_rows(tuple([f"C{i + 1}" for i in range(n)]), rows, (1,) * n)

@@ -7,7 +7,8 @@ the shape is ambiguous.
 
 Rational systems are solved in integers by ``echelon``, a sparse
 fraction-free (Bareiss) elimination of rows scaled to integers, with
-``Fraction`` values made only in the back-substitution.  A fiber lattice is
+``Fraction`` values made only in the back-substitution; a column -> live
+rows index names the rows each pivot updates.  A fiber lattice is
 eliminated once, and ``solve_eliminated`` reuses its pivot rows for every
 right-hand side.  ``solve_rational`` and ``rational_kernel`` wrap
 ``echelon`` for general systems; the package no longer calls them, but the
@@ -39,6 +40,7 @@ pivot needs no divisibility sweep.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -464,34 +466,48 @@ def echelon(rows, ncols):
     with an entry there is pivoted on.  Returns ``(pivots, rest)``: per pivot
     ``(i, col, row)``, row i as pivoted on (entries are minors, the last
     pivot the determinant of the pivot block), and the other rows, exact in
-    their nonzero pattern only.  Rows without an entry in the pivot column
-    are not touched: one left after s pivots is brought to level t as
+    their nonzero pattern only.  A column -> live rows index names the rows
+    with an entry in the pivot column, the least of them the pivot row; each
+    other is updated in one pass.  A row without an entry there is not
+    touched: one left after s pivots is brought to level t as
     ``x * q[t] // q[s]`` (``q`` the pivots after a leading 1), exact since
     each skipped step was ``x * q[k] // q[k - 1]``.
     """
-    rows, level, q, pivots = list(rows), [0] * len(rows), [1], []
-    live = list(range(len(rows)))
+    rows, level, q, pivots, cols = list(rows), [0] * len(rows), [1], [], defaultdict(set)
+    for i, row in enumerate(rows):
+        for c in row:
+            cols[c].add(i)
     for col in range(ncols):
-        hits = [i for i in live if col in rows[i]]
+        hits = cols.pop(col, None)
         if not hits:
             continue
-        r, i = len(pivots), hits[0]
-        prow = _at_level(rows[i], level[i], r, q)
+        r, i = len(pivots), min(hits)
+        g, s = q[-1], q[level[i]]
+        prow = rows[i] if s == g else {c: x * g // s for c, x in rows[i].items()}
         p = prow[col]
-        for j in hits[1:]:
-            row = _at_level(rows[j], level[j], r, q)
-            f, new = row[col], {c: p * x for c, x in row.items()}
+        for c in prow:
+            if c != col:
+                cols[c].discard(i)
+        for j in hits:
+            if j == i:
+                continue
+            row, s = rows[j], q[level[j]]
+            f, new = row[col] * g // s, {}
+            for c, x in row.items():
+                x = p * (x * g // s) - f * prow.get(c, 0)
+                if x:
+                    new[c] = x // g
+                elif c != col:
+                    cols[c].discard(j)
             for c, y in prow.items():
-                new[c] = new.get(c, 0) - f * y
-            rows[j], level[j] = {c: x // q[r] for c, x in new.items() if x}, r + 1
-        live.remove(i)
+                if c not in row:
+                    new[c] = -f * y // g
+                    cols[c].add(j)
+            rows[j], level[j] = new, r + 1
+        rows[i] = None
         pivots.append((i, col, prow))
         q.append(p)
-    return pivots, [rows[i] for i in live]
-
-
-def _at_level(row, s, t, q):
-    return row if s == t else {c: x * q[t] // q[s] for c, x in row.items()}
+    return pivots, [row for row in rows if row is not None]
 
 
 def _back_substitute(pivots, b):

@@ -4,19 +4,20 @@ Rationals are integers or ``[+-]?[0-9]+(/[0-9]+)?`` strings, read by the
 one parser the library constructors share, ``lattice.parse_rational``;
 float literals are refused, so no inexact number leaks into a computation.
 
-JSON integers in lattice matrices and traces stay Python ints, passed
-through after one ``type(x) is int`` test; only other values go through
-``parse_rational``.  ``FiberLattice`` and ``DivisorTrace`` keep the ints
-as their integer form and build their public ``Fraction`` tuples from a
-shared table of small values.  Flags (``connected``, ``nodal``, ``proper``)
-must be JSON booleans.  Integer fields (multiplicities, genera, curve
-edges, strata indices, cochain and obstruction values) take JSON integers
-only, and ids, facet references and labels strings; nothing behind this
-boundary coerces.  Each section, and each entry of ``curve_fibers``, must
-be a JSON object, and ``expect`` a list of them.  A wrong type or a missing
-required key raises an error naming its path, e.g. ``lattice``,
-``strata.levels[0][1].indices[0]`` or ``lattice.matrix[1][0]``.  Paths are
-formatted only when a check fails.
+JSON integers in lattice matrices and traces stay Python ints.  A lattice
+matrix goes to ``FiberLattice`` as it is, which makes an all-int one its
+sparse integer rows after one type test of the whole matrix; its rows are
+walked again only to name a fault.  Trace values pass one ``type(x) is
+int`` test each (others go through ``parse_rational``), and ``DivisorTrace``
+keeps the ints as its integer form.  Flags (``connected``, ``nodal``,
+``proper``) must be JSON booleans.  Integer fields (multiplicities,
+genera, curve edges, strata indices, cochain and obstruction values) take
+JSON integers only, and ids, facet references and labels strings; nothing
+behind this boundary coerces.  Each section, and each entry of
+``curve_fibers``, must be a JSON object, and ``expect`` a list of them.  A
+wrong type or a missing required key raises an error naming its path, e.g.
+``lattice``, ``strata.levels[0][1].indices[0]`` or
+``lattice.matrix[1][0]``.  Paths are formatted only when a check fails.
 
 ``strata`` loads as one ``DeltaComplex`` (``build_dual_complex`` makes the
 snc checks) and ``cochain`` as a ``Cochain`` bound to it.  These two
@@ -103,13 +104,17 @@ def _lacks(section: str) -> ValueError:
 
 
 def parse_lattice(data) -> FiberLattice:
-    return FiberLattice(
-        labels=_get(data, "labels", [str], "lattice."),
-        matrix=[_rationals(row, "lattice.matrix[{}]", i)
-                for i, row in enumerate(_get(data, "matrix", [list], "lattice."))],
-        multiplicities=_get(data, "multiplicities", [int], "lattice."),
-        connected=_one(data.get("connected", True), bool, "lattice.connected"),
-    )
+    """The lattice of a ``lattice`` section.  Only when it fails are the
+    matrix rows walked again, to name a bad entry before any later fault."""
+    labels = _get(data, "labels", [str], "lattice.")
+    matrix = _get(data, "matrix", [list], "lattice.")
+    try:
+        return FiberLattice(labels, matrix, _get(data, "multiplicities", [int], "lattice."),
+                            _one(data.get("connected", True), bool, "lattice.connected"))
+    except (TypeError, ValueError):
+        for i, row in enumerate(matrix):
+            _rationals(row, "lattice.matrix[{}]", i)
+        raise
 
 
 def parse_trace(data) -> DivisorTrace:

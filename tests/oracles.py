@@ -965,3 +965,47 @@ def curve_fiber_type_reference(fiber):
     t, a = len(fiber.edges) - n + 1, sum(fiber.genera)
     label = "abelian variety" if t == 0 else "torus" if a == 0 else "semi-abelian"
     return t, a, t == 0, label
+
+
+# ---------------------------------------------------------------------------
+# Reference for the indexed sparse echelon: ``linalg.echelon`` as it was
+# before its column index, which scanned every live row for each column and
+# updated a row in four passes.  Kept verbatim apart from its name.
+# ---------------------------------------------------------------------------
+
+def echelon_reference(rows, ncols):
+    """Fraction-free echelon form (Bareiss 1968) of the integer matrix with
+    the given sparse rows of nonzero entries, which are never written.
+
+    In each of the first ``ncols`` columns the first row not yet pivoted on
+    with an entry there is pivoted on.  Returns ``(pivots, rest)``: per pivot
+    ``(i, col, row)``, row i as pivoted on (entries are minors, the last
+    pivot the determinant of the pivot block), and the other rows, exact in
+    their nonzero pattern only.  Rows without an entry in the pivot column
+    are not touched: one left after s pivots is brought to level t as
+    ``x * q[t] // q[s]`` (``q`` the pivots after a leading 1), exact since
+    each skipped step was ``x * q[k] // q[k - 1]``.
+    """
+    rows, level, q, pivots = list(rows), [0] * len(rows), [1], []
+    live = list(range(len(rows)))
+    for col in range(ncols):
+        hits = [i for i in live if col in rows[i]]
+        if not hits:
+            continue
+        r, i = len(pivots), hits[0]
+        prow = _at_level(rows[i], level[i], r, q)
+        p = prow[col]
+        for j in hits[1:]:
+            row = _at_level(rows[j], level[j], r, q)
+            f, new = row[col], {c: p * x for c, x in row.items()}
+            for c, y in prow.items():
+                new[c] = new.get(c, 0) - f * y
+            rows[j], level[j] = {c: x // q[r] for c, x in new.items() if x}, r + 1
+        live.remove(i)
+        pivots.append((i, col, prow))
+        q.append(p)
+    return pivots, [rows[i] for i in live]
+
+
+def _at_level(row, s, t, q):
+    return row if s == t else {c: x * q[t] // q[s] for c, x in row.items()}
