@@ -73,6 +73,15 @@ def parse_rational(x) -> Fraction:
     return Fraction(p, q)
 
 
+def _sequence(values) -> list:
+    """``values`` as a list.  A str, bytes, dict or (frozen) set raises
+    ``TypeError``: it iterates as characters, keys or in no fixed order,
+    not as entries."""
+    if isinstance(values, (str, bytes, dict, set, frozenset)):
+        raise TypeError(f"expected a sequence of entries, got a {type(values).__name__}")
+    return list(values)
+
+
 def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:
     """``values`` as Fractions, and as integers over the lcm of their denominators.
 
@@ -80,7 +89,7 @@ def _exact(values) -> tuple[tuple[Fraction, ...], int, list[int]]:
     made from lists, not generators: a tuple grown from a generator bypasses
     the interpreter's tuple free list but is freed onto it.
     """
-    values = list(values)
+    values = _sequence(values)
     if set(map(type, values)) <= {int}:
         return tuple(list(map(_FRACTION.__getitem__, values))), 1, values
     fracs = tuple([parse_rational(x) for x in values])
@@ -114,14 +123,17 @@ class FiberLattice:
     connected: bool = True
 
     def __init__(self, labels, matrix, multiplicities, connected: bool = True):
-        n, matrix = len(labels), list(matrix)
+        labels, matrix = _sequence(labels), _sequence(matrix)
+        if not {*map(type, matrix)} <= {list, tuple}:
+            matrix = [_sequence(row) for row in matrix]
+        n = len(labels)
         if {*map(type, chain.from_iterable(matrix))} <= {int}:
             d, rows = 1, [{j: x for j, x in enumerate(row) if x} for row in matrix]
         else:
             rows = [_exact(row) for row in matrix]
             d = lcm(*[m for _, m, _ in rows])
             rows = [{j: x * (d // m) for j, x in enumerate(a) if x} for _, m, a in rows]
-        multiplicities = tuple([_multiplicity(c) for c in multiplicities])
+        multiplicities = tuple([_multiplicity(c) for c in _sequence(multiplicities)])
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("intersection matrix must be square and match the labels")
         if len(multiplicities) != n:

@@ -19,17 +19,17 @@ take sparse rows only: one ``{column: nonzero int}`` dict per row, read and
 never written, so a caller may hand in rows it shares (the boundary rows a
 ``DeltaComplex`` caches, the integer rows of a ``FiberLattice``).
 ``sparse`` and ``dense`` convert for the general rational solvers and the
-dense boundary matrices.  The elimination is transform-free: unit
-pivots first, and whenever no +-1 entry is left the residue is divided by
-its content, so boundary matrices and the mapping-cone relations of
-cohomology (``n`` at one entry beside +-1 incidences) rarely reach a dense
-Smith form.  Rows with one entry are kept out of the elimination, as one
-gcd per column, and finish as a divisibility chain (``invariant_factor_chain``
-merges such chains for ``cochain`` too).  The columns pivoted at +-1 before
-any content division are reported to ``dual_complex``, which deletes them
-from the rows of the next boundary matrix.  ``lattice_quotient`` reads a
-quotient ``Z^n / span(rels)`` straight from the invariant factors, with no
-lattice basis.
+dense boundary matrices.  The elimination is transform-free: the one-entry
+rows of a column are folded into their gcd, which is a diagonal block of its
+own unless another row reaches the column; then unit pivots come first, and
+whenever no +-1 entry is left the rows are divided by their content, so
+boundary matrices and the mapping-cone relations of cohomology (``n`` at one
+entry beside +-1 incidences) rarely reach a dense Smith form.  The columns
+pivoted at +-1 before any content division, and those whose own block is 1,
+are reported to ``dual_complex``, which deletes them from the rows of the
+next boundary matrix.  ``lattice_quotient`` reads a quotient
+``Z^n / span(rels)`` straight from the invariant factors, with no lattice
+basis.
 
 ``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
 integer and modular solvers and ``kernel_basis``, which the package itself
@@ -190,33 +190,29 @@ def snf_diagonal(mat):
 
 
 def _smith_diagonal(mat):
-    """``(snf_diagonal(mat), units)``: the invariant factors, and the set of
-    columns pivoted on at +-1 while the scale was still 1.
+    """``(snf_diagonal(mat), units)``: the invariant factors, and a set of
+    columns onto which the rows project as all of ``Z^units``.
 
-    No transforms are built.  Each row of two or more entries is copied (the
-    input is never written) and indexed by a column -> rows map, and every
-    +-1 entry is eliminated first: columns are walked sparsest first, each
-    pivoting on its shortest row with a unit entry, and each pivot
-    contributes the current scale to the diagonal.  When no unit is left,
-    the residue is divided by its content ``g`` (as ``SNF(g A) = g SNF(A)``)
-    and the scale multiplied by ``g``.  Only a residue of content 1 without
-    units goes to ``smith_normal_form``.
+    No transforms are built.  In one pass over the rows, the one-entry rows
+    of each column ``j`` are folded into ``m_j e_j``, ``m_j`` the gcd of
+    their values, and every other row is copied (the input is never
+    written) and indexed by a column -> rows map.  Where an indexed row
+    reaches column ``j``, ``{j: m_j}`` joins the indexed rows.  Elsewhere
+    ``m_j`` is a diagonal block of its own, merged into the diagonal at the
+    end by ``_merged``.
 
-    Rows with one entry (the ``n e_e`` rows of a mapping cone, and rows that
-    shrink to one entry) stay out of the index: they span ``m_j e_j`` for
-    each column ``j``, ``m_j`` the gcd of their values.  An ``m_j`` of 1 is
-    a unit pivot that clears column ``j`` at once, with no fill-in.
-    Pivoting column ``c`` on row ``p`` turns ``m_c e_c`` into ``-m_c a``
-    times the rest of row ``p`` (``a`` the pivot), which is reduced modulo
-    each ``m_j`` and then dropped, merged into the map or kept as a row.
-    With no row left, the ``m_j`` are a diagonal matrix, whose Smith
-    diagonal is their divisibility chain padded with ones.  The content
-    division and the dense fallback include the ``m_j``.
+    The indexed rows are eliminated by unit pivots first: columns are
+    walked sparsest first, each pivoting on its shortest row with a +-1
+    entry, and each pivot contributes the current scale to the diagonal.
+    When no unit is left, the rows are divided by their content ``g`` (as
+    ``SNF(g A) = g SNF(A)``) and the scale multiplied by ``g``.  Only rows
+    of content 1 without units go to ``smith_normal_form``.
 
-    The pivot rows of the units are integer combinations of the rows, unit
-    triangular on the unit columns, so the rows project onto all of
-    ``Z^units``.  A unit taken after a content division is not recorded:
-    its pivot row is a combination divided by the scale.
+    The units are the columns pivoted at +-1 while the scale is still 1,
+    and the columns whose own block ``m_j`` is 1.  Their pivot rows are
+    integer combinations of the rows, unit triangular on the unit columns.
+    A unit taken after a content division is not recorded: its pivot row
+    is a combination divided by the scale.
     """
     rows, cols, m = {}, {}, {}
     for i, row in enumerate(mat):
@@ -230,14 +226,17 @@ def _smith_diagonal(mat):
         elif row:
             ((j, x),) = row.items()
             m[j] = gcd(m.get(j, 0), x)
-    diag, units, scale = [], set(), 1
-    done, short = [], []  # the columns pivoted at this scale; rows that may have < 2 entries
+    blocks, units = [], set()
+    for j, x in m.items():
+        if j in cols:
+            rows[~j] = {j: x}  # negative keys never meet an input row's index
+            cols[j].add(~j)
+        else:
+            blocks.append(x)
+            if x == 1:
+                units.add(j)
+    diag, scale = [], 1
     while True:
-        for j in [j for j, x in m.items() if x == 1]:
-            _clear(rows, cols, m, short, j)
-            done.append(j)
-        if short:
-            _settle(rows, cols, m, short, done)
         pivoted = bool(rows)
         while pivoted:
             pivoted = False
@@ -247,18 +246,14 @@ def _smith_diagonal(mat):
                     if rows[i][c] in (1, -1) and (best is None or len(rows[i]) < len(rows[best])):
                         best = i
                 if best is not None:
-                    _pivot(rows, cols, m, short, best, c)
-                    done.append(c)
-                    if short:
-                        _settle(rows, cols, m, short, done)
+                    _pivot(rows, cols, best, c)
+                    diag.append(scale)
+                    if scale == 1:
+                        units.add(c)
                     pivoted = True
-        diag += [scale] * len(done)
-        if scale == 1:
-            units.update(done)
-        done = []
         if not rows:
             break
-        g = gcd(*m.values())
+        g = 0
         for row in rows.values():
             g = gcd(g, *row.values())
             if g == 1:
@@ -269,59 +264,21 @@ def _smith_diagonal(mat):
         for row in rows.values():
             for j in row:
                 row[j] //= g
-        for j in m:
-            m[j] //= g
     if rows:
-        keep = sorted({*cols, *m})
+        keep = sorted(cols)
         residue = [[row.get(j, 0) for j in keep] for row in rows.values()]
-        for j, x in m.items():
-            residue.append([x if k == j else 0 for k in keep])
         _, s, _ = smith_normal_form(residue, len(keep))
         diag += [scale * s[t][t] for t in range(min(len(residue), len(keep))) if s[t][t]]
-    else:
-        chain = _merged(m.values())
-        diag += [scale] * (len(m) - len(chain)) + [scale * d for d in reversed(chain)]
+    if blocks:
+        chain = _merged([*reversed(diag), *blocks])
+        diag = [1] * (len(diag) + len(blocks) - len(chain)) + chain[::-1]
     return diag, units
 
 
-def _clear(rows, cols, m, short, j):
-    """Pivot on the unit one-entry row ``e_j``, which has nothing to fill in."""
-    del m[j]
-    for k in cols.pop(j, ()):
-        row = rows[k]
-        del row[j]
-        if len(row) < 2:
-            short.append(k)
-
-
-def _settle(rows, cols, m, short, done):
-    """Move the rows in ``short`` with fewer than two entries out of the
-    index, into ``m``; a column whose ``m_j`` becomes 1 is cleared at once
-    and appended to ``done``."""
-    while short:
-        i = short.pop()
-        row = rows.get(i)
-        if row is None or len(row) > 1:
-            continue
-        del rows[i]
-        if row:
-            ((j, x),) = row.items()
-            col = cols[j]
-            col.discard(i)
-            if not col:
-                del cols[j]
-            m[j] = g = gcd(m.get(j, 0), x)
-            if g == 1:
-                _clear(rows, cols, m, short, j)
-                done.append(j)
-
-
-def _pivot(rows, cols, m, short, p, c):
+def _pivot(rows, cols, p, c):
     """Clear column ``c`` with the unit in row ``p``, then drop row ``p``
     and column ``c``: column operations would clear the rest of row ``p``
-    and touch no other row.  ``m_c e_c`` becomes ``-m_c a`` times the rest
-    of row ``p``, modulo each ``m_j``, and takes the place of row ``p``.
-    Rows left with fewer than two entries are appended to ``short``."""
+    and touch no other row.  A row left empty is deleted."""
     prow = rows.pop(p)
     a = prow.pop(c)
     for j in prow:
@@ -339,22 +296,8 @@ def _pivot(rows, cols, m, short, p, c):
             else:
                 del row[j]
                 cols[j].discard(i)
-        if len(row) < 2:
-            short.append(i)
-    mc = m.pop(c, 0)
-    if mc:
-        new = {}
-        for j, x in prow.items():
-            y = -mc * a * x
-            if j in m:
-                y %= m[j]
-            if y:
-                new[j] = y
-                cols[j].add(p)
-        if new:
-            rows[p] = new
-            if len(new) == 1:
-                short.append(p)
+        if not row:
+            del rows[i]
     for j in prow:
         if not cols[j]:
             del cols[j]
@@ -422,10 +365,10 @@ def invariant_factor_chain(orders) -> tuple[int, ...]:
     """Canonical invariant factors of a direct sum of cyclic groups.
 
     Each order merges into a divisibility chain by ``Z/a + Z/b = Z/lcm +
-    Z/gcd``, so nothing is factored (``_merged``, which also finishes the
-    one-entry rows of ``_smith_diagonal``).  Orders below 2 contribute
-    nothing; an order that is not an ``int`` (a bool is none) raises
-    ``TypeError``."""
+    Z/gcd``, so nothing is factored (``_merged``, which also merges the
+    one-entry blocks of ``_smith_diagonal`` into its diagonal).  Orders
+    below 2 contribute nothing; an order that is not an ``int`` (a bool is
+    none) raises ``TypeError``."""
     orders = list(orders)
     for a in orders:
         if type(a) is not int:

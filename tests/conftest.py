@@ -72,6 +72,19 @@ def random_fiber_lattice(rng: random.Random, max_size: int = 10) -> FiberLattice
     )
 
 
+def complete_graph_lattice(rng: random.Random, n: int) -> FiberLattice:
+    """The complete graph on n components with multiplicities 1: each
+    intersection number off the diagonal drawn from {2, 3}, each diagonal
+    entry the negated sum of its row (a negated weighted Laplacian).  Its
+    gauge-reduced matrix has no +-1 entry and content 1."""
+    mat = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        mat[i][j] = mat[j][i] = rng.choice((2, 3))
+    for i, row in enumerate(mat):
+        row[i] = -sum(row)
+    return FiberLattice(tuple(f"C{k}" for k in range(n)), mat, (1,) * n)
+
+
 def random_orthogonal_trace(rng: random.Random, lattice: FiberLattice) -> DivisorTrace:
     """Random integer trace with zero pairing against the fiber class."""
     n = lattice.size

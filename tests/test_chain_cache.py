@@ -7,12 +7,14 @@ cached sparse boundary rows against the dense matrices built entry by
 entry; and the mapping cones gauged by the spanning forest against the full
 cone on every vertex and edge."""
 
+import random
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_fiber_lattice, random_multigraph, random_strata
+from conftest import complete_graph_lattice, random_fiber_lattice, random_multigraph, random_strata
 from fiberext import dual_complex, linalg
 from fiberext.cochain import (
     Cochain,
@@ -34,7 +36,7 @@ from fiberext.dual_complex import (
     simplex_strata,
     strata_from_multigraph,
 )
-from fiberext.lattice import component_group, validate_lattice
+from fiberext.lattice import component_group, denominator_bound, validate_lattice
 from test_exactness import one_vertex_complex
 from oracles import (
     boundary_matrix_reference,
@@ -143,8 +145,10 @@ class TestTransformFreeInvariantFactors:
     @pytest.mark.parametrize("order", [2, 6, 10**11 + 3])
     def test_one_entry_rows(self, rng, order):
         """One-entry rows beside a matrix, as the ``n e_e`` rows of a
-        graph's mapping cone: a row dropped as a combination of them must
-        not change the factors, whether or not they divide its entries."""
+        graph's mapping cone, whether or not they divide its entries:
+        folded into one gcd per column, they join the rows that reach their
+        column and stand as diagonal blocks elsewhere, and the factors must
+        match both references."""
         tried = 0
         for mat, n in random_matrices(rng, (-1, 0, 0, 1, 1, 2, order), 400):
             if n:
@@ -319,30 +323,51 @@ SMALL_MATRICES = st.integers(0, 5).flatmap(lambda n: st.tuples(
 
 
 @given(SMALL_MATRICES)
-# One-entry rows 2 e_0 and 3 e_0, whose gcd 1 clears column 0.
+# One-entry rows 2 e_0 and 3 e_0 fold to the gcd 1; other rows reach
+# column 0, so e_0 joins them as a row and is the first unit pivot.
 @example(([[2, 0, 0], [3, 0, 0], [0, 4, 0], [5, 2, 6], [0, 2, 2]], 3, 1))
-# A unit one-entry row -e_1 clears its column; after the content 2 is
-# divided out, pivoting column 0 leaves -3 e_2 and -5 e_2, whose gcd 1
-# clears column 2 in the same pass.
+# The one-entry row -e_1 joins the rows reaching column 1 and clears it
+# with no fill-in; after the content 2 is divided out, pivoting column 0
+# leaves -3 e_2 and -5 e_2, ordinary rows without a unit, of content 1,
+# for the dense fallback.
 @example(([[0, -1, 0], [2, 3, 4], [4, 5, 2], [6, 0, 2]], 3, 1))
-# Row 1 shrinks to 2 e_2 when column 0 is pivoted; the finish is the chain
-# of 3 and 2, with a 1 beside 6.
+# Row 1 shrinks to 2 e_2 when column 0 is pivoted and stays a row beside
+# the joined 3 e_1, for the dense fallback.  At factor 6 the content 6 is
+# divided out before that pivot, so column 0 is no unit.
 @example(([[1, 1, 0], [1, 1, 2], [0, 3, 0]], 3, 1))
 @example(([[1, 1, 0], [1, 1, 2], [0, 3, 0]], 3, 6))
-# Pivoting column 0 turns 3 e_0 into -3 (e_1 + e_2), which is e_1 - 3 e_2
-# modulo 2 e_1 and is kept as a row.
+# 3 e_0 and 2 e_1 join the rows; pivoting the sparsest column, 2, leaves
+# them as a diagonal residue for the dense fallback.
 @example(([[1, 1, 1], [3, 0, 0], [0, 2, 0]], 3, 1))
-# The mapping cone of 2 on a triangle: each 2 e_e is dropped modulo the others.
+# The mapping cone of 2 on a triangle: two unit pivots empty the third
+# incidence row, which is deleted, and turn each 2 e_e into 2 e_2; after
+# the content 2 is divided out, one e_2 is pivoted and empties the others.
 @example(([[1, -1, 0], [0, 1, -1], [-1, 0, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 3, 1))
-# Content 2 in the rows but 1 with m_0 = 3: the dense fallback includes 3 e_0.
+# Content 2 in the two-entry rows, but 1 with the joined row 3 e_0: all
+# three rows go to the dense fallback.
 @example(([[2, 4], [4, 2], [3, 0]], 2, 1))
-# Row 1 shrinks to 2 e_2; the row 3 e_1 + 3 e_2 is left, of content 1 only
-# with m_1 = 6 and m_2 = 2, and goes to the dense fallback with them.
+# Row 1 shrinks to 2 e_2 and stays a row; with 3 e_1 + 3 e_2 and the
+# joined 6 e_1 it is a residue of content 1 for the dense fallback.
 @example(([[1, 1, 0], [1, 1, 2], [0, 3, 3], [0, 6, 0]], 3, 1))
+# The one-entry row -e_1 alone in column 1 is a diagonal block of its own,
+# merged into the diagonal at the end and reported as a unit.
+@example(([[0, -1, 0], [2, 0, 4], [4, 0, 2]], 3, 1))
 @settings(max_examples=300, deadline=None)
 def test_invariant_factors_property(case):
+    """``_smith_diagonal`` itself: the diagonal against both references;
+    the units a set of columns the rows project onto, so that their Smith
+    diagonal is all ones; and among them every column whose entries all lie
+    in one-entry rows of gcd 1."""
     mat, n, factor = case
-    assert_same_invariant_factors([[factor * x for x in row] for row in mat], n)
+    mat = [[factor * x for x in row] for row in mat]
+    assert_same_invariant_factors(mat, n)
+    diag, units = linalg._smith_diagonal(linalg.sparse(mat))
+    assert diag == naive_invariant_factors(mat)
+    assert naive_invariant_factors([[row[j] for j in sorted(units)] for row in mat]) == [1] * len(units)
+    for j in range(n):
+        hits = [row for row in mat if row[j]]
+        if hits and all(sum(map(bool, row)) == 1 for row in hits) and gcd(*[row[j] for row in hits]) == 1:
+            assert j in units
 
 
 @pytest.fixture
@@ -501,3 +526,35 @@ def test_component_group_matches_c_perp_path(rng, corpus_lattices):
     assert corpus
     for lat in lattices + corpus:
         assert component_group(lat).torsion == component_group_reference(lat)
+
+
+def dense_calls(factored):
+    """The matrices in ``factored`` handed to ``smith_normal_form``: lists
+    of dense rows, where ``_smith_diagonal`` gets dicts."""
+    return [mat for mat in factored if mat and isinstance(mat[0], list)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_complete_graph_lattices_match_plain_euclid(seed, factored):
+    """Gauge-reduced matrices with no unit and content 1, which reach the
+    dense fallback: the component group and the denominator bound against
+    the Smith diagonal by plain Euclid."""
+    rng = random.Random(seed)
+    for n in range(3, 12):
+        lattice = complete_graph_lattice(rng, n)
+        diag = naive_invariant_factors([[int(x) for x in row[1:]] for row in lattice.matrix[1:]])
+        assert component_group(lattice).torsion == tuple(d for d in diag if d > 1)
+        assert denominator_bound(lattice) == diag[-1]
+    assert len(dense_calls(factored)) >= 5
+
+
+def test_complexes_and_cones_never_reach_the_dense_fallback(rng, factored):
+    """Homology of random complexes and their mapping cones for every order
+    leave no residue for ``smith_normal_form``."""
+    for _ in range(150):
+        for cx in (build_dual_complex(random_strata(rng)), random_multigraph(rng)):
+            homology(cx)
+            for n in CONE_ORDERS:
+                cohomology_group(cx, CoefficientGroup(torsion=(n,)))
+    assert len(factored) > 1000
+    assert dense_calls(factored) == []

@@ -211,6 +211,25 @@ class TestLatticeBuilds:
         with pytest.raises(ValueError, match=r"^lattice.matrix\[1\]\[0\]: not an exact rational: False$"):
             parse_lattice({"labels": ["A", "B"], "matrix": [[-2, 2], [False, -2]], "multiplicities": [1, 1]})
 
+    @pytest.mark.parametrize("build", [
+        lambda: FiberLattice(("A", "B"), [{0: -2, 1: 2}, {0: 2, 1: -2}], (1, 1)),
+        lambda: FiberLattice(("A", "B"), ["00", "00"], (1, 1)),
+        lambda: FiberLattice(("A", "B"), [b"00", b"00"], (1, 1)),
+        lambda: FiberLattice(("A", "B"), [{-2, 2}, {-2, 2}], (1, 1)),
+        lambda: FiberLattice(("A", "B"), {0: (-2, 2), 1: (2, -2)}, (1, 1)),
+        lambda: FiberLattice("AB", ((-2, 2), (2, -2)), (1, 1)),
+        lambda: FiberLattice(("A", "B"), ((-2, 2), (2, -2)), {1: 1, 2: 1}),
+        lambda: DivisorTrace("12"),
+        lambda: DivisorTrace({3: 1, 4: 2}),
+        lambda: extend_nef(kodaira_cycle(2), DivisorTrace((1, -1)), "00"),
+    ], ids=["dict rows", "str rows", "bytes rows", "set rows", "dict matrix", "str labels",
+            "dict multiplicities", "str trace", "dict trace", "str targets"])
+    def test_a_non_sequence_is_refused(self, build):
+        """Each of these iterates as characters, keys or in no fixed order,
+        and used to give a lattice, trace or target vector silently."""
+        with pytest.raises(TypeError, match="^expected a sequence of entries, got a "):
+            build()
+
     def test_a_bad_entry_is_named_before_a_later_field(self):
         """A row-by-row read met the matrix before the multiplicities."""
         with pytest.raises(ValueError, match=r"^lattice.matrix\[0\]\[1\]: not an exact rational: 'x'$"):
