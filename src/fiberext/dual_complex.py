@@ -28,19 +28,17 @@ of ``cochain.cohomology_group`` read the same ``compressed_rows``.
 ``boundary_matrix`` is a dense view of the rows, for display.  The caches
 are not fields and are never shared between complexes.
 
-The compression is exact only for a chain complex, ``B_(r-1) B_r = 0``.
-``build_dual_complex`` guarantees it and ``closure`` keeps it; a complex
-built directly is checked once per degree r >= 2, the first time
-``compressed_rows`` reads B_r (``_check_chain``).
+The compression is exact only for a chain complex, ``B_(r-1) B_r = 0``,
+which every ``DeltaComplex`` satisfies from the moment it is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import combinations
 from operator import ge
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import linalg
 from .errors import StrataError
@@ -65,18 +63,27 @@ class DeltaComplex:
     and the spanning forest once per instance, and cached on it; the caches
     are not fields, so equality, hashing and repr ignore them.
 
-    The facet maps must make a chain complex, ``B_(r-1) B_r = 0``: the
+    The facet maps must make a chain complex, ``B_(r-1) B_r = 0``, as the
     invariant factors of ``B_r`` are computed without the rows that the
-    unit pivots of ``B_(r-1)`` name, which is exact only then.  Every
-    complex ``build_dual_complex`` returns satisfies it, and ``closure`` of
-    such a complex keeps it; both mark their result as checked.  An
-    instance built directly is checked in degree r the first time B_r is
-    compressed, and a ``StrataError`` names the first r-simplex whose
-    boundary is no cycle.  The mark is not a field either.
+    unit pivots of ``B_(r-1)`` name.  An instance built directly is checked
+    in each degree r >= 2 as it is made, and a ``StrataError`` names the
+    first r-simplex whose boundary is no cycle; ``build_dual_complex`` and
+    ``closure`` make theirs, consistent by construction, unchecked.
     """
 
     simplex_ids: tuple[tuple[str, ...], ...]
     facets: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def __post_init__(self):
+        for r in range(2, len(self.simplex_ids)):
+            _check_chain(self, r)
+
+    @classmethod
+    def _consistent(cls, simplex_ids, facets) -> DeltaComplex:
+        """A complex known to satisfy ``B_(r-1) B_r = 0``, made unchecked."""
+        complex = object.__new__(cls)
+        complex.__dict__.update(simplex_ids=simplex_ids, facets=facets)
+        return complex
 
     @property
     def dimension(self) -> int:
@@ -101,13 +108,6 @@ class DeltaComplex:
     def _invariant_factors(self) -> dict:
         """Degree r -> the invariant factors and unit columns of B_r."""
         return {}
-
-    @cached_property
-    def _unchecked(self) -> set:
-        """Degrees r >= 2 for which ``B_(r-1) B_r = 0`` is still to be
-        checked: all of them for an instance built directly, none for one
-        that ``build_dual_complex`` or ``closure`` made (``_checked``)."""
-        return set(range(2, self.dimension + 1))
 
     @cached_property
     def spanning_forest(self) -> tuple[tuple[int, int, int], ...]:
@@ -157,18 +157,18 @@ class DeltaComplex:
             tuple(tuple(new_index[k - 1][f] for f in self.facets[k - 1][i]) for i in maps[k])
             for k in range(1, r + 1)
         )
-        sub = DeltaComplex(ids, facets)
-        return (sub if self._unchecked else _checked(sub)), maps
+        return DeltaComplex._consistent(ids, facets), maps
 
 
 def build_dual_complex(levels) -> DeltaComplex:
     """Assemble the ordered Delta-complex of an snc stratum description.
 
     ``levels[r]`` holds the level-r strata (r = |J| - 1) as ``Stratum``s or
-    plain ``(id, indices, facets)`` tuples, with index sets as tuples.  One
-    r-simplex per level-r stratum; several simplices may share a vertex set
-    (a Delta-complex, not a simplicial complex).  Facet references must be
-    consistent: the two ways around any codimension-2 face agree.
+    plain ``(id, indices, facets)`` tuples, with index sets as sequences,
+    read as tuples.  One r-simplex per level-r stratum; several simplices
+    may share a vertex set (a Delta-complex, not a simplicial complex).
+    Facet references must be consistent: the two ways around any
+    codimension-2 face agree.
 
     Each level is checked and resolved whole.  Its ids, index sets and
     facet lists are read as columns, each column of facet ids is resolved
@@ -185,17 +185,15 @@ def build_dual_complex(levels) -> DeltaComplex:
     with distinct index sets there is only one.  So every complex built
     satisfies ``B_(r-1) B_r = 0``.
 
-    A level that fails any check, or holds an index set that is not a
-    tuple, sends the whole description to ``_walk``, which checks one
-    stratum at a time and raises the first fault it meets.
+    At the first level that fails a check, ``_fault`` checks that level's
+    strata one at a time and raises the first fault it meets; the levels
+    below passed the same checks, and later levels are not read.
     """
-    levels = iter(levels)
-    read, ids, facets, seen, total = [], [], [], set(), 0
+    ids, facets, seen, total = [], [], set(), 0
     names = indices = columns = two_below = vertices = ()
     for r, level in enumerate(levels):
         if type(level) is not list and type(level) is not tuple:
             level = tuple(level)
-        read.append(level)
         below_names, below_indices, below_columns = names, indices, columns
         names = indices = columns = rows = ()
         try:
@@ -203,8 +201,12 @@ def build_dual_complex(levels) -> DeltaComplex:
                 names, indices, fids = zip(*level, strict=True)
                 seen.update(names)
                 total += len(names)
-                # tuple.__len__ refuses an index set that is not a tuple.
-                if len(seen) != total or set(map(tuple.__len__, indices)) != {r + 1}:
+                try:
+                    lengths = set(map(tuple.__len__, indices))
+                except TypeError:  # an index set that is not a tuple
+                    indices = tuple(map(_index_set, indices))
+                    lengths = set(map(tuple.__len__, indices))
+                if len(seen) != total or lengths != {r + 1}:
                     break
                 if not r:
                     (vertices,) = zip(*indices)
@@ -238,14 +240,8 @@ def build_dual_complex(levels) -> DeltaComplex:
         facets.append(rows)
         two_below = below_indices if r > 1 else ()
     else:
-        return _checked(DeltaComplex(tuple(ids), tuple(facets[1:])))
-    return _checked(_walk(chain(read, levels)))
-
-
-def _checked(complex: DeltaComplex) -> DeltaComplex:
-    """``complex``, marked as known to satisfy ``B_(r-1) B_r = 0``."""
-    complex.__dict__["_unchecked"] = ()
-    return complex
+        return DeltaComplex._consistent(tuple(ids), tuple(facets[1:]))
+    _fault(r, level, ids, below_indices, facets)
 
 
 def _facets_drop_one_index(columns, cols, below_indices) -> bool:
@@ -267,56 +263,55 @@ def _routes_agree(columns, below) -> bool:
                for b in range(len(columns)) for a in range(b))
 
 
-def _walk(levels) -> DeltaComplex:
-    """``build_dual_complex`` one stratum at a time, for a description some
-    level of which fails a check: every check on every stratum, level by
-    level, the codimension-2 check included; of several faults it reports
-    the first met."""
-    seen = set()
-    ids, facets = [], []
-    below, below_indices, below_facets = {}, [], []  # the level under the current one
-    for r, level in enumerate(levels):
-        position, indices, rows = {}, [], []
-        n_facets = r + 1 if r else 0
-        for ident, idx, fids in level:
-            if ident in seen:
-                raise StrataError(f"duplicate stratum id {ident!r}")
-            seen.add(ident)
-            if len(idx) != r + 1:
-                raise StrataError(f"stratum {ident!r} at level {r} must have {r + 1} indices")
-            if r and any(map(ge, idx, idx[1:])):
-                raise StrataError(f"index set of {ident!r} must be strictly increasing")
-            if len(fids) != n_facets:
-                raise StrataError(f"stratum {ident!r} must list {n_facets} facets")
-            position[ident] = len(indices)
-            indices.append(idx)
-            row = tuple(map(below.get, fids))
-            for i, p in enumerate(row):
-                if p is None:
-                    raise StrataError(f"facet {fids[i]!r} of {ident!r} is not a level-{r - 1} stratum")
-                expected = idx[:i] + idx[i + 1:]
-                if below_indices[p] != expected:
+def _index_set(idx) -> tuple:
+    """``idx`` as a tuple; a str, bytes, dict or set has no index order and raises ``TypeError``."""
+    if isinstance(idx, (str, bytes, dict, set, frozenset)):
+        raise TypeError(f"an index set must be a sequence of indices, got a {type(idx).__name__}")
+    return tuple(idx)
+
+
+def _fault(r, level, ids, below_indices, facets) -> NoReturn:
+    """Raise the first fault of ``level``, the first level r to fail a check
+    of ``build_dual_complex``: each stratum in turn gets every check, against
+    ``ids``, ``facets`` and ``below_indices`` of the levels below."""
+    seen = set().union(*ids)
+    below = {ident: p for p, ident in enumerate(ids[-1])} if r else {}
+    n_facets = r + 1 if r else 0
+    indices = []
+    for ident, idx, fids in level:
+        if ident in seen:
+            raise StrataError(f"duplicate stratum id {ident!r}")
+        seen.add(ident)
+        idx = _index_set(idx)
+        if len(idx) != r + 1:
+            raise StrataError(f"stratum {ident!r} at level {r} must have {r + 1} indices")
+        if r and any(map(ge, idx, idx[1:])):
+            raise StrataError(f"index set of {ident!r} must be strictly increasing")
+        if len(fids) != n_facets:
+            raise StrataError(f"stratum {ident!r} must list {n_facets} facets")
+        indices.append(idx)
+        row = tuple(map(below.get, fids))
+        for i, p in enumerate(row):
+            if p is None:
+                raise StrataError(f"facet {fids[i]!r} of {ident!r} is not a level-{r - 1} stratum")
+            expected = idx[:i] + idx[i + 1:]
+            if below_indices[p] != expected:
+                raise StrataError(
+                    f"facet {fids[i]!r} of {ident!r} has index set "
+                    f"{below_indices[p]}, expected {expected}"
+                )
+        for i in range(r + 1 if r >= 2 else 0):
+            fi = facets[r - 1][row[i]]
+            for j in range(i + 1, r + 1):
+                if fi[j - 1] != facets[r - 1][row[j]][i]:
                     raise StrataError(
-                        f"facet {fids[i]!r} of {ident!r} has index set "
-                        f"{below_indices[p]}, expected {expected}"
+                        f"inconsistent facets of {ident!r}: dropping indices "
+                        f"{idx[i]} and {idx[j]} in either order must "
+                        "reach the same stratum"
                     )
-            if r >= 2:
-                for i in range(r + 1):
-                    fi = below_facets[row[i]]
-                    for j in range(i + 1, r + 1):
-                        if fi[j - 1] != below_facets[row[j]][i]:
-                            raise StrataError(
-                                f"inconsistent facets of {ident!r}: dropping indices "
-                                f"{idx[i]} and {idx[j]} in either order must "
-                                "reach the same stratum"
-                            )
-            rows.append(row)
-        if not r and len({idx[0] for idx in indices}) != len(indices):
-            raise StrataError("component indices at level 0 must be distinct")
-        ids.append(tuple(position))
-        facets.append(tuple(rows))
-        below, below_indices, below_facets = position, indices, rows
-    return DeltaComplex(tuple(ids), tuple(facets[1:]))
+    if not r and len({idx[0] for idx in indices}) != len(indices):
+        raise StrataError("component indices at level 0 must be distinct")
+    raise StrataError(f"level {r} fails a check of the level build that none of its strata fails")
 
 
 def boundary_rows(complex: DeltaComplex, r: int) -> tuple[dict[int, int], ...]:
@@ -390,9 +385,6 @@ def _factor(complex: DeltaComplex, r: int) -> tuple[list[int], set[int]]:
 def compressed_rows(complex: DeltaComplex, r: int) -> list[dict[int, int]]:
     """The cached rows of B_r less the unit columns of B_(r-1), in order:
     for r = 2, the rows of the edges off the spanning forest."""
-    if r in complex._unchecked:
-        _check_chain(complex, r)
-        complex._unchecked.discard(r)
     below = _factored(complex, r - 1)[1]
     return [row for f, row in enumerate(boundary_rows(complex, r)) if f not in below]
 
@@ -475,23 +467,19 @@ def strata_from_multigraph(n_vertices: int, edges) -> tuple[tuple[Stratum, ...],
     return tuple(levels)
 
 
-def simplex_strata(indices: tuple[int, ...], full: bool = True) -> tuple[tuple[Stratum, ...], ...]:
+def simplex_strata(indices, full: bool = True) -> tuple[tuple[Stratum, ...], ...]:
     """Strata levels of components in general position over the indices.
 
     With ``full`` false the top stratum is omitted (boundary-of-simplex
-    pattern).
+    pattern).  A stratum is named ``Z`` and its indices, run together when
+    each is one digit and joined by ``_`` otherwise, so no two share a name.
     """
-    from itertools import combinations
-
     indices = tuple(sorted(indices))
-    n = len(indices)
-    top = n if full else n - 1
-    levels = []
-    for r in range(top):
-        level = []
-        for sub in combinations(indices, r + 1):
-            name = "Z" + "".join(str(i) for i in sub)
-            facs = tuple("Z" + "".join(str(i) for i in sub[:k] + sub[k + 1:]) for k in range(r + 1)) if r else ()
-            level.append(Stratum(name, sub, facs))
-        levels.append(tuple(level))
-    return tuple(levels)
+    sep = "" if all(0 <= i < 10 for i in indices) else "_"
+
+    def name(sub):
+        return "Z" + sep.join(map(str, sub))
+
+    return tuple(tuple(Stratum(name(sub), sub, tuple(name(sub[:k] + sub[k + 1:]) for k in range(r + 1) if r))
+                       for sub in combinations(indices, r + 1))
+                 for r in range(len(indices) if full else len(indices) - 1))

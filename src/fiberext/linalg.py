@@ -15,9 +15,9 @@ right-hand side.  ``solve_rational`` and ``rational_kernel`` wrap
 benchmark's tracer wraps both by name, so they stay.
 
 Invariant factors (``snf_diagonal``) and quotients (``lattice_quotient``)
-take sparse rows only: one ``{column: nonzero int}`` dict per row, read and
-never written, so a caller may hand in rows it shares (the boundary rows a
-``DeltaComplex`` caches, the integer rows of a ``FiberLattice``).
+take sparse rows only: one ``{column: int}`` dict per row (a 0 is no entry),
+read and never written, so a caller may hand in rows it shares (the boundary
+rows a ``DeltaComplex`` caches, the integer rows of a ``FiberLattice``).
 ``sparse`` and ``dense`` convert for the general rational solvers and the
 dense boundary matrices.  The elimination is transform-free: the one-entry
 rows of a column are folded into their gcd, which is a diagonal block of its
@@ -31,11 +31,11 @@ next boundary matrix.  ``lattice_quotient`` reads a quotient
 ``Z^n / span(rels)`` straight from the invariant factors, with no lattice
 basis.
 
-``smith_normal_form`` is kept for callers that need ``(u, s, v)``: the
-integer and modular solvers and ``kernel_basis``, which the package itself
-no longer calls.  It picks as pivot the first entry of least absolute value
-in row-major order; the scan stops at the first unit entry, and a unit
-pivot needs no divisibility sweep.
+``smith_normal_form`` is kept for ``kernel_basis`` and the integer and
+modular solvers (one diagonal solve), which need ``(u, s, v)`` and which
+the package itself no longer calls.  It picks as pivot the first entry of
+least absolute value in row-major order; the scan stops at the first unit
+entry, and a unit pivot needs no divisibility sweep.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ def _fix_signs(s, u, v, m, n):
 def snf_diagonal(mat):
     """Invariant factors of the matrix with the given sparse rows, which are
     never written: the nonzero Smith diagonal, ascending.  No column count
-    is needed, as empty columns add nothing.  The elimination is
-    ``_smith_diagonal``'s."""
+    is needed, as empty columns add nothing, and an explicit 0 counts as no
+    entry.  The elimination is ``_smith_diagonal``'s."""
     return _smith_diagonal(mat)[0]
 
 
@@ -231,7 +231,7 @@ def _smith_diagonal(mat):
         if j in cols:
             rows[~j] = {j: x}  # negative keys never meet an input row's index
             cols[j].add(~j)
-        else:
+        elif x:  # an explicit 0 is no entry
             blocks.append(x)
             if x == 1:
                 units.add(j)
@@ -258,7 +258,7 @@ def _smith_diagonal(mat):
             g = gcd(g, *row.values())
             if g == 1:
                 break
-        if g == 1:
+        if g < 2:  # 0: only explicit zeros are left
             break
         scale *= g
         for row in rows.values():
@@ -293,7 +293,7 @@ def _pivot(rows, cols, p, c):
             if y:
                 row[j] = y
                 cols[j].add(i)
-            else:
+            elif j in row:
                 del row[j]
                 cols[j].discard(i)
         if not row:
@@ -313,38 +313,32 @@ def kernel_basis(mat, ncols=None):
 
 def solve_integer(mat, rhs, ncols=None):
     """One integer solution of ``mat @ x == rhs``, or ``None``."""
-    m = len(mat)
-    n = len(mat[0]) if mat else (ncols or 0)
-    u, s, v = smith_normal_form(mat, n)
-    c = mat_vec(u, rhs)
-    y = [0] * n
-    for i in range(m):
-        d = s[i][i] if i < n else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
-            return None
-    return mat_vec(v, y)
+    return _solve_diagonal(mat, rhs, ncols, 0)
 
 
 def solve_mod(mat, rhs, mod, ncols=None):
     """One solution of ``mat @ x == rhs (mod mod)``, or ``None``."""
-    m = len(mat)
+    return _solve_diagonal(mat, rhs, ncols, mod)
+
+
+def _solve_diagonal(mat, rhs, ncols, mod):
+    """One solution of ``mat @ x == rhs`` over ``Z/mod``, over Z for mod 0,
+    or ``None``: with ``u @ mat @ v = s`` in Smith form, solve the diagonal
+    system ``s @ y == u @ rhs`` entry by entry and take ``v @ y``.  Entry
+    ``d y_i = c_i`` is solvable iff ``g = gcd(d, mod)`` divides ``c_i`` (for
+    mod 0, g = d, and d = 0 needs c_i = 0)."""
     n = len(mat[0]) if mat else (ncols or 0)
     u, s, v = smith_normal_form(mat, n)
-    c = [x % mod for x in mat_vec(u, rhs)]
     y = [0] * n
-    for i in range(m):
+    for i, c in enumerate(mat_vec(u, rhs)):
         d = s[i][i] if i < n else 0
         g = gcd(d, mod)
-        if c[i] % g:
+        if c % g if g else c:
             return None
         if d:
-            dg, mg = d // g, mod // g
-            y[i] = (c[i] // g) * pow(dg, -1, mg) % mg if mg > 1 else 0
-    return [x % mod for x in mat_vec(v, y)]
+            y[i] = c // g * pow(d // g, -1, mod // g) % (mod // g) if mod else c // d
+    x = mat_vec(v, y)
+    return [e % mod for e in x] if mod else x
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,30 @@ def test_invariant_factors_property(case):
             assert j in units
 
 
+@given(SMALL_MATRICES, st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), max_size=8))
+# The zero matrix as one explicit 0, and as a row of two: no factor.
+@example(([[0]], 1, 1), [(0, 0)])
+@example(([[0, 0]], 2, 1), [(0, 0), (0, 1)])
+# A 0 in the unit pivot row, at a column the other row lacks.
+@example(([[1, 0, 0], [1, 2, 0]], 3, 1), [(0, 2)])
+# Content 2 beside a row of zeros only.
+@example(([[2, 4], [4, 2]], 2, 1), [(2, 0), (2, 1)])
+@settings(max_examples=300, deadline=None)
+def test_explicit_zeros_are_no_entries(case, zeros):
+    """Zeros written into the sparse rows (one-entry rows of 0, zeros beside
+    other entries, in columns past the matrix, and rows of zeros only)
+    change no invariant factor: ``_smith_diagonal`` still matches the
+    reference, and its units still give an all-ones Smith diagonal."""
+    mat, n, factor = case
+    mat = [[factor * x for x in row] for row in mat]
+    rows = linalg.sparse(mat) + [{}]
+    for i, j in zeros:
+        rows[i % len(rows)].setdefault(j, 0)
+    diag, units = linalg._smith_diagonal(rows)
+    assert diag == linalg.snf_diagonal(rows) == naive_invariant_factors(mat)
+    assert naive_invariant_factors([[row[j] for j in sorted(units)] for row in mat]) == [1] * len(units)
+
+
 @pytest.fixture
 def factored(monkeypatch):
     """Every matrix handed to either factorization routine, in call order:

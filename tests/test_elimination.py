@@ -16,12 +16,14 @@ from oracles import (
     cokernel_order_oracle,
     component_group_reference,
     extend_reference,
+    kernel_basis_reference,
     rational_kernel_dense_reference,
     rational_kernel_reference,
     rational_rank_oracle,
     semidefinite_rank_reference,
     solve_rational_dense_reference,
     solve_rational_reference,
+    solve_reference,
     validation_checks_reference,
 )
 
@@ -258,3 +260,32 @@ def test_invariants_are_cached_per_lattice():
     assert lattice_mod.denominator_bound(lat) == 6
     twin = lattice_mod.kodaira_cycle(6)
     assert twin == lat and hash(twin) == hash(lat) and repr(twin) == repr(lat)
+
+
+def test_smith_solvers_match_the_oracles():
+    """``kernel_basis`` and the one diagonal solve behind ``solve_integer``
+    and ``solve_mod`` against the oracles' Smith-form solve, on random
+    integer systems whose right-hand side is or is not consistent; each
+    solution found solves the system, and a consistent one is found."""
+    rng = random.Random(31)
+    for _ in range(400):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        mat = [[rng.choice((0, 0, 1, -1, rng.randint(-12, 12))) for _ in range(n)] for _ in range(m)]
+        assert linalg.kernel_basis(mat, n) == kernel_basis_reference(mat, n)
+        x = [rng.randint(-5, 5) for _ in range(n)]
+        consistent = linalg.mat_vec(mat, x)
+        noisy = [b + rng.randint(-2, 2) for b in consistent]
+        for rhs in (consistent, noisy):
+            got = linalg.solve_integer(mat, rhs, n)
+            assert got == solve_reference(mat, rhs, n)
+            assert got is not None or rhs is noisy
+            assert got is None or linalg.mat_vec(mat, got) == rhs
+            for mod in (1, 2, 6, 7, 12, 2**40 + 15):
+                got = linalg.solve_mod(mat, rhs, mod, n)
+                assert got == solve_reference(mat, rhs, n, mod)
+                assert got is not None or rhs is noisy
+                assert got is None or [(a - b) % mod for a, b in zip(linalg.mat_vec(mat, got), rhs)] == [0] * m
+
+
+def test_solve_rational_of_no_equations():
+    assert linalg.solve_rational([], []) == solve_rational_reference([], []) == []

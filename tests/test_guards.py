@@ -283,3 +283,18 @@ def test_readme_names_only_defined_classes():
 ])
 def test_the_guard_finds_undefined_readme_names(text, found):
     assert undefined_readme_names(text) == found
+
+
+def test_every_traced_function_exists():
+    """Each function the benchmark's tracer wraps by name (``TARGETS`` and
+    ``ROOT_SPAN`` in ``bench/tracer.py``, read from its source without
+    importing it) is still a function of its package module, so deleting
+    one fails here instead of in a traced benchmark run."""
+    tree = ast.parse((SOURCE.parent.parent / "bench" / "tracer.py").read_text())
+    values = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    package = ast.literal_eval(values["PACKAGE"])
+    targets = ast.literal_eval(values["TARGETS"]) + (ast.literal_eval(values["ROOT_SPAN"]),)
+    missing = [f"{module}.{name}" for module, name in targets
+               if not inspect.isfunction(getattr(importlib.import_module(f"{package}.{module}"), name, None))]
+    assert len(targets) >= 20 and missing == []

@@ -1,8 +1,9 @@
 """The level-at-a-time ``build_dual_complex`` against the one-walk build it
 replaced: the same complex or the same first ``StrataError`` on valid,
 faulty and oddly shaped input; the codimension-2 comparison only where the
-index sets two levels down repeat; and the ``B_(r-1) B_r = 0`` check of
-complexes built directly."""
+index sets two levels down repeat; the one-stratum walk of ``_fault`` only
+at a level that fails; and the ``B_(r-1) B_r = 0`` check of complexes
+built directly, made as they are constructed."""
 
 import json
 import random
@@ -18,7 +19,7 @@ from conftest import random_strata, torus_strata
 from oracles import build_dual_complex_reference, build_dual_complex_walk_reference
 from test_chain_cache import suspension
 from test_exactness import one_vertex_complex
-from test_scenario import CORPUS, MIN_LEVELS, MUTANT_MESSAGES, _inconsistent, _mutant, from_json
+from test_scenario import CORPUS, MIN_LEVELS, MUTANT_MESSAGES, _inconsistent, _mutant, _replace_at, from_json
 
 
 # A fragment of each StrataError message of the build.
@@ -94,17 +95,38 @@ class TestSameAsTheWalk:
         assert build_dual_complex(((), ())).counts == (0, 0)
 
     def test_index_sets_of_other_types(self):
-        """Index sets that are no tuples take the walk: lists throughout
-        build, lists beside tuples are refused as the walk refuses them."""
+        """Index sets are read as tuples, whatever their sequence type:
+        lists throughout, or beside tuples, give the complex or the fault
+        that the walk finds in the all-tuple description."""
+        def listed(strata, levels):
+            return [[(s.ident, list(s.indices), s.facets) for s in level] if r in levels else list(level)
+                    for r, level in enumerate(strata)]
+
+        triangle = simplex_strata((0, 1, 2))
+        assert build_dual_complex(listed(triangle, {2})) == build_dual_complex_walk_reference(triangle)
         rng = random.Random(3)
-        for _ in range(100):
+        kinds = sorted(MUTANT_MESSAGES)
+        for _ in range(200):
             strata = random_strata(rng)
-            as_lists = [[(s.ident, list(s.indices), s.facets) for s in level] for level in strata]
-            assert not isinstance(assert_same_as_walk(as_lists), str)
+            kind = rng.choice(kinds)
+            if rng.random() < 0.5 and len(strata) >= MIN_LEVELS.get(kind, 2):
+                strata = _mutant(kind, rng, strata)
+            want = outcome(build_dual_complex_walk_reference, strata)
+            assert outcome(build_dual_complex, listed(strata, range(len(strata)))) == want
             r = rng.randrange(len(strata))
-            mixed = [list(level) for level in strata]
-            mixed[r] = [(s.ident, list(s.indices), s.facets) for s in mixed[r]]
-            assert_same_as_walk(mixed)
+            assert outcome(build_dual_complex, listed(strata, {r})) == want
+            assert outcome(build_dual_complex, (iter(level) for level in listed(strata, {r}))) == want
+
+    @pytest.mark.parametrize("unordered", [lambda idx: "".join(map(str, idx)), bytes, dict.fromkeys, set, frozenset])
+    def test_index_sets_without_an_order_are_refused(self, unordered):
+        """A str, bytes, dict or set iterates as characters, keys or in no
+        fixed order: as an index set beside tuples, at any level, it raises
+        ``TypeError`` and is not read as a tuple."""
+        for r in range(3):
+            levels = [list(level) for level in simplex_strata((0, 1, 2))]
+            levels[r][-1] = levels[r][-1]._replace(indices=unordered(levels[r][-1].indices))
+            with pytest.raises(TypeError, match="^an index set must be a sequence of indices, got a "):
+                build_dual_complex(levels)
 
     @pytest.mark.parametrize("faults", [2, 3])
     def test_stacked_faults_keep_the_first(self, faults):
@@ -126,6 +148,20 @@ class TestSameAsTheWalk:
             if isinstance(want, str):
                 messages.update(m for m in FAULTS if m in want)
         assert len(messages) >= 7
+
+    def test_ids_repeated_from_lower_levels_are_refused(self):
+        """A stratum that takes the id of a stratum one or more levels down
+        is a duplicate; the walk of its level knows the ids below it."""
+        rng = random.Random(9)
+        for _ in range(100):
+            strata = random_strata(rng)
+            if len(strata) < 2:
+                continue
+            r = rng.randrange(1, len(strata))
+            k = rng.randrange(len(strata[r]))
+            lower = rng.choice([s.ident for level in strata[:r] for s in level])
+            mutant = _replace_at(strata, r, k, strata[r][k]._replace(ident=lower))
+            assert assert_same_as_walk(mutant) == f"StrataError: duplicate stratum id {lower!r}"
 
     def test_reversed_edges_are_refused(self):
         """An edge listed as ``(b, a)`` with its facets swapped to match
@@ -159,19 +195,20 @@ class TestSameAsTheWalk:
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Calls of the codimension-2 comparison and of the one-stratum walk."""
-    calls = {"routes": 0, "walk": 0}
+    """Calls of the codimension-2 comparison and of the one-stratum walk of
+    a failed level."""
+    calls = {"routes": 0, "fault": 0}
 
     def routes(*args, agree=dual_complex._routes_agree):
         calls["routes"] += 1
         return agree(*args)
 
-    def walk(levels, walk=dual_complex._walk):
-        calls["walk"] += 1
-        return walk(levels)
+    def fault(*args, fault=dual_complex._fault):
+        calls["fault"] += 1
+        fault(*args)
 
     monkeypatch.setattr(dual_complex, "_routes_agree", routes)
-    monkeypatch.setattr(dual_complex, "_walk", walk)
+    monkeypatch.setattr(dual_complex, "_fault", fault)
     return calls
 
 
@@ -182,7 +219,7 @@ class TestCounts:
         for name, data in CORPUS.items():
             if "strata" in data:
                 build_dual_complex(from_json(data["strata"]))
-        assert counted == {"routes": 0, "walk": 0}
+        assert counted == {"routes": 0, "fault": 0}
 
     def test_parallel_copies_two_levels_down_are_compared(self, counted):
         # A second edge on {0, 1}, with its own triangles on {0, 1, 2} and
@@ -197,7 +234,7 @@ class TestCounts:
             levels[2].append(s._replace(ident=ident + "x", facets=s.facets[:2] + ("Z01x",)))
         levels[3].append(tet._replace(ident="Z0123x", facets=tet.facets[:2] + ("Z013x", "Z012x")))
         assert homology(build_dual_complex(levels)).betti == (1, 0, 0, 0)
-        assert counted == {"routes": 1, "walk": 0}
+        assert counted == {"routes": 1, "fault": 0}
 
     def test_parallel_copies_one_level_down_are_not_compared(self, counted):
         # A second triangle on {0, 1, 2} with its own tetrahedron: level 2
@@ -208,7 +245,7 @@ class TestCounts:
         levels[2].append(tri._replace(ident="Z012x"))
         levels[3].append(tet._replace(ident="Z0123x", facets=tet.facets[:3] + ("Z012x",)))
         assert homology(build_dual_complex(levels)).betti == (1, 0, 0, 0)
-        assert counted == {"routes": 0, "walk": 0}
+        assert counted == {"routes": 0, "fault": 0}
 
     def test_inconsistent_routes_are_caught(self, counted):
         rng = random.Random(4)
@@ -217,18 +254,19 @@ class TestCounts:
             strata = random_strata(rng)
             if len(strata) < 4:
                 continue
-            counted.update(routes=0, walk=0)
+            counted.update(routes=0, fault=0)
             mutant = _inconsistent(rng, strata)
             want = outcome(build_dual_complex_walk_reference, mutant)
             assert want.startswith("StrataError: inconsistent facets of ")
             assert outcome(build_dual_complex, mutant) == want
-            assert counted["routes"] >= 1 and counted["walk"] == 1
+            assert counted["routes"] >= 1 and counted["fault"] == 1
             tried += 1
 
 
 class TestChainIdentity:
     """``B_(r-1) B_r = 0`` is checked once per degree, on complexes built
-    directly; built and closed complexes keep it and are not checked."""
+    directly, as they are made; built and closed complexes keep it and are
+    not checked."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -241,24 +279,25 @@ class TestChainIdentity:
         monkeypatch.setattr(dual_complex, "_check_chain", check)
         return calls
 
-    def test_a_direct_complex_that_breaks_it_raises(self):
-        def broken():
-            return DeltaComplex((("u", "v"), ("e",), ("t",)), (((0, 1),), ((0, 0, 0),)))
-
+    def test_a_direct_complex_that_breaks_it_raises(self, checks):
         with pytest.raises(StrataError, match=r"^facet maps of the 2-simplex 't' break B_1 B_2 = 0$"):
-            homology(broken())
-        with pytest.raises(StrataError, match="break B_1 B_2 = 0"):
-            cochain.cohomology_group(broken(), cochain.CoefficientGroup(torsion=(6,)))
+            DeltaComplex((("u", "v"), ("e",), ("t",)), (((0, 1),), ((0, 0, 0),)))
+        assert checks == [2]
 
     def test_direct_complexes_are_checked_once_per_degree(self, checks):
         rng = random.Random(5)
         sphere = build_dual_complex(simplex_strata((0, 1, 2, 3), full=False))
-        twice = suspension(suspension(sphere))
+        once = suspension(sphere)
+        assert checks == [2, 3]
+        twice = suspension(once)
+        assert checks == [2, 3, 2, 3, 4]
         assert homology(twice).betti == (1, 0, 0, 0, 1)
         homology(twice)
-        assert sorted(checks) == [2, 3, 4]
+        cochain.cohomology_group(twice, cochain.CoefficientGroup(torsion=(6,)))
+        assert checks == [2, 3, 2, 3, 4]
         for _ in range(50):
             homology(one_vertex_complex(rng))
+        assert checks == [2, 3, 2, 3, 4] + [2] * 50
 
     def test_built_and_closed_complexes_are_not_checked(self, checks):
         rng = random.Random(6)

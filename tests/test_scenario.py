@@ -496,3 +496,42 @@ def test_multi_fault_messages_match_the_helpers_only_walk(tmp_path, monkeypatch)
                  "strata.levels", "is missing", "cochain.edge_values[", "coordinates",
                  "cochain of degree 1 needs", "must be a JSON object", "duplicate stratum id"):
         assert any(part in e for e in errors), part
+
+
+@pytest.mark.parametrize("text, position", [
+    ("", "line 1 column 1 "),
+    ('{"name": "cut", "strata": {"levels": [[', "line 1 column 40 "),
+    ('{\n  "name": "cut",\n  "strata": {\n    "levels": [\n', "line 5 column 1 "),
+    ('{"name": "cut",}', "line 1 column 16 "),
+])
+def test_malformed_json_is_one_error_line_with_its_position(tmp_path, text, position):
+    """An empty or truncated scenario file fails to decode: exit 1 with one
+    ``error:`` line that names the line and column of the fault."""
+    file = tmp_path / "bad.json"
+    file.write_text(text)
+    with pytest.raises(json.JSONDecodeError):
+        load_scenario_file(file)
+    for command in ("dual-complex", "cochain", "extend", "pic0"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(file)])
+        lines = err.getvalue().splitlines()
+        assert code == EXIT_INPUT and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ") and position in lines[0]
+
+
+def test_truncated_corpus_files_name_their_position(tmp_path):
+    """Each bundled scenario cut off halfway, run through the command for
+    its first section, fails to decode with one ``error:`` line on the line
+    where the text ends."""
+    file = tmp_path / "cut.json"
+    for name, data in CORPUS.items():
+        text = (SCENARIOS / f"{name}.json").read_text()
+        file.write_text(text[:len(text) // 2].rstrip())
+        command = next(COMMAND_OF[section] for section in data if section in COMMAND_OF)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(file)])
+        lines = err.getvalue().splitlines()
+        assert code == EXIT_INPUT and len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"line {file.read_text().count(chr(10)) + 1} column " in lines[0]
